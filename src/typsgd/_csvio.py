@@ -33,16 +33,21 @@ def format_number(x) -> str:
     return repr(float(x))
 
 
-def write_rows(path, rows, header=None, config_digest="none", seed=None):
-    """Write rows (iterables of cells) with the provenance comment line."""
+def write_text(path, text: str) -> None:
+    """Write to ``path.tmp`` and rename it over ``path``: a failed write leaves ``path`` as it was."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(provenance_line(config_digest, seed) + "\n")
-        if header is not None:
-            fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) for c in row) + "\n")
+        fh.write(text)
     os.replace(tmp, path)
+
+
+def write_rows(path, rows, header=None, config_digest="none", seed=None):
+    """Write rows (iterables of cells) with the provenance comment line."""
+    lines = [provenance_line(config_digest, seed)]
+    if header is not None:
+        lines.append(",".join(header))
+    lines.extend(",".join(str(c) for c in row) for row in rows)
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_rows(path, has_header=False):

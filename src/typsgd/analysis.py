@@ -4,7 +4,9 @@ This module carries the quantitative heart of the package: the expected
 squared error of the batch-mean gradient estimator under plain SRS and
 under stratified typicality sampling. Each closed form is paired with an
 exhaustive enumeration oracle (every possible batch, exact probabilities)
-and a Monte-Carlo estimator for populations too large to enumerate.
+and a Monte-Carlo estimator for populations too large to enumerate. The
+exact error, the enumeration and the Monte-Carlo estimate are each written
+once over a scheme's strata; SRS is the one-stratum case.
 
 Two stratified formulas are provided deliberately. The published identity
 (`typicality_error_formula_published`) measures H-stratum dispersion about the
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -29,14 +31,7 @@ import numpy as np
 from .density import Partition
 from .errors import CapabilityError, InvalidArgumentError
 from .models import GradientFamily
-from .sampling import (
-    BatchPlan,
-    SrsScheme,
-    StratifiedScheme,
-    srs_batch,
-    typicality_batch,
-    validate_plan,
-)
+from .sampling import BatchPlan, SrsScheme, StratifiedScheme, batch_space_size, draw_batch, validate_plan
 
 ENUMERATION_BUDGET = 1_000_000
 
@@ -92,20 +87,33 @@ def dispersion_about_mean(rows: np.ndarray) -> float:
     return float(np.sum(centered * centered)) / (rows.shape[0] - 1)
 
 
-def srs_error_formula(grads: GradientFamily, m: int) -> float:
-    """Expected squared error of the SRS batch mean: (1 - m/N) S^2 / m.
+def exact_error(grads: GradientFamily, scheme) -> float:
+    """Exact E||batch mean - reference||^2 of a scheme: bias^2 + variance.
 
-    The dispersion S^2 is always taken about the per-sample mean; the stored
-    reference plays no role here, so the value equals the enumerated error
-    only when the reference is that mean.
+    With n_h draws from stratum h of size N_h and m = sum n_h, the batch
+    mean has expectation (1/m) sum_h (n_h/N_h) sum_{i in h} g_i and variance
+    sum_h n_h (1 - n_h/N_h) S_h^2 / m^2, S_h^2 the dispersion of stratum h
+    about its own mean (Cochran 1977, ch. 5). Agrees with enumeration for
+    every gradient family and reference.
     """
     rows = _rows(grads)
-    n = rows.shape[0]
-    if n < 2:
-        raise InvalidArgumentError("SRS error formula needs N >= 2")
-    if not 1 <= m <= n:
-        raise InvalidArgumentError(f"batch size m={m} must lie in [1, N={n}]")
-    return (1.0 - m / n) * dispersion_about_mean(rows) / m
+    strata = scheme.strata(rows.shape[0])
+    m = sum(draws for _, draws in strata)
+    expectation = sum(draws / members.shape[0] * rows[members].sum(axis=0) for members, draws in strata) / m
+    var = sum(
+        draws * (1.0 - draws / members.shape[0]) * dispersion_about_mean(rows[members])
+        for members, draws in strata
+    ) / m**2
+    return _sq_norm(expectation - grads.reference) + var
+
+
+def srs_error_formula(grads: GradientFamily, m: int) -> float:
+    """Expected squared error of the SRS batch mean: bias^2 + (1 - m/N) S^2 / m.
+
+    The bias is the distance of the population mean from the stored
+    reference; it vanishes when the reference is that mean.
+    """
+    return exact_error(grads, SrsScheme(m=m))
 
 
 def _split_rows(grads: GradientFamily, partition: Partition):
@@ -144,21 +152,8 @@ def typicality_error_corrected(grads: GradientFamily, partition: Partition, plan
 
     The estimator mean is (1/m)(n1/N1 sum_H + n2/N2 sum_L); each stratum
     contributes SRS-without-replacement variance about its own stratum mean.
-    Agrees with enumeration for every gradient family and reference.
     """
-    validate_plan(plan, partition)
-    h_rows, l_rows = _split_rows(grads, partition)
-    n1_pop, n2_pop = partition.n1, partition.n2
-    if n1_pop < 2 or n2_pop < 2:
-        raise InvalidArgumentError("the corrected identity needs N1, N2 >= 2")
-    m = plan.m
-    expectation = (plan.n1 / n1_pop * h_rows.sum(axis=0) + plan.n2 / n2_pop * l_rows.sum(axis=0)) / m
-    bias_sq = _sq_norm(expectation - grads.reference)
-    var = (
-        plan.n1 * (1.0 - plan.n1 / n1_pop) * dispersion_about_mean(h_rows)
-        + plan.n2 * (1.0 - plan.n2 / n2_pop) * dispersion_about_mean(l_rows)
-    ) / m**2
-    return bias_sq + var
+    return exact_error(grads, StratifiedScheme(partition=partition, plan=plan))
 
 
 def _combination_sums(rows: np.ndarray, k: int) -> np.ndarray:
@@ -177,35 +172,17 @@ def enumerate_error(grads: GradientFamily, scheme, budget: int = ENUMERATION_BUD
     in that case.
     """
     rows = _rows(grads)
-    ref = grads.reference
-    if isinstance(scheme, SrsScheme):
-        n, m = rows.shape[0], scheme.m
-        if not 1 <= m <= n:
-            raise InvalidArgumentError(f"batch size m={m} must lie in [1, N={n}]")
-        count = math.comb(n, m)
-        if count > budget:
-            raise CapabilityError(
-                f"{count} batches exceed the enumeration budget {budget}; use monte_carlo_error"
-            )
-        diffs = _combination_sums(rows, m) / m - ref
-        return float(np.mean(np.sum(diffs * diffs, axis=1)))
-    if isinstance(scheme, StratifiedScheme):
-        partition, plan = scheme.partition, scheme.plan
-        validate_plan(plan, partition)
-        h_rows, l_rows = _split_rows(grads, partition)
-        count = math.comb(partition.n1, plan.n1) * math.comb(partition.n2, plan.n2)
-        if count > budget:
-            raise CapabilityError(
-                f"{count} batches exceed the enumeration budget {budget}; use monte_carlo_error"
-            )
-        h_sums = _combination_sums(h_rows, plan.n1)
-        l_sums = _combination_sums(l_rows, plan.n2)
-        total = 0.0
-        for h_sum in h_sums:  # chunk over H sub-batches to bound memory
-            diffs = (h_sum + l_sums) / plan.m - ref
-            total += float(np.sum(diffs * diffs))
-        return total / count
-    raise InvalidArgumentError(f"unknown scheme {scheme!r}")
+    count = batch_space_size(scheme, rows.shape[0])
+    if count > budget:
+        raise CapabilityError(f"{count} batches exceed the enumeration budget {budget}; use monte_carlo_error")
+    strata = scheme.strata(rows.shape[0])
+    m = sum(draws for _, draws in strata)
+    *heads, last = [_combination_sums(rows[members], draws) for members, draws in strata]
+    total = 0.0
+    for head in product(*heads):  # chunk over all but the last stratum to bound memory
+        diffs = sum(head, last) / m - grads.reference
+        total += float(np.sum(diffs * diffs))
+    return total / count
 
 
 def monte_carlo_error(grads: GradientFamily, scheme, draws: int, seed: int) -> tuple[float, float]:
@@ -217,13 +194,7 @@ def monte_carlo_error(grads: GradientFamily, scheme, draws: int, seed: int) -> t
     rng = np.random.default_rng(seed)
     sq_errors = np.empty(draws)
     for t in range(draws):
-        if isinstance(scheme, SrsScheme):
-            batch = srs_batch(rows.shape[0], scheme.m, rng)
-        elif isinstance(scheme, StratifiedScheme):
-            batch = typicality_batch(scheme.partition, scheme.plan, rng)
-        else:
-            raise InvalidArgumentError(f"unknown scheme {scheme!r}")
-        diff = rows[batch.indices].mean(axis=0) - ref
+        diff = rows[draw_batch(scheme, rows.shape[0], rng).indices].mean(axis=0) - ref
         sq_errors[t] = diff @ diff
     se = float(np.std(sq_errors, ddof=1) / math.sqrt(draws))
     return float(np.mean(sq_errors)), se
@@ -270,7 +241,7 @@ def compare_error_expectations(
     alpha = mse_strat / mse_srs, with alpha = 1 by convention when the SRS
     error vanishes.
     """
-    validate_plan(plan, partition)
+    stratified = StratifiedScheme(partition=partition, plan=plan)
 
     def expected(scheme):
         try:
@@ -279,7 +250,7 @@ def compare_error_expectations(
             return monte_carlo_error(grads, scheme, draws=mc_draws, seed=seed)[0]
 
     mse_srs = expected(SrsScheme(m=plan.m))
-    mse_strat = expected(StratifiedScheme(partition=partition, plan=plan))
+    mse_strat = expected(stratified)
     alpha = 1.0 if mse_srs == 0.0 else mse_strat / mse_srs
     return ErrorComparison(mse_srs=mse_srs, mse_strat=mse_strat, holds=mse_strat <= mse_srs, alpha=alpha)
 

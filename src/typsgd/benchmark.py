@@ -26,7 +26,7 @@ from .data import Dataset, generate_clustered
 from .density import Partition, build_partition, kde_densities
 from .embedding import tsne_embed
 from .models import GradientFamily, ModelSpec, QuadraticModel, per_sample_gradients, quadratic_constants
-from .optimize import Adam, Sgd, TrainTrace, train
+from .optimize import Adam, Sgd, median_reach, train
 from .sampling import SrsScheme, StratifiedScheme, make_plan
 
 
@@ -92,11 +92,6 @@ def build_benchmark(
     )
 
 
-def _median_or_inf(values) -> float:
-    filled = [np.inf if v is None else v for v in values]
-    return float(np.median(filled))
-
-
 def run_comparison(
     setup: BenchmarkSetup,
     seeds=tuple(range(15)),
@@ -142,8 +137,8 @@ def run_comparison(
     return ComparisonResult(
         sgd_iterations=sgd_iters,
         adam_iterations=adam_iters,
-        medians_sgd={k: _median_or_inf(v) for k, v in sgd_iters.items()},
-        medians_adam={k: _median_or_inf(v) for k, v in adam_iters.items()},
+        medians_sgd={k: median_reach(v) for k, v in sgd_iters.items()},
+        medians_adam={k: median_reach(v) for k, v in adam_iters.items()},
         alpha_at_start=float(alpha),
         seeds=tuple(seeds),
     )

@@ -14,18 +14,19 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from glob import glob
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from ._csvio import format_number, read_rows, write_rows
+from ._csvio import format_number, read_rows, write_rows, write_text
 from .config import RunConfig
 from .data import Dataset, generate_clustered, generate_pwl_curves, load_csv, save_csv, split_dataset
-from .density import build_partition, kde_densities, load_partition, save_partition
+from .density import Partition, build_partition, kde_densities, load_partition, save_partition
 from .embedding import load_embedding_points, save_embedding, tsne_embed
 from .errors import CapabilityError, CsvFormatError, InvalidArgumentError, NumericError
-from .models import MODEL_KINDS, quadratic_constants, save_theta
-from .optimize import Adam, Sgd, load_trace_rows, save_trace, train
-from .sampling import SrsScheme, StratifiedScheme, default_plan, make_plan
+from .models import MODEL_KINDS, ModelSpec, quadratic_constants, save_theta
+from .optimize import Adam, Sgd, first_reach, load_trace_rows, median_reach, save_trace, train
+from .sampling import BatchPlan, SrsScheme, StratifiedScheme, default_plan, make_plan
 from .svg import line_chart, scatter_chart
 from .verify import all_asserted_pass, run_verification
 
@@ -160,7 +161,24 @@ def _model_from_config(config: RunConfig):
     return MODEL_KINDS[kind]()
 
 
-def _train_setup(config: RunConfig, out_dir: str):
+class TrainSetup(NamedTuple):
+    """Everything the training cells of one `typsgd train` share, built once."""
+
+    train_data: Dataset
+    val_data: Dataset | None
+    model: object
+    spec: ModelSpec | None
+    schemes: dict
+    optimizers: dict
+    partition: Partition | None
+    plan: BatchPlan | None
+    iterations: int
+    eval_every: int
+    log_batches: bool
+    digest: str
+
+
+def _train_setup(config: RunConfig, out_dir: str) -> TrainSetup:
     dataset = _load_dataset_file(os.path.join(out_dir, "dataset.csv"))
     train_data, val_data = _split_for_training(config, dataset)
     model = _model_from_config(config)
@@ -201,57 +219,60 @@ def _train_setup(config: RunConfig, out_dir: str):
             optimizers[name] = Adam(eta=config.get_float("train", "adam_eta", eta))
         else:
             raise InvalidArgumentError(f"unknown optimizer {name!r}")
-    return train_data, val_data, model, spec, schemes, optimizers, partition, plan
+    return TrainSetup(
+        train_data, val_data, model, spec, schemes, optimizers, partition, plan,
+        iterations=config.get_int("train", "iterations", required=True),
+        eval_every=config.get_int("train", "eval_every", 10),
+        log_batches=config.get_bool("train", "log_batches", False),
+        digest=config.digest,
+    )
 
 
-def _run_cell(config_path: str, out_dir: str, sampler: str, optimizer: str, seed: int, with_alpha: bool):
+def _run_cell(setup: TrainSetup, out_dir: str, sampler: str, optimizer: str, seed: int, with_alpha: bool):
     """One (sampler, optimizer, seed) training run; writes trace and theta files."""
-    config = RunConfig.from_file(config_path)
-    train_data, val_data, model, spec, schemes, optimizers, partition, plan = _train_setup(config, out_dir)
-    log_batches = config.get_bool("train", "log_batches", False)
     stem = f"{sampler}_{optimizer}_seed{seed}"
     trace = train(
-        model,
-        train_data,
-        schemes[sampler],
-        optimizers[optimizer],
-        iterations=config.get_int("train", "iterations", required=True),
+        setup.model,
+        setup.train_data,
+        setup.schemes[sampler],
+        setup.optimizers[optimizer],
+        iterations=setup.iterations,
         seed=seed,
-        eval_every=config.get_int("train", "eval_every", 10),
-        val_data=val_data,
-        model_spec=spec,
+        eval_every=setup.eval_every,
+        val_data=setup.val_data,
+        model_spec=setup.spec,
         record_thetas=True,
-        alpha_probe=(partition, plan) if (with_alpha and partition is not None) else None,
-        batch_log_path=os.path.join(out_dir, f"batches_{stem}.csv") if log_batches else None,
+        alpha_probe=(setup.partition, setup.plan) if with_alpha else None,
+        batch_log_path=os.path.join(out_dir, f"batches_{stem}.csv") if setup.log_batches else None,
     )
-    save_trace(os.path.join(out_dir, f"trace_{stem}.csv"), trace, config_digest=config.digest)
+    save_trace(os.path.join(out_dir, f"trace_{stem}.csv"), trace, config_digest=setup.digest)
     save_theta(
         os.path.join(out_dir, f"theta_{stem}.csv"),
-        model.kind,
+        setup.model.kind,
         trace.thetas[-1][1],
-        config_digest=config.digest,
+        config_digest=setup.digest,
         seed=seed,
     )
-    if with_alpha and partition is not None:
+    if with_alpha:
         rows = [[r.iteration, format_number(r.alpha)] for r in trace.records if r.alpha is not None]
         if rows:
             write_rows(
                 os.path.join(out_dir, "alpha.csv"),
                 rows,
                 header=["iteration", "alpha"],
-                config_digest=config.digest,
+                config_digest=setup.digest,
                 seed=seed,
             )
     return stem
 
 
 def cmd_train(config: RunConfig, out_dir: str, seed_override=None, workers: int = 1) -> int:
-    train_data, val_data, model, spec, schemes, optimizers, partition, plan = _train_setup(config, out_dir)
+    setup = _train_setup(config, out_dir)
     seeds = [seed_override] if seed_override is not None else config.get_ints("train", "seeds", [0])
     cells = [
         (sampler, optimizer, seed)
-        for sampler in schemes
-        for optimizer in optimizers
+        for sampler in setup.schemes
+        for optimizer in setup.optimizers
         for seed in seeds
     ]
     alpha_cell = next(
@@ -260,14 +281,14 @@ def cmd_train(config: RunConfig, out_dir: str, seed_override=None, workers: int 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_run_cell, config.path, out_dir, s, o, sd, (s, o, sd) == alpha_cell)
+                pool.submit(_run_cell, setup, out_dir, s, o, sd, (s, o, sd) == alpha_cell)
                 for (s, o, sd) in cells
             ]
             for f in futures:
                 f.result()
     else:
         for s, o, sd in cells:
-            _run_cell(config.path, out_dir, s, o, sd, (s, o, sd) == alpha_cell)
+            _run_cell(setup, out_dir, s, o, sd, (s, o, sd) == alpha_cell)
     _write_comparison(config, out_dir)
     print(f"train: {len(cells)} runs -> {out_dir}")
     return EXIT_OK
@@ -285,10 +306,7 @@ def _write_comparison(config: RunConfig, out_dir: str) -> None:
         stem = Path(path).stem[len("trace_") :]
         sampler, optimizer, seed_part = stem.rsplit("_", 2)
         seed = int(seed_part.removeprefix("seed"))
-        reached = next(
-            (r["iteration"] for r in records if r["subopt"] is not None and r["subopt"] <= threshold),
-            None,
-        )
+        reached = first_reach(((r["iteration"], r["subopt"]) for r in records), threshold)
         final = records[-1]
         rows.append(
             [
@@ -306,7 +324,7 @@ def _write_comparison(config: RunConfig, out_dir: str) -> None:
         if cell not in curves or seed < curves[cell][0]:
             curves[cell] = (seed, [(r["iteration"], r["train_loss"]) for r in records])
     for (sampler, optimizer), reaches in sorted(by_cell.items()):
-        median = float(np.median([np.inf if r is None else r for r in reaches]))
+        median = median_reach(reaches)
         rows.append(
             [
                 sampler,
@@ -363,8 +381,7 @@ def cmd_verify(config: RunConfig, out_dir: str, seed_override=None) -> int:
         config_digest=config.digest,
         seed=seed,
     )
-    with open(os.path.join(out_dir, "error_reports.jsonl"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(json_lines) + "\n")
+    write_text(os.path.join(out_dir, "error_reports.jsonl"), "\n".join(json_lines) + "\n")
     return EXIT_OK if all_asserted_pass(results) else EXIT_VERIFY_FAIL
 
 

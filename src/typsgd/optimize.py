@@ -20,16 +20,8 @@ import numpy as np
 from ._csvio import format_number, read_rows, write_rows
 from .data import Dataset
 from .errors import InvalidArgumentError, NumericError
-from .models import mean_loss, per_sample_gradients
-from .sampling import (
-    Batch,
-    SrsScheme,
-    StratifiedScheme,
-    batch_space_size,
-    draw_batch,
-    enumerate_batches,
-    save_batch_log,
-)
+from .models import _targets_for, mean_loss, per_sample_gradients
+from .sampling import Batch, batch_space_size, draw_batch, enumerate_batches, save_batch_log
 
 
 @dataclass(frozen=True)
@@ -94,18 +86,22 @@ class TrainTrace:
 
     def iterations_to_threshold(self, threshold: float):
         """First recorded iteration whose suboptimality is <= threshold."""
-        for rec in self.records:
-            if rec.subopt is not None and rec.subopt <= threshold:
-                return rec.iteration
-        return None
+        return first_reach(((r.iteration, r.subopt) for r in self.records), threshold)
+
+
+def first_reach(points, threshold: float):
+    """First iteration of (iteration, subopt) points with subopt <= threshold, else None."""
+    return next((it for it, subopt in points if subopt is not None and subopt <= threshold), None)
+
+
+def median_reach(reaches) -> float:
+    """Median of iterations-to-threshold; a run that never reached it counts as infinity."""
+    return float(np.median([np.inf if r is None else r for r in reaches]))
 
 
 def _batch_mean_gradient(model, dataset: Dataset, theta, batch: Batch):
-    x = dataset.features[batch.indices]
-    y = dataset.targets[batch.indices] if dataset.targets is not None else None
-    if y is not None and y.shape[1] == 1 and model.kind != "conv":
-        y = y[:, 0]
-    grads = model.per_sample_grads(theta, x, y)
+    idx = batch.indices
+    grads = model.per_sample_grads(theta, dataset.features[idx], _targets_for(model, dataset)[idx])
     return np.sum(grads, axis=0) / batch.indices.shape[0]
 
 
@@ -142,10 +138,6 @@ def adam_step(
     return replace(state, theta=theta, iteration=state.iteration + 1, adam_m=m, adam_v=v, adam_t=t)
 
 
-def _scheme_kind(scheme) -> str:
-    return "srs" if isinstance(scheme, SrsScheme) else "typicality"
-
-
 def train(
     model,
     dataset: Dataset,
@@ -173,16 +165,13 @@ def train(
     if eval_every < 1:
         raise InvalidArgumentError("eval_every must be >= 1")
     n = dataset.n_samples
-    if isinstance(scheme, SrsScheme) and scheme.m > n:
-        raise InvalidArgumentError(f"batch size {scheme.m} exceeds dataset size {n}")
-    if isinstance(scheme, StratifiedScheme) and scheme.partition.n_total != n:
-        raise InvalidArgumentError("partition does not cover this dataset")
+    scheme.strata(n)  # rejects a batch or partition that does not fit the dataset before the first step
     rng = np.random.default_rng(seed)
     theta = np.array(theta0, dtype=np.float64) if theta0 is not None else model.init_theta(dataset, seed)
     state = TrainState(theta=theta, learning_rate=optimizer.eta)
     trace = TrainTrace(
         records=[],
-        sampler_kind=_scheme_kind(scheme),
+        sampler_kind=scheme.kind,
         optimizer_kind="adam" if isinstance(optimizer, Adam) else "sgd",
         seed=seed,
         eval_every=eval_every,

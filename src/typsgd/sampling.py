@@ -1,5 +1,10 @@
 """Batch selection: simple random sampling and stratified typicality sampling.
 
+Both schemes are stratified sampling: ``strata(n_total)`` returns
+(members, draws) pairs, one pair for SRS (the whole population, m draws)
+and two for typicality sampling ((H, n1), (L, n2)). Drawing, counting and
+enumerating batches are written once over those pairs.
+
 A :class:`BatchPlan` fixes how a batch of size m is split across the
 high-representative stratum H (n1 draws) and the remainder L (n2 draws).
 Plans must satisfy the oversampling constraint n1/N1 >= n2/N2, which is
@@ -13,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,17 +53,14 @@ class BatchPlan:
 
 @dataclass(frozen=True)
 class Batch:
-    """Selected sample ids with their stratum tags ('H', 'L' or 'none')."""
+    """Selected sample ids, distinct."""
 
     indices: np.ndarray
-    stratum_tags: tuple[str, ...]
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
         if len(np.unique(idx)) != idx.shape[0]:
             raise InvalidArgumentError("batch indices must be distinct")
-        if idx.shape[0] != len(self.stratum_tags):
-            raise InvalidArgumentError("stratum_tags must parallel indices")
         object.__setattr__(self, "indices", idx)
 
 
@@ -101,82 +104,77 @@ def default_plan(m: int, partition: Partition) -> BatchPlan:
         ) from None
 
 
-def srs_batch(n_total: int, m: int, rng: np.random.Generator) -> Batch:
-    """Uniform m-subset of {0..n_total-1} without replacement."""
-    if n_total < 1 or m < 1:
-        raise InvalidArgumentError("n_total and m must be >= 1")
-    if m > n_total:
-        raise InvalidArgumentError(f"batch size {m} exceeds population {n_total}")
-    idx = rng.choice(n_total, size=m, replace=False)
-    return Batch(indices=idx, stratum_tags=("none",) * m)
-
-
-def typicality_batch(partition: Partition, plan: BatchPlan, rng: np.random.Generator) -> Batch:
-    """Independent SRS draws of n1 from H and n2 from L, concatenated.
-
-    Every H member is included with probability n1/N1 and every L member
-    with probability n2/N2.
-    """
-    validate_plan(plan, partition)
-    h_draw = rng.choice(partition.n1, size=plan.n1, replace=False)
-    l_draw = rng.choice(partition.n2, size=plan.n2, replace=False)
-    idx = np.concatenate([partition.h_indices[h_draw], partition.l_indices[l_draw]])
-    return Batch(indices=idx, stratum_tags=("H",) * plan.n1 + ("L",) * plan.n2)
-
-
 @dataclass(frozen=True)
 class SrsScheme:
-    """Batch distribution: plain SRS of size m from the whole population."""
+    """Batch distribution: plain SRS of size m, the one-stratum scheme."""
 
     m: int
+    kind: ClassVar[str] = "srs"
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise InvalidArgumentError("batch size m must be >= 1")
+
+    def strata(self, n_total: int):
+        """The whole population as one stratum drawn m times."""
+        if self.m > n_total:
+            raise InvalidArgumentError(f"batch size {self.m} exceeds population {n_total}")
+        return ((np.arange(n_total), self.m),)
 
 
 @dataclass(frozen=True)
 class StratifiedScheme:
-    """Batch distribution: stratified draws per a validated plan."""
+    """Batch distribution: n1 draws from H and n2 from L per a plan, validated once."""
 
     partition: Partition
     plan: BatchPlan
+    kind: ClassVar[str] = "typicality"
+
+    def __post_init__(self):
+        validate_plan(self.plan, self.partition)
+
+    def strata(self, n_total: int):
+        """Stratum H drawn n1 times and stratum L drawn n2 times."""
+        if self.partition.n_total != n_total:
+            raise InvalidArgumentError(
+                f"partition covers {self.partition.n_total} samples, dataset has {n_total}"
+            )
+        return ((self.partition.h_indices, self.plan.n1), (self.partition.l_indices, self.plan.n2))
 
 
 def draw_batch(scheme, n_total: int, rng: np.random.Generator) -> Batch:
-    """Draw one batch from a scheme over a population of ``n_total`` samples."""
-    if isinstance(scheme, SrsScheme):
-        return srs_batch(n_total, scheme.m, rng)
-    if isinstance(scheme, StratifiedScheme):
-        if scheme.partition.n_total != n_total:
-            raise InvalidArgumentError(
-                f"partition covers {scheme.partition.n_total} samples, dataset has {n_total}"
-            )
-        return typicality_batch(scheme.partition, scheme.plan, rng)
-    raise InvalidArgumentError(f"unknown scheme {scheme!r}")
+    """Independent SRS draws without replacement within each stratum, concatenated.
+
+    A member of a stratum of size N_h drawn n_h times is included with
+    probability n_h/N_h.
+    """
+    parts = [
+        members[rng.choice(members.shape[0], size=draws, replace=False)]
+        for members, draws in scheme.strata(n_total)
+    ]
+    return Batch(indices=np.concatenate(parts))
+
+
+def srs_batch(n_total: int, m: int, rng: np.random.Generator) -> Batch:
+    """Uniform m-subset of {0..n_total-1} without replacement."""
+    return draw_batch(SrsScheme(m=m), n_total, rng)
+
+
+def typicality_batch(partition: Partition, plan: BatchPlan, rng: np.random.Generator) -> Batch:
+    """n1 members of H and n2 members of L, drawn without replacement."""
+    return draw_batch(StratifiedScheme(partition=partition, plan=plan), partition.n_total, rng)
 
 
 def batch_space_size(scheme, n_total: int) -> int:
     """Number of distinct batches the scheme can produce."""
-    if isinstance(scheme, SrsScheme):
-        return math.comb(n_total, scheme.m)
-    if isinstance(scheme, StratifiedScheme):
-        return math.comb(scheme.partition.n1, scheme.plan.n1) * math.comb(
-            scheme.partition.n2, scheme.plan.n2
-        )
-    raise InvalidArgumentError(f"unknown scheme {scheme!r}")
+    return math.prod(math.comb(members.shape[0], draws) for members, draws in scheme.strata(n_total))
 
 
 def enumerate_batches(scheme, n_total: int):
     """Yield every possible batch of the scheme (equal probability each)."""
-    if isinstance(scheme, SrsScheme):
-        for combo in combinations(range(n_total), scheme.m):
-            yield np.array(combo, dtype=np.int64)
-        return
-    if isinstance(scheme, StratifiedScheme):
-        part, plan = scheme.partition, scheme.plan
-        h_combos = list(combinations(part.h_indices, plan.n1))
-        l_combos = list(combinations(part.l_indices, plan.n2))
-        for h_c, l_c in product(h_combos, l_combos):
-            yield np.array(h_c + l_c, dtype=np.int64)
-        return
-    raise InvalidArgumentError(f"unknown scheme {scheme!r}")
+    per_stratum = [combinations(members.tolist(), draws) for members, draws in scheme.strata(n_total)]
+    for parts in product(*per_stratum):
+        yield np.array(sum(parts, ()), dtype=np.int64)
 
 
 def save_batch_log(path, batches, config_digest: str = "none", seed=None) -> None:

@@ -7,9 +7,8 @@ plotting stack; output bytes depend only on the data passed in.
 from __future__ import annotations
 
 import math
-import os
 
-from ._csvio import provenance_line
+from ._csvio import provenance_line, write_text
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 WIDTH, HEIGHT, MARGIN = 640, 420, 56
@@ -68,10 +67,7 @@ class _Canvas:
 
     def save(self, path):
         self.parts.append("</svg>")
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(self.parts) + "\n")
-        os.replace(tmp, path)
+        write_text(path, "\n".join(self.parts) + "\n")
 
 
 def _project(xs, ys, x_lo, x_hi, y_lo, y_hi):

@@ -107,7 +107,9 @@ class TestSrsFormula:
 @settings(max_examples=60, deadline=None)
 def test_srs_formula_equals_enumeration(seed):
     rng = np.random.default_rng(seed)
-    grads = random_gradient_family(rng, max_n=9)
+    rows = random_gradient_family(rng, max_n=9).per_sample
+    # a reference away from the mean, so the formula's bias term is exercised
+    grads = GradientFamily(per_sample=rows, reference=rng.normal(0.0, 1.0, rows.shape[1]))
     m = int(rng.integers(1, grads.n_samples + 1))
     assert abs(srs_error_formula(grads, m) - enumerate_error(grads, SrsScheme(m=m))) <= 1e-9
 

@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import os
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from typsgd import cli
 from typsgd.cli import main
 
 BASE_CONFIG = """
@@ -165,6 +167,14 @@ def test_pwl_generation(tmp_path):
     assert len(lines[2].split(",")) == 24 + 6
 
 
+def test_pwl_curve_demo_trains_every_cell(tmp_path):
+    config = Path(__file__).resolve().parents[1] / "demos" / "configs" / "pwl_curves.ini"
+    for cmd in ("gen", "partition", "train"):
+        assert main([cmd, "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert len(list(tmp_path.glob("trace_*.csv"))) == 12
+    assert (tmp_path / "comparison.csv").exists()
+
+
 def test_verify_command_and_corruption_hook(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
@@ -184,3 +194,37 @@ def test_verify_command_and_corruption_hook(tmp_path, capsys):
     )
     assert main(["verify", "--config", str(corrupted)]) == 1
     capsys.readouterr()
+
+
+def test_failed_error_report_write_keeps_the_old_file(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    config = tmp_path / "verify.ini"
+    config.write_text(f"[verify]\nseed = 0\ninstances = 8\n[output]\ndir = {out}\n")
+    (out / "error_reports.jsonl").write_text('{"old": 1}\n')
+    monkeypatch.setattr(cli, "run_verification", lambda **_: ([], ['{"new": 1}']))
+    real_open = builtins.open
+
+    class FailingWrite:
+        """A file opened for real whose write fails, as on a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            raise OSError("no space left on device")
+
+    def open_failing_reports(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return FailingWrite(fh) if "error_reports" in str(path) and "w" in mode else fh
+
+    monkeypatch.setattr(builtins, "open", open_failing_reports)
+    assert main(["verify", "--config", str(config)]) == 3
+    monkeypatch.undo()
+    assert (out / "error_reports.jsonl").read_text() == '{"old": 1}\n'

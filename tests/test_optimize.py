@@ -22,7 +22,7 @@ from typsgd.sampling import Batch, SrsScheme, StratifiedScheme, make_plan
 
 
 def full_batch(n):
-    return Batch(indices=np.arange(n), stratum_tags=("none",) * n)
+    return Batch(indices=np.arange(n))
 
 
 def half_partition(n):
