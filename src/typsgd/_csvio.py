@@ -8,6 +8,7 @@ traceable to the run that produced them. Numeric cells are written with
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 
@@ -34,11 +35,19 @@ def format_number(x) -> str:
 
 
 def write_text(path, text: str) -> None:
-    """Write to ``path.tmp`` and rename it over ``path``: a failed write leaves ``path`` as it was."""
+    """Write to ``path.tmp`` and rename it over ``path``: a failed write leaves ``path`` as it was.
+
+    The temporary file is removed when the write or the rename fails.
+    """
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_rows(path, rows, header=None, config_digest="none", seed=None):

@@ -298,6 +298,7 @@ def _write_comparison(config: RunConfig, out_dir: str) -> None:
     threshold = config.get_float("train", "threshold", 1e-3)
     rows = []
     by_cell: dict[tuple[str, str], list] = {}
+    measured: set[tuple[str, str]] = set()  # cells whose traces record subopt
     curves: dict[tuple[str, str], tuple[int, list]] = {}
     for path in sorted(glob(os.path.join(out_dir, "trace_*.csv"))):
         records = load_trace_rows(path)
@@ -319,18 +320,24 @@ def _write_comparison(config: RunConfig, out_dir: str) -> None:
                 "" if final["subopt"] is None else format_number(final["subopt"]),
             ]
         )
-        by_cell.setdefault((sampler, optimizer), []).append(reached)
         cell = (sampler, optimizer)
+        by_cell.setdefault(cell, []).append(reached)
+        if any(r["subopt"] is not None for r in records):
+            measured.add(cell)
         if cell not in curves or seed < curves[cell][0]:
             curves[cell] = (seed, [(r["iteration"], r["train_loss"]) for r in records])
     for (sampler, optimizer), reaches in sorted(by_cell.items()):
         median = median_reach(reaches)
+        if (sampler, optimizer) not in measured:
+            median_cell = "n/a"  # the model has no exact optimum to measure against
+        else:
+            median_cell = "never" if np.isinf(median) else format_number(median)
         rows.append(
             [
                 sampler,
                 optimizer,
                 "median",
-                "never" if np.isinf(median) else format_number(median),
+                median_cell,
                 "",
                 "",
                 "",

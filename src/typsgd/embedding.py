@@ -54,15 +54,30 @@ class Embedding:
         object.__setattr__(self, "points", pts)
 
 
+def _sq_distances_into(x: np.ndarray, out: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances of the rows of ``x``, clipped at 0, written into ``out``.
+
+    ``gram`` receives 2 x x^T. numpy evaluates ``x @ x.T`` with syrk (or, for
+    inputs BLAS cannot take, as the same dot products in the same order), so
+    the result is exactly symmetric without averaging it with its transpose.
+    The diagonal is left as computed.
+    """
+    sq = np.sum(x * x, axis=1)
+    np.matmul(x, x.T, out=gram)
+    np.multiply(gram, 2.0, out=gram)
+    # the outer sum comes first: (sq_i + sq_j) - 2 x_i.x_j, in that order
+    np.add(sq[:, None], sq[None, :], out=out)
+    np.subtract(out, gram, out=out)
+    return np.maximum(out, 0.0, out=out)
+
+
 def pairwise_sq_distances(points: np.ndarray) -> np.ndarray:
     """Symmetric matrix of squared Euclidean distances with a zero diagonal."""
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not np.all(np.isfinite(x)):
         raise NumericError("non-finite coordinates in distance computation")
-    sq = np.sum(x * x, axis=1)
-    d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    d = np.maximum(d, 0.0)
-    d = 0.5 * (d + d.T)
+    n = x.shape[0]
+    d = _sq_distances_into(x, np.empty((n, n)), np.empty((n, n)))
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -108,12 +123,6 @@ def conditional_affinities(sq_distances: np.ndarray, perplexity: float):
     return p, achieved
 
 
-def _kl_divergence(p_sym: np.ndarray, q: np.ndarray) -> float:
-    mask = p_sym > 0
-    pm = p_sym[mask]
-    return float(np.sum(pm * (np.log(np.maximum(pm, PROB_FLOOR)) - np.log(np.maximum(q[mask], PROB_FLOOR)))))
-
-
 def tsne_embed(
     data,
     perplexity: float = 30.0,
@@ -157,29 +166,49 @@ def tsne_embed(
         seed=seed,
     )
 
-    distances = pairwise_sq_distances(x)
-    cond, achieved = conditional_affinities(distances, perplexity)
+    cond, achieved = conditional_affinities(pairwise_sq_distances(x), perplexity)
     p_sym = (cond + cond.T) / (2.0 * n)
+    del cond
+    p_exaggerated = p_sym * early_exaggeration
+    # KL(P || Q) reads only the entries where P > 0; their P terms never change
+    kl_index = np.flatnonzero(p_sym > 0)
+    p_pos = np.take(p_sym, kl_index)
+    log_p_pos = np.log(np.maximum(p_pos, PROB_FLOOR))
+    kl_terms = np.empty_like(p_pos)
+    # the N x N work buffers, reused by every iteration
+    num = np.empty((n, n))
+    q = np.empty((n, n))
 
     rng = np.random.default_rng(seed)
     y = rng.normal(0.0, 1e-4, size=(n, 2))
     velocity = np.zeros_like(y)
     kl_trace = []
     for it in range(iterations):
-        p_eff = p_sym * early_exaggeration if it < exaggeration_iters else p_sym
-        dist_y = pairwise_sq_distances(y)
-        num = 1.0 / (1.0 + dist_y)
+        if not np.all(np.isfinite(y)):
+            raise NumericError("non-finite coordinates in distance computation")
+        # Student-t kernel 1 / (1 + |y_i - y_j|^2) with a zero diagonal; q holds the Gram matrix first
+        _sq_distances_into(y, num, q)
+        np.add(num, 1.0, out=num)
+        np.divide(1.0, num, out=num)
         np.fill_diagonal(num, 0.0)
-        q = num / num.sum()
-        pq = (p_eff - q) * num
-        grad = 4.0 * (pq.sum(axis=1)[:, None] * y - pq @ y)
+        np.divide(num, num.sum(), out=q)
+        np.take(q, kl_index, out=kl_terms, mode="clip")  # "raise" would buffer out; the indices are in range
+        np.maximum(kl_terms, PROB_FLOOR, out=kl_terms)
+        np.log(kl_terms, out=kl_terms)
+        np.subtract(log_p_pos, kl_terms, out=kl_terms)
+        np.multiply(p_pos, kl_terms, out=kl_terms)
+        kl = float(np.sum(kl_terms))
+        # q becomes (P - Q) * num, the gradient's pairwise weights
+        np.subtract(p_exaggerated if it < exaggeration_iters else p_sym, q, out=q)
+        np.multiply(q, num, out=q)
+        grad = 4.0 * (q.sum(axis=1)[:, None] * y - q @ y)
         if not np.all(np.isfinite(grad)):
             raise NumericError(f"non-finite t-SNE gradient at iteration {it}", iteration=it)
         momentum = momentum_early if it < momentum_switch else momentum_late
         velocity = momentum * velocity - learning_rate * grad
         y = y + velocity
         y = y - y.mean(axis=0)
-        kl_trace.append((it, _kl_divergence(p_sym, q)))
+        kl_trace.append((it, kl))
     return Embedding(points=y, kl_trace=tuple(kl_trace), config=config, achieved_perplexity=achieved)
 
 

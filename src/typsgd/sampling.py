@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from typing import ClassVar
 
@@ -119,7 +120,15 @@ class SrsScheme:
         """The whole population as one stratum drawn m times."""
         if self.m > n_total:
             raise InvalidArgumentError(f"batch size {self.m} exceeds population {n_total}")
-        return ((np.arange(n_total), self.m),)
+        return ((_population(n_total), self.m),)
+
+
+@lru_cache(maxsize=4)
+def _population(n_total: int) -> np.ndarray:
+    """The ids 0..n_total-1, built once per size and read-only, since every SRS draw asks for them."""
+    ids = np.arange(n_total)
+    ids.flags.writeable = False
+    return ids
 
 
 @dataclass(frozen=True)
@@ -152,7 +161,7 @@ def draw_batch(scheme, n_total: int, rng: np.random.Generator) -> Batch:
         members[rng.choice(members.shape[0], size=draws, replace=False)]
         for members, draws in scheme.strata(n_total)
     ]
-    return Batch(indices=np.concatenate(parts))
+    return Batch(indices=parts[0] if len(parts) == 1 else np.concatenate(parts))
 
 
 def srs_batch(n_total: int, m: int, rng: np.random.Generator) -> Batch:

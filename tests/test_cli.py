@@ -126,6 +126,19 @@ def test_train_with_worker_pool(workspace):
     assert {p.name: sha(p) for p in out.glob("trace_*.csv")} == serial
 
 
+def test_comparison_without_suboptimality_reads_not_measured(workspace):
+    # the logistic model has no exact optimum, so no trace records subopt
+    config, out = workspace
+    text = config.read_text().replace("model = quadratic", "model = logistic").replace("eta = auto", "eta = 0.1")
+    config.write_text(text)
+    for cmd in ("gen", "partition", "train"):
+        assert main([cmd, "--config", str(config)]) == 0
+    rows = [line.split(",") for line in (out / "comparison.csv").read_text().splitlines()[2:]]
+    medians = [row for row in rows if row[2] == "median"]
+    assert len(medians) == 4 and all(row[3] == "n/a" for row in medians)
+    assert all(row[3] == "" for row in rows if row[2] != "median")
+
+
 def test_gamma_out_of_range_is_usage_error(workspace):
     config, out = workspace
     text = config.read_text().replace("gamma = 0.3", "gamma = 0.9")
@@ -228,3 +241,4 @@ def test_failed_error_report_write_keeps_the_old_file(tmp_path, monkeypatch):
     assert main(["verify", "--config", str(config)]) == 3
     monkeypatch.undo()
     assert (out / "error_reports.jsonl").read_text() == '{"old": 1}\n'
+    assert not (out / "error_reports.jsonl.tmp").exists()
