@@ -71,10 +71,6 @@ class ErrorReport:
         return json.dumps(record, sort_keys=True)
 
 
-def _rows(grads: GradientFamily) -> np.ndarray:
-    return grads.per_sample
-
-
 def _sq_norm(v: np.ndarray) -> float:
     return float(np.dot(v, v))
 
@@ -96,7 +92,7 @@ def exact_error(grads: GradientFamily, scheme) -> float:
     about its own mean (Cochran 1977, ch. 5). Agrees with enumeration for
     every gradient family and reference.
     """
-    rows = _rows(grads)
+    rows = grads.per_sample
     strata = scheme.strata(rows.shape[0])
     m = sum(draws for _, draws in strata)
     expectation = sum(draws / members.shape[0] * rows[members].sum(axis=0) for members, draws in strata) / m
@@ -116,11 +112,26 @@ def srs_error_formula(grads: GradientFamily, m: int) -> float:
     return exact_error(grads, SrsScheme(m=m))
 
 
-def _split_rows(grads: GradientFamily, partition: Partition):
-    rows = _rows(grads)
+def _published_terms(grads: GradientFamily, partition: Partition, plan: BatchPlan):
+    """The published identity's (bias^2, S_H^2 about the reference, S_L^2 about zero, value)."""
+    validate_plan(plan, partition)
+    rows = grads.per_sample
     if rows.shape[0] != partition.n_total:
         raise InvalidArgumentError("gradient family and partition sizes differ")
-    return rows[partition.h_indices], rows[partition.l_indices]
+    n1_pop, n2_pop = partition.n1, partition.n2
+    if n1_pop < 2 or n2_pop < 2:
+        raise InvalidArgumentError("the published formula needs N1, N2 >= 2")
+    ref = grads.reference
+    s_h = float(np.sum((rows[partition.h_indices] - ref) ** 2)) / (n1_pop - 1)
+    s_l = float(np.sum(rows[partition.l_indices] ** 2)) / (n2_pop - 1)
+    bias_sq = (plan.beta - 1.0) ** 2 * _sq_norm(ref)
+    m = plan.m
+    value = (
+        bias_sq
+        + (1.0 - plan.n1 / n1_pop) * plan.n1 / m**2 * s_h
+        + (1.0 - plan.n2 / n2_pop) * plan.n2 / m**2 * s_l
+    )
+    return bias_sq, s_h, s_l, value
 
 
 def typicality_error_formula_published(grads: GradientFamily, partition: Partition, plan: BatchPlan) -> float:
@@ -130,21 +141,7 @@ def typicality_error_formula_published(grads: GradientFamily, partition: Partiti
     dispersion about zero. Exact only in the zero-sum-strata regime; see
     the module docstring.
     """
-    validate_plan(plan, partition)
-    h_rows, l_rows = _split_rows(grads, partition)
-    n1_pop, n2_pop = partition.n1, partition.n2
-    if n1_pop < 2 or n2_pop < 2:
-        raise InvalidArgumentError("the published formula needs N1, N2 >= 2")
-    ref = grads.reference
-    s_h = float(np.sum((h_rows - ref) ** 2)) / (n1_pop - 1)
-    s_l = float(np.sum(l_rows**2)) / (n2_pop - 1)
-    bias_sq = (plan.beta - 1.0) ** 2 * _sq_norm(ref)
-    m = plan.m
-    return (
-        bias_sq
-        + (1.0 - plan.n1 / n1_pop) * plan.n1 / m**2 * s_h
-        + (1.0 - plan.n2 / n2_pop) * plan.n2 / m**2 * s_l
-    )
+    return _published_terms(grads, partition, plan)[-1]
 
 
 def typicality_error_corrected(grads: GradientFamily, partition: Partition, plan: BatchPlan) -> float:
@@ -171,7 +168,7 @@ def enumerate_error(grads: GradientFamily, scheme, budget: int = ENUMERATION_BUD
     when the batch space exceeds ``budget``; use :func:`monte_carlo_error`
     in that case.
     """
-    rows = _rows(grads)
+    rows = grads.per_sample
     count = batch_space_size(scheme, rows.shape[0])
     if count > budget:
         raise CapabilityError(f"{count} batches exceed the enumeration budget {budget}; use monte_carlo_error")
@@ -189,7 +186,7 @@ def monte_carlo_error(grads: GradientFamily, scheme, draws: int, seed: int) -> t
     """Sample mean and standard error of the squared batch-mean error."""
     if draws < 100:
         raise InvalidArgumentError("use at least 100 draws")
-    rows = _rows(grads)
+    rows = grads.per_sample
     ref = grads.reference
     rng = np.random.default_rng(seed)
     sq_errors = np.empty(draws)
@@ -277,26 +274,26 @@ def build_error_report(
     mc_draws: int = 0,
     seed: int = 0,
 ) -> ErrorReport:
-    """Evaluate every error expectation for one instance, side by side."""
-    h_rows, l_rows = _split_rows(grads, partition)
-    ref = grads.reference
+    """Evaluate every error expectation for one instance, side by side.
+
+    The stratified error is enumerated once, inside the SRS/stratified
+    comparison; ``mse_enumerated`` is that value when the batch space fits
+    ``budget`` and None otherwise.
+    """
+    bias_sq, s_h_sq, s_l_sq, published = _published_terms(grads, partition, plan)
     stratified = StratifiedScheme(partition=partition, plan=plan)
-    enumerated = None
-    try:
-        enumerated = enumerate_error(grads, stratified, budget=budget)
-    except CapabilityError:
-        pass
     mc = monte_carlo_error(grads, stratified, draws=mc_draws, seed=seed) if mc_draws else None
     compare = compare_error_expectations(grads, partition, plan, budget=budget, seed=seed)
+    fits = batch_space_size(stratified, partition.n_total) <= budget
     return ErrorReport(
         mse_srs_formula=srs_error_formula(grads, plan.m),
-        mse_strat_published=typicality_error_formula_published(grads, partition, plan),
+        mse_strat_published=published,
         mse_strat_corrected=typicality_error_corrected(grads, partition, plan),
         s_k_sq=dispersion_about_mean(grads.per_sample),
-        s_h_sq=float(np.sum((h_rows - ref) ** 2)) / (partition.n1 - 1),
-        s_l_sq=float(np.sum(l_rows**2)) / (partition.n2 - 1),
-        bias_sq=(plan.beta - 1.0) ** 2 * _sq_norm(ref),
-        mse_enumerated=enumerated,
+        s_h_sq=s_h_sq,
+        s_l_sq=s_l_sq,
+        bias_sq=bias_sq,
+        mse_enumerated=compare.mse_strat if fits else None,
         mse_monte_carlo=mc,
         alpha=compare.alpha,
     )

@@ -1,10 +1,12 @@
 """Per-sample differentiable models and their exact constants.
 
-Each model exposes a per-sample loss/gradient pair plus vectorized batch
-paths. The quadratic model additionally yields exact smoothness (L), strong
+Each model derives its per-sample losses once (``losses``) and its
+per-sample gradients once (``per_sample_grads``), both batched over rows.
+The quadratic model additionally yields exact smoothness (L), strong
 convexity (mu) and minimizer values, which the convergence checks rely on.
-All gradients are hand-derived; tests validate them against central finite
-differences.
+All gradients are hand-derived; the verify suite and the tests check
+``per_sample_grads`` against central finite differences of ``losses`` on a
+one-row slice.
 """
 
 from __future__ import annotations
@@ -77,11 +79,6 @@ class GradientFamily:
         return self.per_sample.shape[0]
 
 
-def _check_finite_grad(loss, grad, index):
-    if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
-        raise NumericError(f"non-finite loss/gradient at sample {index}", sample_index=index)
-
-
 def _sigmoid(z):
     # numerically stable logistic function
     out = np.empty_like(z, dtype=np.float64)
@@ -107,10 +104,6 @@ class QuadraticModel:
     def init_theta(self, dataset: Dataset, seed: int) -> np.ndarray:
         return np.zeros(dataset.n_features)
 
-    def loss_grad(self, theta, x, y):
-        r = float(np.dot(theta, x) - y)
-        return 0.5 * r * r, r * np.asarray(x, dtype=np.float64)
-
     def per_sample_grads(self, theta, X, Y):
         r = X @ theta - Y
         return r[:, None] * X
@@ -130,13 +123,6 @@ class LogisticModel:
 
     def init_theta(self, dataset: Dataset, seed: int) -> np.ndarray:
         return np.zeros(dataset.n_features)
-
-    def loss_grad(self, theta, x, y):
-        ys = 1.0 if y > 0 else -1.0
-        z = ys * float(np.dot(theta, x))
-        loss = float(np.logaddexp(0.0, -z))
-        grad = -ys * _sigmoid(np.array([-z]))[0] * np.asarray(x, dtype=np.float64)
-        return loss, grad
 
     def per_sample_grads(self, theta, X, Y):
         ys = _signed_labels(Y)
@@ -177,16 +163,6 @@ class MlpModel:
         w2 = theta[h * d + h : h * d + 2 * h]
         b2 = theta[-1]
         return w1, b1, w2, b2
-
-    def loss_grad(self, theta, x, y):
-        x = np.asarray(x, dtype=np.float64)
-        w1, b1, w2, b2 = self._unpack(theta, x.shape[0])
-        a = np.tanh(w1 @ x + b1)
-        out = float(w2 @ a + b2)
-        d_out = out - float(y)
-        d_pre = d_out * w2 * (1.0 - a * a)
-        grad = np.concatenate([np.outer(d_pre, x).ravel(), d_pre, d_out * a, [d_out]])
-        return 0.5 * d_out * d_out, grad
 
     def per_sample_grads(self, theta, X, Y):
         n, d = X.shape
@@ -244,18 +220,6 @@ class ConvCurveModel:
         b = theta[self.kernel_size + out * z :]
         return k, w, b
 
-    def loss_grad(self, theta, x, y):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        windows = sliding_window_view(x, self.kernel_size)
-        z_len, out = windows.shape[0], y.shape[0]
-        k, w, b = self._unpack(theta, z_len, out)
-        z = windows @ k
-        r = w @ z + b - y
-        d_z = w.T @ r
-        grad = np.concatenate([windows.T @ d_z, np.outer(r, z).ravel(), r])
-        return 0.5 * float(r @ r), grad
-
     def per_sample_grads(self, theta, X, Y):
         n = X.shape[0]
         windows = sliding_window_view(X, self.kernel_size, axis=1)
@@ -290,19 +254,6 @@ def _targets_for(model, dataset: Dataset):
     if isinstance(model, ConvCurveModel):
         return dataset.targets
     return dataset.targets[:, 0]
-
-
-def per_sample_loss_and_grad(model, dataset: Dataset, theta, index: int):
-    """Loss and exact analytic gradient of one sample's loss term."""
-    if not 0 <= index < dataset.n_samples:
-        raise InvalidArgumentError(f"sample index {index} out of range")
-    theta = np.asarray(theta, dtype=np.float64)
-    if not np.all(np.isfinite(theta)):
-        raise InvalidArgumentError("theta must be finite")
-    y = _targets_for(model, dataset)[index]
-    loss, grad = model.loss_grad(theta, dataset.features[index], y)
-    _check_finite_grad(loss, grad, index)
-    return loss, grad
 
 
 def per_sample_gradients(model, dataset: Dataset, theta) -> np.ndarray:

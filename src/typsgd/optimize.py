@@ -20,7 +20,7 @@ import numpy as np
 from ._csvio import format_number, read_rows, write_rows
 from .data import Dataset
 from .errors import InvalidArgumentError, NumericError
-from .models import _targets_for, mean_loss, per_sample_gradients
+from .models import _targets_for, gradient_family, mean_loss, per_sample_gradients
 from .sampling import Batch, batch_space_size, draw_batch, enumerate_batches, save_batch_log
 
 
@@ -221,11 +221,8 @@ def train(
 def _alpha_at(model, dataset, theta, partition, plan):
     # local import: analysis depends on sampling, which this module shares
     from .analysis import srs_error_formula, typicality_error_corrected
-    from .models import GradientFamily
 
-    grads = per_sample_gradients(model, dataset, theta)
-    ref = np.sum(grads, axis=0) / dataset.n_samples
-    family = GradientFamily(per_sample=grads, reference=ref, theta=theta)
+    family = gradient_family(model, dataset, theta)
     mse_srs = srs_error_formula(family, plan.m)
     if mse_srs == 0.0:
         return 1.0

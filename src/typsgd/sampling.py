@@ -60,7 +60,8 @@ class Batch:
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
-        if len(np.unique(idx)) != idx.shape[0]:
+        ordered = np.sort(idx)
+        if (ordered[1:] == ordered[:-1]).any():  # a repeat sorts next to its twin
             raise InvalidArgumentError("batch indices must be distinct")
         object.__setattr__(self, "indices", idx)
 

@@ -37,9 +37,10 @@ from .models import (
     LogisticModel,
     MlpModel,
     QuadraticModel,
+    _targets_for,
     estimate_growth_bounds,
     full_gradient,
-    per_sample_loss_and_grad,
+    per_sample_gradients,
     quadratic_constants,
 )
 from .optimize import Sgd, descent_recursion_check, train
@@ -359,21 +360,24 @@ def check_optimal_beta() -> tuple[CheckResult, CheckResult]:
 
 
 def _central_difference(model, dataset, theta, index, h=1e-5):
-    from .models import _targets_for  # loss evaluations only; no analytic gradients
-
-    y = _targets_for(model, dataset)[index]
-    x = dataset.features[index]
+    """Central differences of sample ``index``'s loss, from ``losses`` on its one-row slice."""
+    x = dataset.features[index : index + 1]
+    y = _targets_for(model, dataset)[index : index + 1]
     grad = np.empty_like(theta)
     for j in range(theta.shape[0]):
         plus, minus = theta.copy(), theta.copy()
         plus[j] += h
         minus[j] -= h
-        grad[j] = (model.loss_grad(plus, x, y)[0] - model.loss_grad(minus, x, y)[0]) / (2.0 * h)
+        grad[j] = (model.losses(plus, x, y)[0] - model.losses(minus, x, y)[0]) / (2.0 * h)
     return grad
 
 
 def gradient_check_models(rng, probes: int = 20):
-    """Yield (model name, worst relative error) over random probes."""
+    """Yield (model name, worst relative error) over random probes.
+
+    The analytic side is the batched gradient training runs
+    (``per_sample_gradients``, non-finite check included).
+    """
     n, d = 12, 4
     x = rng.normal(0.0, 1.0, (n, d))
     regress = Dataset(features=x, targets=(x @ rng.normal(0.0, 1.0, d))[:, None])
@@ -390,7 +394,7 @@ def gradient_check_models(rng, probes: int = 20):
         for _ in range(probes):
             theta = rng.normal(0.0, 0.5, model.param_dim(dataset))
             index = int(rng.integers(dataset.n_samples))
-            _, analytic = per_sample_loss_and_grad(model, dataset, theta, index)
+            analytic = per_sample_gradients(model, dataset, theta)[index]
             numeric = _central_difference(model, dataset, theta, index)
             scale = max(1.0, float(np.linalg.norm(analytic)), float(np.linalg.norm(numeric)))
             worst = max(worst, float(np.linalg.norm(analytic - numeric)) / scale)

@@ -6,33 +6,30 @@ import pytest
 from typsgd.data import Dataset
 from typsgd.errors import InvalidArgumentError, NumericError
 from typsgd.models import (
-    ConvCurveModel,
+    MODEL_KINDS,
     GradientFamily,
     LogisticModel,
-    MlpModel,
     ModelSpec,
     QuadraticModel,
     estimate_growth_bounds,
     full_gradient,
-    gradient_family,
     load_theta,
     mean_loss,
-    per_sample_loss_and_grad,
+    per_sample_gradients,
     quadratic_constants,
     save_theta,
 )
 
 
 def central_difference(model, dataset, theta, index, h=1e-5):
-    """Independent oracle: central finite differences on the loss."""
-    y = dataset.targets[index] if isinstance(model, ConvCurveModel) else dataset.targets[index, 0]
-    x = dataset.features[index]
+    """Independent oracle: central finite differences of one sample's loss, on its one-row dataset."""
+    row = Dataset(features=dataset.features[index : index + 1], targets=dataset.targets[index : index + 1])
     grad = np.empty_like(theta)
     for j in range(theta.shape[0]):
         plus, minus = theta.copy(), theta.copy()
         plus[j] += h
         minus[j] -= h
-        grad[j] = (model.loss_grad(plus, x, y)[0] - model.loss_grad(minus, x, y)[0]) / (2 * h)
+        grad[j] = (mean_loss(model, row, plus) - mean_loss(model, row, minus)) / (2 * h)
     return grad
 
 
@@ -42,54 +39,46 @@ def relative_error(a, b):
 
 def test_quadratic_hand_example():
     ds = Dataset(features=np.array([[1.0, 0.0]]), targets=np.array([[0.0]]))
-    loss, grad = per_sample_loss_and_grad(QuadraticModel(), ds, np.array([2.0, 5.0]), 0)
-    assert loss == pytest.approx(2.0)
-    assert np.allclose(grad, [2.0, 0.0])
+    model, theta = QuadraticModel(), np.array([2.0, 5.0])
+    assert model.losses(theta, ds.features, ds.targets[:, 0])[0] == pytest.approx(2.0)
+    assert np.allclose(per_sample_gradients(model, ds, theta)[0], [2.0, 0.0])
 
 
 def test_logistic_at_origin():
     ds = Dataset(features=np.array([[1.0, 2.0], [1.0, 2.0]]), targets=np.array([[1.0], [0.0]]))
     model = LogisticModel()
+    losses = model.losses(np.zeros(2), ds.features, ds.targets[:, 0])
+    grads = per_sample_gradients(model, ds, np.zeros(2))
     for i, y_signed in ((0, 1.0), (1, -1.0)):
-        loss, grad = per_sample_loss_and_grad(model, ds, np.zeros(2), i)
-        assert loss == pytest.approx(math.log(2.0))
-        assert np.allclose(grad, -0.5 * y_signed * ds.features[i])
+        assert losses[i] == pytest.approx(math.log(2.0))
+        assert np.allclose(grads[i], -0.5 * y_signed * ds.features[i])
 
 
+# every registered model, so none skips the oracle; the conv model regresses a 3-vector
 @pytest.mark.parametrize(
     "model,target_width",
-    [(QuadraticModel(), 1), (LogisticModel(), 1), (MlpModel(hidden=5), 1), (ConvCurveModel(), 3)],
+    [(cls(), 3 if kind == "conv" else 1) for kind, cls in MODEL_KINDS.items()],
 )
 def test_gradients_match_finite_differences(model, target_width, rng):
     n, d = 10, 6
     feats = rng.normal(0.0, 1.0, (n, d))
     targets = rng.normal(0.0, 1.0, (n, target_width))
-    if isinstance(model, LogisticModel):
+    if model.kind == "logistic":
         targets = (targets > 0).astype(float)
     ds = Dataset(features=feats, targets=targets)
     for _ in range(20):
         theta = rng.normal(0.0, 0.5, model.param_dim(ds))
         idx = int(rng.integers(n))
-        _, analytic = per_sample_loss_and_grad(model, ds, theta, idx)
+        analytic = per_sample_gradients(model, ds, theta)[idx]
         numeric = central_difference(model, ds, theta, idx)
         assert relative_error(analytic, numeric) <= 1e-5
-
-
-def test_vectorized_grads_match_single_sample(rng):
-    for model, width in ((QuadraticModel(), 1), (MlpModel(hidden=4), 1), (ConvCurveModel(), 2)):
-        ds = Dataset(features=rng.normal(size=(6, 8)), targets=rng.normal(size=(6, width)))
-        theta = rng.normal(0.0, 0.4, model.param_dim(ds))
-        fam = gradient_family(model, ds, theta)
-        for i in range(6):
-            _, single = per_sample_loss_and_grad(model, ds, theta, i)
-            assert np.allclose(fam.per_sample[i], single, atol=1e-12)
 
 
 class TestFullGradient:
     def test_single_sample(self, rng):
         ds = Dataset(features=rng.normal(size=(1, 3)), targets=rng.normal(size=(1, 1)))
         theta = rng.normal(size=3)
-        _, g = per_sample_loss_and_grad(QuadraticModel(), ds, theta, 0)
+        g = per_sample_gradients(QuadraticModel(), ds, theta)[0]
         assert np.allclose(full_gradient(QuadraticModel(), ds, theta), g)
 
     def test_duplication_invariance(self, rng):
@@ -165,7 +154,7 @@ def test_model_spec_validation():
 def test_numeric_error_carries_sample_id():
     ds = Dataset(features=np.array([[1e200, 0.0], [1.0, 1.0]]), targets=np.zeros((2, 1)))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as err:
-        per_sample_loss_and_grad(QuadraticModel(), ds, np.array([1e200, 0.0]), 0)
+        per_sample_gradients(QuadraticModel(), ds, np.array([1e200, 0.0]))
     assert err.value.sample_index == 0
 
 

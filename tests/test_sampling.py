@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from typsgd.density import Partition
 from typsgd.errors import InvalidArgumentError
 from typsgd.sampling import (
+    Batch,
     BatchPlan,
     SrsScheme,
     StratifiedScheme,
@@ -176,3 +178,24 @@ def test_batch_log_round_trip(tmp_path, rng):
     save_batch_log(path, batches)
     loaded = load_batch_log(path)
     assert [(k, b.indices.tolist()) for k, b in batches] == [(k, idx.tolist()) for k, idx in loaded]
+
+
+ids = st.integers(-(2**63), 2**63 - 1)
+
+
+@given(arrays(np.int64, st.integers(0, 60), elements=ids, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_batch_accepts_distinct_ids_unchanged(indices):
+    batch = Batch(indices=indices)
+    assert batch.indices.dtype == np.int64
+    assert np.array_equal(batch.indices, indices)
+
+
+@given(arrays(np.int64, st.integers(1, 60), elements=ids), st.data())
+@settings(max_examples=60, deadline=None)
+def test_batch_rejects_any_repeat(indices, data):
+    src = data.draw(st.integers(0, indices.shape[0] - 1))
+    dst = data.draw(st.integers(0, indices.shape[0]))
+    repeated = np.insert(indices, dst, indices[src])
+    with pytest.raises(InvalidArgumentError, match="distinct"):
+        Batch(indices=repeated)

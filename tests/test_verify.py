@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from typsgd.errors import InvalidArgumentError
+from typsgd.models import QuadraticModel
 from typsgd.sampling import validate_plan
 from typsgd.verify import (
+    check_gradients,
     random_gradient_family,
     random_partition,
     random_plan,
@@ -47,3 +49,13 @@ def test_unknown_corruption_target_rejected():
 
     with pytest.raises(InvalidArgumentError):
         run_verification(seed=0, instances=5, corrupt="no_such_check")
+
+
+def test_gradient_check_reads_the_batched_gradient(monkeypatch):
+    # the finite-difference oracle must see the gradient training uses
+    assert check_gradients(np.random.default_rng(0)).passed is True
+    exact = QuadraticModel.per_sample_grads
+    monkeypatch.setattr(QuadraticModel, "per_sample_grads", lambda self, theta, X, Y: exact(self, theta, X, Y) + 1e-3)
+    result = check_gradients(np.random.default_rng(0))
+    assert result.name == "gradient_finite_difference"
+    assert result.passed is False
