@@ -31,7 +31,15 @@ import numpy as np
 from .density import Partition
 from .errors import CapabilityError, InvalidArgumentError
 from .models import GradientFamily
-from .sampling import BatchPlan, SrsScheme, StratifiedScheme, batch_space_size, draw_batch, validate_plan
+from .sampling import (
+    BatchPlan,
+    SrsScheme,
+    StratifiedScheme,
+    batch_space_size,
+    draw_indices,
+    resolve_strata,
+    validate_plan,
+)
 
 ENUMERATION_BUDGET = 1_000_000
 
@@ -188,10 +196,13 @@ def monte_carlo_error(grads: GradientFamily, scheme, draws: int, seed: int) -> t
         raise InvalidArgumentError("use at least 100 draws")
     rows = grads.per_sample
     ref = grads.reference
+    strata = resolve_strata(scheme, rows.shape[0])
     rng = np.random.default_rng(seed)
     sq_errors = np.empty(draws)
+    m = sum(draws_h for _, draws_h in strata)
     for t in range(draws):
-        diff = rows[draw_batch(scheme, rows.shape[0], rng).indices].mean(axis=0) - ref
+        # the sum over m rows divided by m is what mean() computes, without its per-call overhead
+        diff = rows[draw_indices(strata, rng)].sum(axis=0) / m - ref
         sq_errors[t] = diff @ diff
     se = float(np.std(sq_errors, ddof=1) / math.sqrt(draws))
     return float(np.mean(sq_errors)), se

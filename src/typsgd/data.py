@@ -132,15 +132,6 @@ def _build_curve(bias, slopes, breaks, length):
     return bias + np.cumsum(diffs)
 
 
-def rebuild_pwl_curve(target_row: np.ndarray, curve_length: int, segment_count: int) -> np.ndarray:
-    """Reconstruct a curve from its stored generating parameters."""
-    target_row = np.asarray(target_row, dtype=np.float64)
-    bias = target_row[0]
-    slopes = target_row[1 : 1 + segment_count]
-    breaks = target_row[1 + segment_count :].astype(np.int64)
-    return _build_curve(bias, slopes, breaks, curve_length)
-
-
 def generate_clustered(
     count: int,
     dims: int,

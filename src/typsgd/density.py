@@ -2,9 +2,7 @@
 
 The pipeline ranks samples by their KDE density in the embedded space and
 demarcates the densest ceil(N * gamma) samples as the high-representative
-stratum H; the rest form L. An exhaustive subset-search oracle is provided
-for manufacturing instances whose H stratum reproduces a reference gradient
-exactly (test scaffolding only; refuses N > 20).
+stratum H; the rest form L.
 """
 
 from __future__ import annotations
@@ -12,12 +10,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from ._csvio import format_number, read_rows, write_rows
-from .errors import CapabilityError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 FALLBACK_BANDWIDTH = 1e-3
 
@@ -152,50 +149,6 @@ def build_partition(densities: DensityMap, gamma: float) -> Partition:
     h = np.sort(order[:n1])
     l = np.sort(order[n1:])
     return Partition(h_indices=h, l_indices=l, gamma=gamma)
-
-
-@dataclass(frozen=True)
-class SubsetSearchResult:
-    """Best subset found by exhaustive search and its residual norm."""
-
-    h_indices: np.ndarray
-    residual: float
-
-
-def build_partition_oracle(grads, tolerance: float = 0.0, subset_size: int | None = None, reading: str = "total"):
-    """Exhaustively search the subset H whose gradient sum best matches the reference.
-
-    The reference sum is the total per-sample gradient (reading='total') or
-    the mean (reading='mean'); see the two ways the representativeness
-    assumption can be normalized. Only feasible for N <= 20. Returns a
-    :class:`SubsetSearchResult`; convert to a :class:`Partition` yourself
-    when 1 <= |H| < N.
-    """
-    per_sample = np.asarray(grads.per_sample, dtype=np.float64)
-    n = per_sample.shape[0]
-    if n > 20:
-        raise CapabilityError(f"exhaustive subset search refused for N={n} > 20")
-    if reading == "total":
-        target = per_sample.sum(axis=0)
-    elif reading == "mean":
-        target = per_sample.sum(axis=0) / n
-    else:
-        raise InvalidArgumentError(f"unknown reading {reading!r}")
-    sizes = range(1, n + 1) if subset_size is None else [subset_size]
-    best: tuple[float, tuple[int, ...]] | None = None
-    for size in sizes:
-        if not 1 <= size <= n:
-            raise InvalidArgumentError(f"subset size {size} out of range for N={n}")
-        for combo in combinations(range(n), size):
-            residual = float(np.linalg.norm(per_sample[list(combo)].sum(axis=0) - target))
-            if best is None or residual < best[0]:
-                best = (residual, combo)
-                if residual <= tolerance:
-                    return SubsetSearchResult(
-                        h_indices=np.array(combo, dtype=np.int64), residual=residual
-                    )
-    assert best is not None
-    return SubsetSearchResult(h_indices=np.array(best[1], dtype=np.int64), residual=best[0])
 
 
 def save_partition(path, partition: Partition, densities: DensityMap | None = None, config_digest: str = "none", seed=None) -> None:

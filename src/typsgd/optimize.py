@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -21,7 +22,14 @@ from ._csvio import format_number, read_rows, write_rows
 from .data import Dataset
 from .errors import InvalidArgumentError, NumericError
 from .models import _targets_for, gradient_family, mean_loss, per_sample_gradients
-from .sampling import Batch, batch_space_size, draw_batch, enumerate_batches, save_batch_log
+from .sampling import Batch, batch_space_size, draw_indices, enumerate_batches, resolve_strata, save_batch_log
+
+
+# The step protocol shared by the optimizers: ``init_state(theta)`` gives the
+# state before the first step, and ``step(model, theta, x, y, iteration,
+# state)`` returns the next (theta, state) from the batch rows (x, y). The
+# update math lives in the module-level sgd_step/adam_step, looked up at call
+# time so that a wrapper bound to those names sees every step.
 
 
 @dataclass(frozen=True)
@@ -29,10 +37,17 @@ class Sgd:
     """Plain SGD with a fixed learning rate."""
 
     eta: float
+    kind: ClassVar[str] = "sgd"
 
     def __post_init__(self):
         if self.eta < 0:
             raise InvalidArgumentError("learning rate must be >= 0")
+
+    def init_state(self, theta):
+        return None
+
+    def step(self, model, theta, x, y, iteration, state):
+        return sgd_step(model, theta, x, y, self.eta, iteration), state
 
 
 @dataclass(frozen=True)
@@ -43,22 +58,21 @@ class Adam:
     beta_m: float = 0.9
     beta_v: float = 0.999
     epsilon: float = 1e-8
+    kind: ClassVar[str] = "adam"
 
     def __post_init__(self):
         if not (0.0 <= self.beta_m < 1.0 and 0.0 <= self.beta_v < 1.0):
             raise InvalidArgumentError("Adam moment decays must lie in [0, 1)")
 
+    def init_state(self, theta):
+        """First and second moments, zero before the first step."""
+        return np.zeros_like(theta), np.zeros_like(theta)
 
-@dataclass(frozen=True)
-class TrainState:
-    """Parameters and per-optimizer bookkeeping at iteration k."""
-
-    theta: np.ndarray
-    iteration: int = 0
-    learning_rate: float = 0.0
-    adam_m: np.ndarray | None = None
-    adam_v: np.ndarray | None = None
-    adam_t: int = 0
+    def step(self, model, theta, x, y, iteration, state):
+        theta, m, v = adam_step(
+            model, theta, x, y, self.eta, iteration, *state, self.beta_m, self.beta_v, self.epsilon
+        )
+        return theta, (m, v)
 
 
 @dataclass(frozen=True)
@@ -99,43 +113,42 @@ def median_reach(reaches) -> float:
     return float(np.median([np.inf if r is None else r for r in reaches]))
 
 
-def _batch_mean_gradient(model, dataset: Dataset, theta, batch: Batch):
-    idx = batch.indices
-    grads = model.per_sample_grads(theta, dataset.features[idx], _targets_for(model, dataset)[idx])
-    return np.sum(grads, axis=0) / batch.indices.shape[0]
+def _batch_mean_gradient(model, theta, x, y):
+    return model.per_sample_grads(theta, x, y).sum(axis=0) / x.shape[0]
 
 
-def sgd_step(state: TrainState, model, dataset: Dataset, batch: Batch) -> TrainState:
-    """theta <- theta - eta * (batch mean gradient); k <- k + 1."""
-    grad = _batch_mean_gradient(model, dataset, state.theta, batch)
-    theta = state.theta - state.learning_rate * grad
-    if not np.all(np.isfinite(theta)):
-        raise NumericError(f"non-finite update at iteration {state.iteration}", iteration=state.iteration)
-    return replace(state, theta=theta, iteration=state.iteration + 1)
+def _check_finite(theta, iteration: int):
+    if not np.isfinite(theta).all():
+        raise NumericError(f"non-finite update at iteration {iteration}", iteration=iteration)
+    return theta
+
+
+def sgd_step(model, theta, x, y, eta: float, iteration: int) -> np.ndarray:
+    """theta - eta * (mean gradient over the batch rows x, y), the update at step ``iteration``."""
+    return _check_finite(theta - eta * _batch_mean_gradient(model, theta, x, y), iteration)
 
 
 def adam_step(
-    state: TrainState,
     model,
-    dataset: Dataset,
-    batch: Batch,
+    theta,
+    x,
+    y,
+    eta: float,
+    iteration: int,
+    m,
+    v,
     beta_m: float = 0.9,
     beta_v: float = 0.999,
     epsilon: float = 1e-8,
-) -> TrainState:
-    """Bias-corrected moment update applied to the batch mean gradient."""
-    grad = _batch_mean_gradient(model, dataset, state.theta, batch)
-    m = state.adam_m if state.adam_m is not None else np.zeros_like(state.theta)
-    v = state.adam_v if state.adam_v is not None else np.zeros_like(state.theta)
-    t = state.adam_t + 1
+):
+    """Bias-corrected moment update at step ``iteration`` (counted from 0); returns (theta, m, v)."""
+    grad = _batch_mean_gradient(model, theta, x, y)
+    t = iteration + 1
     m = beta_m * m + (1.0 - beta_m) * grad
     v = beta_v * v + (1.0 - beta_v) * grad * grad
     m_hat = m / (1.0 - beta_m**t)
     v_hat = v / (1.0 - beta_v**t)
-    theta = state.theta - state.learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
-    if not np.all(np.isfinite(theta)):
-        raise NumericError(f"non-finite update at iteration {state.iteration}", iteration=state.iteration)
-    return replace(state, theta=theta, iteration=state.iteration + 1, adam_m=m, adam_v=v, adam_t=t)
+    return _check_finite(theta - eta * m_hat / (np.sqrt(v_hat) + epsilon), iteration), m, v
 
 
 def train(
@@ -159,38 +172,43 @@ def train(
     optimum value. ``alpha_probe`` may be a (partition, plan) pair: at every
     evaluation point the stratified/SRS error ratio is computed from the
     current per-sample gradients and stored on the record.
+
+    The strata are resolved and checked once, before the first step; each
+    step then only draws the batch ids, gathers their rows and updates.
+    Only a logged batch goes through the checked :class:`Batch`.
     """
     if iterations < 1:
         raise InvalidArgumentError("iterations must be >= 1")
     if eval_every < 1:
         raise InvalidArgumentError("eval_every must be >= 1")
     n = dataset.n_samples
-    scheme.strata(n)  # rejects a batch or partition that does not fit the dataset before the first step
+    strata = resolve_strata(scheme, n)
+    features, targets = dataset.features, _targets_for(model, dataset)
     rng = np.random.default_rng(seed)
     theta = np.array(theta0, dtype=np.float64) if theta0 is not None else model.init_theta(dataset, seed)
-    state = TrainState(theta=theta, learning_rate=optimizer.eta)
+    state = optimizer.init_state(theta)
     trace = TrainTrace(
         records=[],
         sampler_kind=scheme.kind,
-        optimizer_kind="adam" if isinstance(optimizer, Adam) else "sgd",
+        optimizer_kind=optimizer.kind,
         seed=seed,
         eval_every=eval_every,
     )
     batches = []
     start = time.perf_counter()
 
-    def evaluate(st):
-        loss = mean_loss(model, dataset, st.theta)
-        val = mean_loss(model, val_data, st.theta) if val_data is not None else None
+    def evaluate(iteration, theta):
+        loss = mean_loss(model, dataset, theta)
+        val = mean_loss(model, val_data, theta) if val_data is not None else None
         subopt = None
         if model_spec is not None and model_spec.exact_optimum_value is not None:
             subopt = loss - model_spec.exact_optimum_value
         alpha = None
         if alpha_probe is not None:
-            alpha = _alpha_at(model, dataset, st.theta, *alpha_probe)
+            alpha = _alpha_at(model, dataset, theta, *alpha_probe)
         trace.records.append(
             TraceRecord(
-                iteration=st.iteration,
+                iteration=iteration,
                 train_loss=loss,
                 val_loss=val,
                 subopt=subopt,
@@ -200,19 +218,17 @@ def train(
             )
         )
         if record_thetas:
-            trace.thetas.append((st.iteration, st.theta.copy()))
+            trace.thetas.append((iteration, theta.copy()))
 
+    step = optimizer.step
     for k in range(iterations):
         if k % eval_every == 0:
-            evaluate(state)
-        batch = draw_batch(scheme, n, rng)
+            evaluate(k, theta)
+        idx = draw_indices(strata, rng)
         if batch_log_path is not None:
-            batches.append((k, batch))
-        if isinstance(optimizer, Adam):
-            state = adam_step(state, model, dataset, batch, optimizer.beta_m, optimizer.beta_v, optimizer.epsilon)
-        else:
-            state = sgd_step(state, model, dataset, batch)
-    evaluate(state)
+            batches.append((k, Batch(indices=idx)))
+        theta, state = step(model, theta, features[idx], targets[idx], k, state)
+    evaluate(iterations, theta)
     if batch_log_path is not None:
         save_batch_log(batch_log_path, batches, seed=seed)
     return trace
@@ -272,6 +288,8 @@ def descent_recursion_check(
     contraction = 1.0 - model_spec.strong_convexity_mu / big_l
     eta = 1.0 / big_l if eta is None else eta
     n = dataset.n_samples
+    strata = resolve_strata(scheme, n)
+    features, targets = dataset.features, _targets_for(model, dataset)
     rng = np.random.default_rng(seed)
     theta = np.array(theta0, dtype=np.float64) if theta0 is not None else model.init_theta(dataset, seed)
     exact = batch_space_size(scheme, n) <= mc_batches
@@ -284,7 +302,7 @@ def descent_recursion_check(
         if exact:
             index_sets = list(enumerate_batches(scheme, n))
         else:
-            index_sets = [draw_batch(scheme, n, rng).indices for _ in range(mc_batches)]
+            index_sets = [draw_indices(strata, rng) for _ in range(mc_batches)]
         next_gaps = np.empty(len(index_sets))
         err_sqs = np.empty(len(index_sets))
         for b, idx in enumerate(index_sets):
@@ -303,9 +321,8 @@ def descent_recursion_check(
             RecursionStep(iteration=k, lhs=lhs, rhs=rhs, standard_error=se, holds=lhs <= rhs + 3.0 * se)
         )
         # advance the path by one real stochastic step
-        batch = draw_batch(scheme, n, rng)
-        state = TrainState(theta=theta, iteration=k, learning_rate=eta)
-        theta = sgd_step(state, model, dataset, batch).theta
+        idx = draw_indices(strata, rng)
+        theta = sgd_step(model, theta, features[idx], targets[idx], eta, k)
     return RecursionReport(steps=tuple(steps), holds_all=all(s.holds for s in steps), exact=exact)
 
 

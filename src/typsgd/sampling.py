@@ -152,17 +152,39 @@ class StratifiedScheme:
         return ((self.partition.h_indices, self.plan.n1), (self.partition.l_indices, self.plan.n2))
 
 
-def draw_batch(scheme, n_total: int, rng: np.random.Generator) -> Batch:
-    """Independent SRS draws without replacement within each stratum, concatenated.
+def resolve_strata(scheme, n_total: int) -> tuple:
+    """``scheme.strata(n_total)``, checked once for repeated draws of the same id.
+
+    The strata must be disjoint, hold ids in 0..n_total-1 only, and none may
+    be drawn more often than it has members. Then :func:`draw_indices`, which
+    draws without replacement within each stratum, can never repeat an id,
+    so loops that draw many batches from the result need no per-batch check.
+    """
+    strata = tuple(scheme.strata(n_total))
+    for members, draws in strata:
+        if draws > members.shape[0]:
+            raise InvalidArgumentError(f"a stratum of {members.shape[0]} members is drawn {draws} times")
+    ids = np.concatenate([members for members, _ in strata])
+    if ids.size and (ids.min() < 0 or ids.max() >= n_total):
+        raise InvalidArgumentError(f"strata hold ids outside 0..{n_total - 1}")
+    if np.unique(ids).shape[0] != ids.shape[0]:
+        raise InvalidArgumentError("strata overlap or repeat a member")
+    return strata
+
+
+def draw_indices(strata, rng: np.random.Generator) -> np.ndarray:
+    """Independent SRS draws without replacement within each resolved stratum, concatenated.
 
     A member of a stratum of size N_h drawn n_h times is included with
     probability n_h/N_h.
     """
-    parts = [
-        members[rng.choice(members.shape[0], size=draws, replace=False)]
-        for members, draws in scheme.strata(n_total)
-    ]
-    return Batch(indices=parts[0] if len(parts) == 1 else np.concatenate(parts))
+    parts = [members[rng.choice(members.shape[0], size=draws, replace=False)] for members, draws in strata]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def draw_batch(scheme, n_total: int, rng: np.random.Generator) -> Batch:
+    """One batch of the scheme, checked for distinct ids by :class:`Batch`."""
+    return Batch(indices=draw_indices(scheme.strata(n_total), rng))
 
 
 def srs_batch(n_total: int, m: int, rng: np.random.Generator) -> Batch:

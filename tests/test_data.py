@@ -6,11 +6,26 @@ from typsgd.data import (
     generate_clustered,
     generate_pwl_curves,
     load_csv,
-    rebuild_pwl_curve,
     save_csv,
     split_dataset,
 )
 from typsgd.errors import CsvFormatError, InvalidArgumentError
+
+
+def rebuild_pwl_curve(target_row: np.ndarray, curve_length: int, segment_count: int) -> np.ndarray:
+    """Reconstruct a curve from its stored generating parameters (bias, slopes, breakpoints).
+
+    Step t (x[t] - x[t-1]) takes the slope of the segment containing t: a
+    breakpoint at index b switches steps t > b to the next slope.
+    """
+    bias = target_row[0]
+    slopes = target_row[1 : 1 + segment_count]
+    breaks = target_row[1 + segment_count :].astype(np.int64)
+    curve = np.empty(curve_length)
+    curve[0] = bias
+    for t in range(1, curve_length):
+        curve[t] = curve[t - 1] + slopes[int(np.sum(breaks < t))]
+    return curve
 
 
 class TestPwlCurves:

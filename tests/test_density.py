@@ -1,3 +1,6 @@
+from dataclasses import dataclass
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -5,9 +8,7 @@ from typsgd.data import generate_clustered
 from typsgd.density import (
     DensityMap,
     Partition,
-    SubsetSearchResult,
     build_partition,
-    build_partition_oracle,
     kde_densities,
     kde_evaluate,
     load_partition,
@@ -15,6 +16,48 @@ from typsgd.density import (
 )
 from typsgd.errors import CapabilityError, InvalidArgumentError
 from typsgd.models import GradientFamily
+
+
+@dataclass(frozen=True)
+class SubsetSearchResult:
+    """Best subset found by exhaustive search and its residual norm."""
+
+    h_indices: np.ndarray
+    residual: float
+
+
+def build_partition_oracle(grads, tolerance: float = 0.0, subset_size: int | None = None, reading: str = "total"):
+    """Exhaustively search the subset H whose gradient sum best matches the reference.
+
+    The reference sum is the total per-sample gradient (reading='total') or
+    the mean (reading='mean'); see the two ways the representativeness
+    assumption can be normalized. Only feasible for N <= 20.
+    """
+    per_sample = np.asarray(grads.per_sample, dtype=np.float64)
+    n = per_sample.shape[0]
+    if n > 20:
+        raise CapabilityError(f"exhaustive subset search refused for N={n} > 20")
+    if reading == "total":
+        target = per_sample.sum(axis=0)
+    elif reading == "mean":
+        target = per_sample.sum(axis=0) / n
+    else:
+        raise InvalidArgumentError(f"unknown reading {reading!r}")
+    sizes = range(1, n + 1) if subset_size is None else [subset_size]
+    best: tuple[float, tuple[int, ...]] | None = None
+    for size in sizes:
+        if not 1 <= size <= n:
+            raise InvalidArgumentError(f"subset size {size} out of range for N={n}")
+        for combo in combinations(range(n), size):
+            residual = float(np.linalg.norm(per_sample[list(combo)].sum(axis=0) - target))
+            if best is None or residual < best[0]:
+                best = (residual, combo)
+                if residual <= tolerance:
+                    return SubsetSearchResult(
+                        h_indices=np.array(combo, dtype=np.int64), residual=residual
+                    )
+    assert best is not None
+    return SubsetSearchResult(h_indices=np.array(best[1], dtype=np.int64), residual=best[0])
 
 
 class TestKde:
