@@ -10,6 +10,8 @@ bit-identical embedding.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +22,9 @@ from .errors import InvalidArgumentError, NumericError
 PROB_FLOOR = 1e-12
 PERPLEXITY_TOL = 1e-5
 BISECTION_STEPS = 50
+# bytes of one row block of an N x N float64 buffer: a pass over a block touches
+# up to four such buffers, which then fit a 4 MiB L2 cache
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -54,19 +59,20 @@ class Embedding:
         object.__setattr__(self, "points", pts)
 
 
-def _sq_distances_into(x: np.ndarray, out: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances of the rows of ``x``, clipped at 0, written into ``out``.
+def _sq_distances_rows(sq: np.ndarray, gram: np.ndarray, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+    """Rows ``start:stop`` of the squared distances of the rows of x, clipped at 0, written into ``out``.
 
-    ``gram`` receives 2 x x^T. numpy evaluates ``x @ x.T`` with syrk (or, for
-    inputs BLAS cannot take, as the same dot products in the same order), so
-    the result is exactly symmetric without averaging it with its transpose.
-    The diagonal is left as computed.
+    ``sq`` holds the squared row norms of x and ``gram`` holds x @ x.T; its rows
+    ``start:stop`` are doubled in place. numpy evaluates ``x @ x.T`` with syrk
+    (or, for inputs BLAS cannot take, as the same dot products in the same
+    order), so the result is exactly symmetric without averaging it with its
+    transpose. A row block of it computed alone with gemm does not have the
+    same bits at every N, so callers form the Gram matrix in one call. The
+    diagonal is left as computed.
     """
-    sq = np.sum(x * x, axis=1)
-    np.matmul(x, x.T, out=gram)
-    np.multiply(gram, 2.0, out=gram)
+    gram = np.multiply(gram[start:stop], 2.0, out=gram[start:stop])
     # the outer sum comes first: (sq_i + sq_j) - 2 x_i.x_j, in that order
-    np.add(sq[:, None], sq[None, :], out=out)
+    out = np.add(sq[start:stop, None], sq[None, :], out=out[start:stop])
     np.subtract(out, gram, out=out)
     return np.maximum(out, 0.0, out=out)
 
@@ -77,18 +83,103 @@ def pairwise_sq_distances(points: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NumericError("non-finite coordinates in distance computation")
     n = x.shape[0]
-    d = _sq_distances_into(x, np.empty((n, n)), np.empty((n, n)))
+    d = _sq_distances_rows(np.sum(x * x, axis=1), x @ x.T, 0, n, np.empty((n, n)))
     np.fill_diagonal(d, 0.0)
     return d
 
 
-def _row_entropy(dist_row: np.ndarray, beta: float):
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+class _RowBlocks:
+    """The rows of an N x N buffer in blocks of at most BLOCK_BYTES, and the threads that run them.
+
+    numpy releases the GIL inside its ufunc and BLAS loops, so threads that
+    fill disjoint row blocks work in parallel. With one block or one usable
+    CPU the blocks run inline and no thread is started. Each worker runs
+    every ``workers``-th block, so a pass costs one task per worker. The pool
+    is shut down when the ``with`` block exits, on error too.
+    """
+
+    def __init__(self, n: int):
+        rows = max(1, BLOCK_BYTES // (8 * max(n, 1)))
+        self.bounds = [(s, min(s + rows, n)) for s in range(0, n, rows)]
+        self.workers = max(1, min(len(self.bounds), _usable_cpus()))
+        self._pool = ThreadPoolExecutor(self.workers) if self.workers > 1 else None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+
+    def run(self, fn) -> None:
+        """Call ``fn(start, stop)`` for every block; return once all are done."""
+        if self._pool is None:
+            self._share(fn, 0)
+            return
+        futures = [self._pool.submit(self._share, fn, w) for w in range(self.workers)]
+        wait(futures)
+        for future in futures:
+            future.result()
+
+    def _share(self, fn, worker: int) -> None:
+        for start, stop in self.bounds[worker::self.workers]:
+            fn(start, stop)
+
+
+def _entropies(shifted: np.ndarray, beta: np.ndarray):
+    """Entropy of each row's weights exp(-beta * shifted), with the weights and their sums.
+
+    Row by row this is the arithmetic of a one-row evaluation: the row sums
+    are numpy's pairwise sums of each row, and the dot products stay BLAS ddot.
+    """
+    w = np.exp(-beta[:, None] * shifted)
+    sw = w.sum(axis=1)
+    dot = np.matmul(shifted[:, None, :], w[:, :, None])[:, 0, 0]
+    return np.log(sw) + beta * dot / sw, w, sw
+
+
+def _bisect_rows(sq_distances: np.ndarray, perplexity: float, start: int, stop: int, p: np.ndarray,
+                 achieved: np.ndarray) -> None:
+    """Bisect the precisions of rows ``start:stop`` together and write their rows of P and perplexities.
+
+    Each row takes the same steps as a bisection of that row alone and stops
+    changing once it converges.
+    """
+    n = sq_distances.shape[0]
+    off_diagonal = np.arange(n) != np.arange(start, stop)[:, None]
+    rows = sq_distances[start:stop][off_diagonal].reshape(stop - start, n - 1)
     # shifted weights keep exp() in range; entropy is shift-invariant
-    shifted = dist_row - dist_row.min()
-    w = np.exp(-beta * shifted)
-    sw = w.sum()
-    h = np.log(sw) + beta * float(shifted @ w) / sw
-    return h, w / sw
+    shifted = rows - rows.min(axis=1, keepdims=True)
+    log_target = np.log(perplexity)
+    beta = np.ones(stop - start)
+    beta_min = np.full(stop - start, -np.inf)
+    beta_max = np.full(stop - start, np.inf)
+    h = _entropies(shifted, beta)[0]
+    live = np.arange(stop - start)
+    for _ in range(BISECTION_STEPS):
+        live = live[~(np.abs(np.exp(h[live]) - perplexity) <= PERPLEXITY_TOL)]
+        if live.size == 0:
+            break
+        b, lo, hi = beta[live], beta_min[live], beta_max[live]
+        flat = h[live] > log_target  # too flat: sharpen
+        beta_min[live] = np.where(flat, b, lo)
+        beta_max[live] = np.where(flat, hi, b)
+        beta[live] = np.where(
+            flat,
+            np.where(hi == np.inf, b * 2.0, 0.5 * (b + hi)),
+            np.where(lo == -np.inf, b / 2.0, 0.5 * (b + lo)),
+        )
+        h[live] = _entropies(shifted[live], beta[live])[0]
+    _, w, sw = _entropies(shifted, beta)
+    p[start:stop][off_diagonal] = np.divide(w, sw[:, None], out=w).ravel()
+    achieved[start:stop] = np.exp(h)
 
 
 def conditional_affinities(sq_distances: np.ndarray, perplexity: float):
@@ -96,30 +187,14 @@ def conditional_affinities(sq_distances: np.ndarray, perplexity: float):
 
     Returns (P, achieved) where P is N x N with zero diagonal and unit row
     sums, and ``achieved`` holds the realized perplexity of each row after
-    at most 50 bisection steps (tolerance 1e-5 in perplexity units).
+    at most 50 bisection steps (tolerance 1e-5 in perplexity units). Blocks of
+    rows are bisected at once, in parallel when there are several.
     """
     n = sq_distances.shape[0]
     p = np.zeros((n, n))
     achieved = np.empty(n)
-    log_target = np.log(perplexity)
-    others = np.arange(n)
-    for i in range(n):
-        mask = others != i
-        row = sq_distances[i, mask]
-        beta, beta_min, beta_max = 1.0, -np.inf, np.inf
-        h, probs = _row_entropy(row, beta)
-        for _ in range(BISECTION_STEPS):
-            if abs(np.exp(h) - perplexity) <= PERPLEXITY_TOL:
-                break
-            if h > log_target:  # too flat: sharpen
-                beta_min = beta
-                beta = beta * 2.0 if beta_max == np.inf else 0.5 * (beta + beta_max)
-            else:
-                beta_max = beta
-                beta = beta / 2.0 if beta_min == -np.inf else 0.5 * (beta + beta_min)
-            h, probs = _row_entropy(row, beta)
-        p[i, mask] = probs
-        achieved[i] = np.exp(h)
+    with _RowBlocks(n) as blocks:
+        blocks.run(lambda start, stop: _bisect_rows(sq_distances, perplexity, start, stop, p, achieved))
     return p, achieved
 
 
@@ -169,46 +244,70 @@ def tsne_embed(
     cond, achieved = conditional_affinities(pairwise_sq_distances(x), perplexity)
     p_sym = (cond + cond.T) / (2.0 * n)
     del cond
-    p_exaggerated = p_sym * early_exaggeration
     # KL(P || Q) reads only the entries where P > 0; their P terms never change
     kl_index = np.flatnonzero(p_sym > 0)
     p_pos = np.take(p_sym, kl_index)
     log_p_pos = np.log(np.maximum(p_pos, PROB_FLOOR))
     kl_terms = np.empty_like(p_pos)
+    # p_sym holds the exaggerated P until the loop puts P back from p_pos
+    if exaggeration_iters > 0:
+        np.multiply(p_sym, early_exaggeration, out=p_sym)
+    # kl_index is row-major, so row i's entries are kl_index[row_cut[i]:row_cut[i + 1]]
+    row_cut = np.searchsorted(kl_index, np.arange(n + 1) * n)
     # the N x N work buffers, reused by every iteration
     num = np.empty((n, n))
     q = np.empty((n, n))
+    row_sums = np.empty(n)
+
+    def kernel_rows(start, stop):
+        # Student-t kernel 1 / (1 + |y_i - y_j|^2); q holds the Gram matrix first
+        block = _sq_distances_rows(sq, q, start, stop, num)
+        np.add(block, 1.0, out=block)
+        np.divide(1.0, block, out=block)
+
+    def weight_rows(start, stop):
+        q_block, num_block = q[start:stop], num[start:stop]
+        np.divide(num_block, total, out=q_block)
+        first, last = row_cut[start], row_cut[stop]
+        kl_block = kl_terms[first:last]
+        # "raise" would buffer out; the indices are in range
+        np.take(q, kl_index[first:last], out=kl_block, mode="clip")
+        np.maximum(kl_block, PROB_FLOOR, out=kl_block)
+        np.log(kl_block, out=kl_block)
+        np.subtract(log_p_pos[first:last], kl_block, out=kl_block)
+        np.multiply(p_pos[first:last], kl_block, out=kl_block)
+        # q becomes (P - Q) * num, the gradient's pairwise weights
+        np.subtract(p_sym[start:stop], q_block, out=q_block)
+        np.multiply(q_block, num_block, out=q_block)
+        q_block.sum(axis=1, out=row_sums[start:stop])
 
     rng = np.random.default_rng(seed)
     y = rng.normal(0.0, 1e-4, size=(n, 2))
     velocity = np.zeros_like(y)
     kl_trace = []
-    for it in range(iterations):
-        if not np.all(np.isfinite(y)):
-            raise NumericError("non-finite coordinates in distance computation")
-        # Student-t kernel 1 / (1 + |y_i - y_j|^2) with a zero diagonal; q holds the Gram matrix first
-        _sq_distances_into(y, num, q)
-        np.add(num, 1.0, out=num)
-        np.divide(1.0, num, out=num)
-        np.fill_diagonal(num, 0.0)
-        np.divide(num, num.sum(), out=q)
-        np.take(q, kl_index, out=kl_terms, mode="clip")  # "raise" would buffer out; the indices are in range
-        np.maximum(kl_terms, PROB_FLOOR, out=kl_terms)
-        np.log(kl_terms, out=kl_terms)
-        np.subtract(log_p_pos, kl_terms, out=kl_terms)
-        np.multiply(p_pos, kl_terms, out=kl_terms)
-        kl = float(np.sum(kl_terms))
-        # q becomes (P - Q) * num, the gradient's pairwise weights
-        np.subtract(p_exaggerated if it < exaggeration_iters else p_sym, q, out=q)
-        np.multiply(q, num, out=q)
-        grad = 4.0 * (q.sum(axis=1)[:, None] * y - q @ y)
-        if not np.all(np.isfinite(grad)):
-            raise NumericError(f"non-finite t-SNE gradient at iteration {it}", iteration=it)
-        momentum = momentum_early if it < momentum_switch else momentum_late
-        velocity = momentum * velocity - learning_rate * grad
-        y = y + velocity
-        y = y - y.mean(axis=0)
-        kl_trace.append((it, kl))
+    # the passes read sq and total as this loop last bound them
+    with _RowBlocks(n) as blocks:
+        for it in range(iterations):
+            if not np.all(np.isfinite(y)):
+                raise NumericError("non-finite coordinates in distance computation")
+            sq = np.sum(y * y, axis=1)
+            np.matmul(y, y.T, out=q)
+            blocks.run(kernel_rows)
+            np.fill_diagonal(num, 0.0)
+            total = num.sum()
+            if it == exaggeration_iters:
+                p_sym.fill(0.0)
+                np.put(p_sym, kl_index, p_pos)
+            blocks.run(weight_rows)
+            kl = float(np.sum(kl_terms))
+            grad = 4.0 * (row_sums[:, None] * y - q @ y)
+            if not np.all(np.isfinite(grad)):
+                raise NumericError(f"non-finite t-SNE gradient at iteration {it}", iteration=it)
+            momentum = momentum_early if it < momentum_switch else momentum_late
+            velocity = momentum * velocity - learning_rate * grad
+            y = y + velocity
+            y = y - y.mean(axis=0)
+            kl_trace.append((it, kl))
     return Embedding(points=y, kl_trace=tuple(kl_trace), config=config, achieved_perplexity=achieved)
 
 
