@@ -18,7 +18,7 @@ from typsgd.analysis import (
     typicality_error_formula_published,
 )
 from typsgd.models import GradientFamily
-from typsgd.sampling import SrsScheme, StratifiedScheme, make_plan
+from typsgd.sampling import SrsScheme, StratifiedScheme, make_plan, plan_beta
 from typsgd.verify import random_gradient_family, random_partition, random_plan, two_strata_family
 
 print("=== SRS: (1 - m/N) S^2 / m against enumeration ===")
@@ -30,7 +30,7 @@ print()
 print("=== Stratified: the regime where the published identity is exact ===")
 grads, part = two_strata_family([[1.0], [-1.0]], [[2.0], [-2.0]], [0.0])
 plan = make_plan(2, 1, part)
-print(f"H = {{1, -1}}, L = {{2, -2}}, reference 0, n1 = n2 = 1 (beta = {plan.beta}):")
+print(f"H = {{1, -1}}, L = {{2, -2}}, reference 0, n1 = n2 = 1 (beta = {plan_beta(plan, part)}):")
 print(f"  published  : {typicality_error_formula_published(grads, part, plan):.4f}")
 print(f"  corrected  : {typicality_error_corrected(grads, part, plan):.4f}")
 print(f"  enumeration: {enumerate_error(grads, StratifiedScheme(part, plan)):.4f}")

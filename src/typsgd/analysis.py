@@ -30,13 +30,14 @@ import numpy as np
 
 from .density import Partition
 from .errors import CapabilityError, InvalidArgumentError
-from .models import GradientFamily
+from .models import GradientFamily, gradient_family
 from .sampling import (
     BatchPlan,
     SrsScheme,
     StratifiedScheme,
     batch_space_size,
     draw_indices,
+    plan_beta,
     resolve_strata,
     validate_plan,
 )
@@ -132,7 +133,7 @@ def _published_terms(grads: GradientFamily, partition: Partition, plan: BatchPla
     ref = grads.reference
     s_h = float(np.sum((rows[partition.h_indices] - ref) ** 2)) / (n1_pop - 1)
     s_l = float(np.sum(rows[partition.l_indices] ** 2)) / (n2_pop - 1)
-    bias_sq = (plan.beta - 1.0) ** 2 * _sq_norm(ref)
+    bias_sq = (plan_beta(plan, partition) - 1.0) ** 2 * _sq_norm(ref)
     m = plan.m
     value = (
         bias_sq
@@ -159,6 +160,19 @@ def typicality_error_corrected(grads: GradientFamily, partition: Partition, plan
     contributes SRS-without-replacement variance about its own stratum mean.
     """
     return exact_error(grads, StratifiedScheme(partition=partition, plan=plan))
+
+
+def formula_alpha(model, dataset, theta, partition: Partition, plan: BatchPlan) -> float:
+    """The error ratio alpha = typicality_error_corrected / srs_error_formula at theta.
+
+    Both errors are taken about the N-sample mean gradient at theta. alpha is
+    1 by convention when the SRS error vanishes.
+    """
+    family = gradient_family(model, dataset, theta)
+    mse_srs = srs_error_formula(family, plan.m)
+    if mse_srs == 0.0:
+        return 1.0
+    return typicality_error_corrected(family, partition, plan) / mse_srs
 
 
 def _combination_sums(rows: np.ndarray, k: int) -> np.ndarray:
@@ -228,7 +242,7 @@ def convergence_rate_factor(model_spec, partition: Partition, plan: BatchPlan) -
     noise = (
         (1.0 - plan.n1 / partition.n1) * 2.0 * plan.n1 * (beta2 + 2.0) / m**2
         + (1.0 - plan.n2 / partition.n2) * plan.n2 * (beta2 + 1.0) / (2.0 * m**2)
-        + (plan.beta - 1.0) ** 2
+        + (plan_beta(plan, partition) - 1.0) ** 2
     )
     return RateFactor(factor=1.0 - mu_over_l + noise, noise_terms=noise, m_large_enough=noise < mu_over_l)
 

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import srs_error_formula, typicality_error_corrected
+from .analysis import formula_alpha
 from .data import Dataset, generate_clustered
 from .density import Partition, build_partition, kde_densities
 from .embedding import tsne_embed
-from .models import GradientFamily, ModelSpec, QuadraticModel, per_sample_gradients, quadratic_constants
+from .models import ModelSpec, QuadraticModel, quadratic_constants
 from .optimize import Adam, Sgd, median_reach, train
 from .sampling import SrsScheme, StratifiedScheme, make_plan
 
@@ -36,7 +36,6 @@ class BenchmarkSetup:
     partition: Partition
     model_spec: ModelSpec
     noisy_mask: np.ndarray
-    minority_mask: np.ndarray
 
 
 @dataclass
@@ -88,7 +87,6 @@ def build_benchmark(
         partition=partition,
         model_spec=quadratic_constants(dataset),
         noisy_mask=noisy,
-        minority_mask=minority,
     )
 
 
@@ -131,14 +129,12 @@ def run_comparison(
                     seed=seed, eval_every=eval_every, model_spec=spec,
                 )
                 adam_iters[name].append(trace.iterations_to_threshold(threshold))
-    grads = per_sample_gradients(model, setup.dataset, np.zeros(2))
-    family = GradientFamily(per_sample=grads, reference=grads.mean(axis=0))
-    alpha = typicality_error_corrected(family, setup.partition, plan) / srs_error_formula(family, m)
+    alpha = formula_alpha(model, setup.dataset, np.zeros(2), setup.partition, plan)
     return ComparisonResult(
         sgd_iterations=sgd_iters,
         adam_iterations=adam_iters,
         medians_sgd={k: median_reach(v) for k, v in sgd_iters.items()},
         medians_adam={k: median_reach(v) for k, v in adam_iters.items()},
-        alpha_at_start=float(alpha),
+        alpha_at_start=alpha,
         seeds=tuple(seeds),
     )

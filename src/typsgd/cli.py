@@ -92,7 +92,7 @@ def cmd_gen(config: RunConfig, out_dir: str, seed_override=None) -> int:
     return EXIT_OK
 
 
-def _embed(config: RunConfig, out_dir: str, train_data: Dataset, seed_override=None):
+def _embed(config: RunConfig, train_data: Dataset, seed_override=None):
     seed = seed_override if seed_override is not None else config.get_int("embedding", "seed", 0)
     return tsne_embed(
         train_data,
@@ -106,7 +106,7 @@ def _embed(config: RunConfig, out_dir: str, train_data: Dataset, seed_override=N
 def cmd_embed(config: RunConfig, out_dir: str, seed_override=None) -> int:
     dataset = _load_dataset_file(os.path.join(out_dir, "dataset.csv"))
     train_data, _ = _split_for_training(config, dataset)
-    emb = _embed(config, out_dir, train_data, seed_override)
+    emb = _embed(config, train_data, seed_override)
     path = os.path.join(out_dir, "embedding.csv")
     save_embedding(path, emb, config_digest=config.digest, seed=emb.config.seed)
     print(f"embed: N={train_data.n_samples} final KL={emb.kl_trace[-1][1]:.4f} -> {path}")
@@ -123,7 +123,7 @@ def cmd_partition(config: RunConfig, out_dir: str, seed_override=None) -> int:
         if os.path.exists(emb_path):
             points = load_embedding_points(emb_path)
         else:
-            emb = _embed(config, out_dir, train_data, seed_override)
+            emb = _embed(config, train_data, seed_override)
             save_embedding(emb_path, emb, config_digest=config.digest, seed=emb.config.seed)
             points = emb.points
         bandwidth = config.get("partition", "bandwidth", "scott")

@@ -8,25 +8,28 @@ their arguments including the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._csvio import format_number, parse_float, read_rows, write_rows
 from .errors import CsvFormatError, InvalidArgumentError
 
+# the uniform ranges of a curve's bias and of each segment's slope
+BIAS_RANGE = (-1.0, 1.0)
+SLOPE_RANGE = (-1.0, 1.0)
+
 
 @dataclass(frozen=True)
 class Dataset:
     """An immutable feature matrix with optional targets.
 
-    ``features`` is N x D, ``targets`` is N x T or None, and ``ids`` are the
-    stable sample identifiers 0..N-1 (row order).
+    ``features`` is N x D and ``targets`` is N x T or None; a sample's id is
+    its row index 0..N-1.
     """
 
     features: np.ndarray
     targets: np.ndarray | None = None
-    ids: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         feats = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
@@ -45,19 +48,10 @@ class Dataset:
                 raise InvalidArgumentError("targets contain non-finite values")
             targs = targs.copy()
             targs.flags.writeable = False
-        ids = self.ids
-        if ids is None:
-            ids = np.arange(feats.shape[0], dtype=np.int64)
-        else:
-            ids = np.asarray(ids, dtype=np.int64)
-            if not np.array_equal(ids, np.arange(feats.shape[0])):
-                raise InvalidArgumentError("ids must be exactly 0..N-1 in order")
         feats = feats.copy()
         feats.flags.writeable = False
-        ids.flags.writeable = False
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "targets", targs)
-        object.__setattr__(self, "ids", ids)
 
     @property
     def n_samples(self) -> int:
@@ -73,13 +67,12 @@ def generate_pwl_curves(
     curve_length: int,
     segment_count: int,
     seed: int,
-    bias_range: tuple[float, float] = (-1.0, 1.0),
-    slope_range: tuple[float, float] = (-1.0, 1.0),
 ) -> Dataset:
     """Generate 1-D piecewise-linear curves sampled at integer positions.
 
     Each row of ``features`` is a curve of ``curve_length`` points made of
-    ``segment_count`` linear pieces. Slope changes happen at breakpoints
+    ``segment_count`` linear pieces, with a bias uniform on BIAS_RANGE and
+    slopes uniform on SLOPE_RANGE. Slope changes happen at breakpoints
     drawn uniformly without replacement from the interior indices, so ties
     are impossible. ``targets`` stores the full generating parameters
     (bias, per-segment slopes, breakpoint indices) from which the curve can
@@ -111,8 +104,8 @@ def generate_pwl_curves(
     curves = np.empty((count, curve_length), dtype=np.float64)
     targets = np.empty((count, 1 + segment_count + n_breaks), dtype=np.float64)
     for i in range(count):
-        bias = rng.uniform(*bias_range)
-        slopes = rng.uniform(*slope_range, size=segment_count)
+        bias = rng.uniform(*BIAS_RANGE)
+        slopes = rng.uniform(*SLOPE_RANGE, size=segment_count)
         if n_breaks:
             breaks = np.sort(rng.choice(np.arange(1, curve_length - 1), size=n_breaks, replace=False))
         else:

@@ -58,12 +58,6 @@ class Partition:
             raise InvalidArgumentError("strata must partition 0..N-1 disjointly")
         if not 0.0 < self.gamma < 0.8:
             raise InvalidArgumentError(f"gamma must lie in (0, 0.8); got {self.gamma}")
-        if h.shape[0] > l.shape[0]:
-            warnings.warn(
-                f"N1={h.shape[0]} exceeds N2={l.shape[0]}; the oversampling "
-                "constraint narrows the feasible batch plans",
-                stacklevel=3,
-            )
         object.__setattr__(self, "h_indices", h)
         object.__setattr__(self, "l_indices", l)
 
@@ -148,6 +142,11 @@ def build_partition(densities: DensityMap, gamma: float) -> Partition:
     order = np.lexsort((np.arange(n), -values))
     h = np.sort(order[:n1])
     l = np.sort(order[n1:])
+    if n1 > n - n1:
+        warnings.warn(
+            f"N1={n1} exceeds N2={n - n1}; the oversampling constraint narrows the feasible batch plans",
+            stacklevel=2,
+        )
     return Partition(h_indices=h, l_indices=l, gamma=gamma)
 
 

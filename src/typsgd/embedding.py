@@ -20,6 +20,14 @@ from ._csvio import format_number, read_rows, write_rows
 from .errors import InvalidArgumentError, NumericError
 
 PROB_FLOOR = 1e-12
+# the optimization schedule of van der Maaten & Hinton (2008): P is multiplied
+# by EARLY_EXAGGERATION for the first EXAGGERATION_ITERS iterations, and the
+# momentum steps from MOMENTUM_EARLY to MOMENTUM_LATE at iteration MOMENTUM_SWITCH
+EARLY_EXAGGERATION = 12.0
+EXAGGERATION_ITERS = 100
+MOMENTUM_EARLY = 0.5
+MOMENTUM_LATE = 0.8
+MOMENTUM_SWITCH = 250
 PERPLEXITY_TOL = 1e-5
 BISECTION_STEPS = 50
 # bytes of one row block of an N x N float64 buffer: a pass over a block touches
@@ -32,11 +40,6 @@ class EmbedConfig:
     perplexity: float = 30.0
     iterations: int = 1000
     learning_rate: float = 200.0
-    early_exaggeration: float = 12.0
-    exaggeration_iters: int = 100
-    momentum_early: float = 0.5
-    momentum_late: float = 0.8
-    momentum_switch: int = 250
     seed: int = 0
 
 
@@ -204,11 +207,6 @@ def tsne_embed(
     iterations: int = 1000,
     learning_rate: float = 200.0,
     seed: int = 0,
-    early_exaggeration: float = 12.0,
-    exaggeration_iters: int = 100,
-    momentum_early: float = 0.5,
-    momentum_late: float = 0.8,
-    momentum_switch: int = 250,
 ) -> Embedding:
     """Embed a dataset into 2 dimensions with exact t-SNE.
 
@@ -229,17 +227,7 @@ def tsne_embed(
         raise InvalidArgumentError(
             f"perplexity must lie in [3, (N-1)/3] = [3, {(n - 1) / 3:.2f}]; got {perplexity}"
         )
-    config = EmbedConfig(
-        perplexity=perplexity,
-        iterations=iterations,
-        learning_rate=learning_rate,
-        early_exaggeration=early_exaggeration,
-        exaggeration_iters=exaggeration_iters,
-        momentum_early=momentum_early,
-        momentum_late=momentum_late,
-        momentum_switch=momentum_switch,
-        seed=seed,
-    )
+    config = EmbedConfig(perplexity=perplexity, iterations=iterations, learning_rate=learning_rate, seed=seed)
 
     cond, achieved = conditional_affinities(pairwise_sq_distances(x), perplexity)
     p_sym = (cond + cond.T) / (2.0 * n)
@@ -250,8 +238,7 @@ def tsne_embed(
     log_p_pos = np.log(np.maximum(p_pos, PROB_FLOOR))
     kl_terms = np.empty_like(p_pos)
     # p_sym holds the exaggerated P until the loop puts P back from p_pos
-    if exaggeration_iters > 0:
-        np.multiply(p_sym, early_exaggeration, out=p_sym)
+    np.multiply(p_sym, EARLY_EXAGGERATION, out=p_sym)
     # kl_index is row-major, so row i's entries are kl_index[row_cut[i]:row_cut[i + 1]]
     row_cut = np.searchsorted(kl_index, np.arange(n + 1) * n)
     # the N x N work buffers, reused by every iteration
@@ -295,7 +282,7 @@ def tsne_embed(
             blocks.run(kernel_rows)
             np.fill_diagonal(num, 0.0)
             total = num.sum()
-            if it == exaggeration_iters:
+            if it == EXAGGERATION_ITERS:
                 p_sym.fill(0.0)
                 np.put(p_sym, kl_index, p_pos)
             blocks.run(weight_rows)
@@ -303,7 +290,7 @@ def tsne_embed(
             grad = 4.0 * (row_sums[:, None] * y - q @ y)
             if not np.all(np.isfinite(grad)):
                 raise NumericError(f"non-finite t-SNE gradient at iteration {it}", iteration=it)
-            momentum = momentum_early if it < momentum_switch else momentum_late
+            momentum = MOMENTUM_EARLY if it < MOMENTUM_SWITCH else MOMENTUM_LATE
             velocity = momentum * velocity - learning_rate * grad
             y = y + velocity
             y = y - y.mean(axis=0)

@@ -25,30 +25,23 @@ from .errors import InvalidArgumentError, NumericError
 class ModelSpec:
     """Known analytic constants of a model/dataset pair.
 
-    Optional fields are None when the constant is not available (e.g. no
-    closed-form minimizer for the MLP). ``noise_bound_beta1`` and
-    ``growth_bound_beta2`` are empirical estimates over a probe grid, not
-    proven bounds.
+    Fields are None when the constant is not available (e.g. no closed-form
+    minimizer for the MLP). ``growth_bound_beta2`` is an empirical estimate
+    over a probe grid, not a proven bound.
     """
 
-    parameter_dim: int
     lipschitz_L: float | None = None
     strong_convexity_mu: float | None = None
-    noise_bound_beta1: float | None = None
     growth_bound_beta2: float | None = None
     exact_minimizer: np.ndarray | None = None
     exact_optimum_value: float | None = None
 
     def __post_init__(self):
-        if self.parameter_dim < 1:
-            raise InvalidArgumentError("parameter_dim must be >= 1")
         L, mu = self.lipschitz_L, self.strong_convexity_mu
         if L is not None and mu is not None and mu > L * (1 + 1e-12):
             raise InvalidArgumentError(f"mu={mu} exceeds L={L}")
         if self.growth_bound_beta2 is not None and self.growth_bound_beta2 < 1:
             raise InvalidArgumentError("beta2 must be >= 1")
-        if self.noise_bound_beta1 is not None and self.noise_bound_beta1 < 0:
-            raise InvalidArgumentError("beta1 must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -62,7 +55,6 @@ class GradientFamily:
 
     per_sample: np.ndarray
     reference: np.ndarray
-    theta: np.ndarray | None = None
 
     def __post_init__(self):
         g = np.atleast_2d(np.asarray(self.per_sample, dtype=np.float64))
@@ -180,6 +172,9 @@ class MlpModel:
         return 0.5 * r * r
 
 
+KERNEL_SIZE = 3  # the length of ConvCurveModel's second-difference kernel
+
+
 class ConvCurveModel:
     """Curve-to-parameters encoder: one 1-D convolution plus a linear readout.
 
@@ -191,22 +186,17 @@ class ConvCurveModel:
 
     kind = "conv"
 
-    def __init__(self, kernel_size: int = 3):
-        if kernel_size != 3:
-            raise InvalidArgumentError("only kernel_size=3 is supported")
-        self.kernel_size = kernel_size
-
     def _dims(self, dataset: Dataset):
         t = dataset.n_features
-        if t < self.kernel_size:
+        if t < KERNEL_SIZE:
             raise InvalidArgumentError("curve length must be >= kernel size")
         if dataset.targets is None:
             raise InvalidArgumentError("conv model requires targets")
-        return t - self.kernel_size + 1, dataset.targets.shape[1]
+        return t - KERNEL_SIZE + 1, dataset.targets.shape[1]
 
     def param_dim(self, dataset: Dataset) -> int:
         z, out = self._dims(dataset)
-        return self.kernel_size + out * z + out
+        return KERNEL_SIZE + out * z + out
 
     def init_theta(self, dataset: Dataset, seed: int) -> np.ndarray:
         z, out = self._dims(dataset)
@@ -215,14 +205,14 @@ class ConvCurveModel:
         return np.concatenate([[1.0, -2.0, 1.0], w.ravel(), np.zeros(out)])
 
     def _unpack(self, theta, z, out):
-        k = theta[: self.kernel_size]
-        w = theta[self.kernel_size : self.kernel_size + out * z].reshape(out, z)
-        b = theta[self.kernel_size + out * z :]
+        k = theta[:KERNEL_SIZE]
+        w = theta[KERNEL_SIZE : KERNEL_SIZE + out * z].reshape(out, z)
+        b = theta[KERNEL_SIZE + out * z :]
         return k, w, b
 
     def per_sample_grads(self, theta, X, Y):
         n = X.shape[0]
-        windows = sliding_window_view(X, self.kernel_size, axis=1)
+        windows = sliding_window_view(X, KERNEL_SIZE, axis=1)
         z_len, out = windows.shape[1], Y.shape[1]
         k, w, b = self._unpack(theta, z_len, out)
         z = windows @ k
@@ -233,7 +223,7 @@ class ConvCurveModel:
         return np.concatenate([g_k, g_w, r], axis=1)
 
     def losses(self, theta, X, Y):
-        windows = sliding_window_view(X, self.kernel_size, axis=1)
+        windows = sliding_window_view(X, KERNEL_SIZE, axis=1)
         z_len, out = windows.shape[1], Y.shape[1]
         k, w, b = self._unpack(theta, z_len, out)
         r = (windows @ k) @ w.T + b - Y
@@ -285,7 +275,7 @@ def gradient_family(model, dataset: Dataset, theta) -> GradientFamily:
     """Per-sample gradients at theta with the N-sample mean as reference."""
     grads = per_sample_gradients(model, dataset, theta)
     ref = np.sum(grads, axis=0) / dataset.n_samples
-    return GradientFamily(per_sample=grads, reference=ref, theta=np.asarray(theta, dtype=np.float64))
+    return GradientFamily(per_sample=grads, reference=ref)
 
 
 def estimate_growth_bounds(model, dataset: Dataset, center, n_probes: int = 20, scale: float = 1.0, seed: int = 0):
@@ -333,12 +323,10 @@ def quadratic_constants(dataset: Dataset, n_probes: int = 20, probe_seed: int = 
     model = QuadraticModel()
     opt = float(np.sum(model.losses(theta_star, x, y)) / n)
     scale = max(1.0, float(np.linalg.norm(theta_star)))
-    beta1, beta2, _ = estimate_growth_bounds(model, dataset, theta_star, n_probes=n_probes, scale=scale, seed=probe_seed)
+    _, beta2, _ = estimate_growth_bounds(model, dataset, theta_star, n_probes=n_probes, scale=scale, seed=probe_seed)
     return ModelSpec(
-        parameter_dim=x.shape[1],
         lipschitz_L=float(eigs[-1]),
         strong_convexity_mu=float(eigs[0]),
-        noise_bound_beta1=beta1,
         growth_bound_beta2=beta2,
         exact_minimizer=theta_star,
         exact_optimum_value=opt,

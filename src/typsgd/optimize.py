@@ -19,9 +19,10 @@ from typing import ClassVar
 import numpy as np
 
 from ._csvio import format_number, read_rows, write_rows
+from .analysis import formula_alpha
 from .data import Dataset
 from .errors import InvalidArgumentError, NumericError
-from .models import _targets_for, gradient_family, mean_loss, per_sample_gradients
+from .models import _targets_for, mean_loss, per_sample_gradients
 from .sampling import Batch, batch_space_size, draw_indices, enumerate_batches, resolve_strata, save_batch_log
 
 
@@ -94,9 +95,6 @@ class TrainTrace:
     seed: int
     eval_every: int
     thetas: list[tuple[int, np.ndarray]] = field(default_factory=list)
-
-    def final_subopt(self):
-        return self.records[-1].subopt
 
     def iterations_to_threshold(self, threshold: float):
         """First recorded iteration whose suboptimality is <= threshold."""
@@ -205,7 +203,7 @@ def train(
             subopt = loss - model_spec.exact_optimum_value
         alpha = None
         if alpha_probe is not None:
-            alpha = _alpha_at(model, dataset, theta, *alpha_probe)
+            alpha = formula_alpha(model, dataset, theta, *alpha_probe)
         trace.records.append(
             TraceRecord(
                 iteration=iteration,
@@ -232,17 +230,6 @@ def train(
     if batch_log_path is not None:
         save_batch_log(batch_log_path, batches, seed=seed)
     return trace
-
-
-def _alpha_at(model, dataset, theta, partition, plan):
-    # local import: analysis depends on sampling, which this module shares
-    from .analysis import srs_error_formula, typicality_error_corrected
-
-    family = gradient_family(model, dataset, theta)
-    mse_srs = srs_error_formula(family, plan.m)
-    if mse_srs == 0.0:
-        return 1.0
-    return typicality_error_corrected(family, partition, plan) / mse_srs
 
 
 @dataclass(frozen=True)

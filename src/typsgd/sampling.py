@@ -30,26 +30,20 @@ from .errors import InvalidArgumentError
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """Stratified batch layout: m = n1 + n2 draws, with derived beta and pi.
-
-    ``beta`` = (n1 N) / (m N1) is the bias factor of the unweighted
-    stratified mean (beta = 1 recovers proportional weighting of H);
-    ``pi`` = m / N is the plain SRS inclusion probability.
-    """
+    """Stratified batch layout: m draws, n1 of them from H and n2 = m - n1 from L."""
 
     m: int
     n1: int
-    n2: int
-    beta: float
-    pi: float
 
     def __post_init__(self):
         if self.m < 2:
             raise InvalidArgumentError("batch size m must be >= 2")
         if not 0 < self.n1 < self.m:
             raise InvalidArgumentError(f"n1 must lie strictly inside (0, m); got n1={self.n1}, m={self.m}")
-        if self.n1 + self.n2 != self.m:
-            raise InvalidArgumentError("n1 + n2 must equal m")
+
+    @property
+    def n2(self) -> int:
+        return self.m - self.n1
 
 
 @dataclass(frozen=True)
@@ -68,9 +62,7 @@ class Batch:
 
 def make_plan(m: int, n1: int, partition: Partition) -> BatchPlan:
     """Build and validate a batch plan against a partition."""
-    n_total = partition.n_total
-    n2 = m - n1
-    plan = BatchPlan(m=m, n1=n1, n2=n2, beta=(n1 * n_total) / (m * partition.n1), pi=m / n_total)
+    plan = BatchPlan(m=m, n1=n1)
     validate_plan(plan, partition)
     return plan
 
@@ -87,10 +79,14 @@ def validate_plan(plan: BatchPlan, partition: Partition) -> None:
         raise InvalidArgumentError(
             f"oversampling constraint violated: n1/N1 = {plan.n1}/{N1} < n2/N2 = {plan.n2}/{N2}"
         )
-    n_total = partition.n_total
-    expected_beta = (plan.n1 * n_total) / (plan.m * N1)
-    if abs(plan.beta - expected_beta) > 1e-12 or abs(plan.pi - plan.m / n_total) > 1e-12:
-        raise InvalidArgumentError("plan beta/pi do not match this partition")
+
+
+def plan_beta(plan: BatchPlan, partition: Partition) -> float:
+    """The bias factor beta = (n1 N) / (m N1) of the unweighted stratified mean.
+
+    beta = 1 recovers proportional weighting of H.
+    """
+    return (plan.n1 * partition.n_total) / (plan.m * partition.n1)
 
 
 def default_plan(m: int, partition: Partition) -> BatchPlan:

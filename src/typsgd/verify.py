@@ -12,7 +12,6 @@ prove failures are detected.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +82,7 @@ def random_partition(rng, n: int) -> Partition:
     n1 = int(rng.integers(2, hi + 1))
     h = np.sort(rng.choice(n, size=n1, replace=False))
     l = np.setdiff1d(np.arange(n), h)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # N1 > N2 is allowed in synthetic instances
-        return Partition(h_indices=h, l_indices=l, gamma=n1 / n)
+    return Partition(h_indices=h, l_indices=l, gamma=n1 / n)
 
 
 def random_plan(rng, partition: Partition) -> BatchPlan:
@@ -108,11 +105,7 @@ def two_strata_family(h_rows, l_rows, reference):
     rows = np.vstack([h_rows, l_rows])
     n1 = h_rows.shape[0]
     n = rows.shape[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        partition = Partition(
-            h_indices=np.arange(n1), l_indices=np.arange(n1, n), gamma=n1 / n
-        )
+    partition = Partition(h_indices=np.arange(n1), l_indices=np.arange(n1, n), gamma=n1 / n)
     grads = GradientFamily(per_sample=rows, reference=np.asarray(reference, dtype=np.float64))
     return grads, partition
 
@@ -244,9 +237,7 @@ def check_recursion(rng, scheme_kind: str) -> CheckResult:
     if scheme_kind == "srs":
         scheme = SrsScheme(m=2)
     else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            partition = Partition(h_indices=np.arange(4), l_indices=np.arange(4, 8), gamma=0.5)
+        partition = Partition(h_indices=np.arange(4), l_indices=np.arange(4, 8), gamma=0.5)
         scheme = StratifiedScheme(partition=partition, plan=make_plan(2, 1, partition))
     theta0 = spec.exact_minimizer + rng.normal(0.0, 2.0, 2)
     report = descent_recursion_check(
@@ -263,9 +254,7 @@ def check_recursion(rng, scheme_kind: str) -> CheckResult:
 
 def check_rate_specialization(rng) -> CheckResult:
     dataset, spec = quadratic_instance(rng, n=20, d=2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        partition = Partition(h_indices=np.arange(10), l_indices=np.arange(10, 20), gamma=0.5)
+    partition = Partition(h_indices=np.arange(10), l_indices=np.arange(10, 20), gamma=0.5)
     plan = make_plan(20, 10, partition)  # n1 = N1, n2 = N2: the full-draw batch
     factor = convergence_rate_factor(spec, partition, plan)
     model = QuadraticModel()
@@ -299,10 +288,8 @@ def check_rate_arithmetic() -> CheckResult:
     # beta2 = 2 -> beta = 2, noise = 0 + 0.005 + 1, factor = 1.905
     from .models import ModelSpec
 
-    spec = ModelSpec(parameter_dim=1, lipschitz_L=1.0, strong_convexity_mu=0.1, growth_bound_beta2=2.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        partition = Partition(h_indices=np.arange(40), l_indices=np.arange(40, 100), gamma=0.4)
+    spec = ModelSpec(lipschitz_L=1.0, strong_convexity_mu=0.1, growth_bound_beta2=2.0)
+    partition = Partition(h_indices=np.arange(40), l_indices=np.arange(40, 100), gamma=0.4)
     plan = make_plan(50, 40, partition)
     result = convergence_rate_factor(spec, partition, plan)
     ok = abs(result.factor - 1.905) <= 1e-12 and result.m_large_enough is False
@@ -475,9 +462,7 @@ def check_srs_inclusion(draws: int = 20_000) -> CheckResult:
 
 def check_typicality_inclusion(draws: int = 20_000) -> CheckResult:
     rng = np.random.default_rng(13)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        partition = Partition(h_indices=np.arange(3), l_indices=np.arange(3, 9), gamma=1 / 3)
+    partition = Partition(h_indices=np.arange(3), l_indices=np.arange(3, 9), gamma=1 / 3)
     plan = make_plan(3, 2, partition)
     counts = np.zeros(9)
     for _ in range(draws):

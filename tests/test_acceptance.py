@@ -126,13 +126,9 @@ def test_criterion_4_descent_recursion():
 def test_criterion_5_rate_factor_specialization():
     rng = np.random.default_rng(505)
     dataset, spec = quadratic_instance(rng, n=20, d=2)
-    import warnings
-
     from typsgd.density import Partition
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        partition = Partition(h_indices=np.arange(10), l_indices=np.arange(10, 20), gamma=0.5)
+    partition = Partition(h_indices=np.arange(10), l_indices=np.arange(10, 20), gamma=0.5)
     plan = make_plan(20, 10, partition)  # full draw: n1 = N1, n2 = N2, beta = 1
     factor = convergence_rate_factor(spec, partition, plan)
     factor_exact = abs(factor.factor - (1.0 - spec.strong_convexity_mu / spec.lipschitz_L)) <= 1e-15

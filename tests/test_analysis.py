@@ -19,7 +19,7 @@ from typsgd.analysis import (
 )
 from typsgd.errors import CapabilityError, InvalidArgumentError
 from typsgd.models import GradientFamily, ModelSpec
-from typsgd.sampling import SrsScheme, StratifiedScheme, make_plan
+from typsgd.sampling import SrsScheme, StratifiedScheme, make_plan, plan_beta
 from typsgd.verify import (
     random_gradient_family,
     random_partition,
@@ -141,7 +141,7 @@ class TestStratifiedFormulas:
         ref = np.array([2.0, -1.0])
         grads, part = two_strata_family(np.tile(ref, (3, 1)), np.tile(ref, (3, 1)), ref)
         plan = make_plan(2, 1, part)  # beta = 1 for equal strata
-        assert plan.beta == pytest.approx(1.0)
+        assert plan_beta(plan, part) == pytest.approx(1.0)
         assert typicality_error_corrected(grads, part, plan) == pytest.approx(0.0, abs=1e-15)
 
     def test_corrected_equals_enumeration_on_random_instances(self, rng):
@@ -191,7 +191,7 @@ class TestMonteCarlo:
 
 class TestRateFactor:
     def test_full_draw_specialization(self):
-        spec = ModelSpec(parameter_dim=1, lipschitz_L=2.0, strong_convexity_mu=0.5, growth_bound_beta2=3.0)
+        spec = ModelSpec(lipschitz_L=2.0, strong_convexity_mu=0.5, growth_bound_beta2=3.0)
         grads, part = two_strata_family(np.zeros((4, 1)), np.zeros((4, 1)), [0.0])
         plan = make_plan(8, 4, part)  # n1 = N1, n2 = N2, beta = 1
         result = convergence_rate_factor(spec, part, plan)
@@ -199,14 +199,14 @@ class TestRateFactor:
         assert result.noise_terms == 0.0
 
     def test_isotropic_full_draw_hits_zero(self):
-        spec = ModelSpec(parameter_dim=1, lipschitz_L=1.0, strong_convexity_mu=1.0, growth_bound_beta2=1.0)
+        spec = ModelSpec(lipschitz_L=1.0, strong_convexity_mu=1.0, growth_bound_beta2=1.0)
         grads, part = two_strata_family(np.zeros((3, 1)), np.zeros((3, 1)), [0.0])
         result = convergence_rate_factor(spec, part, make_plan(6, 3, part))
         assert result.factor == pytest.approx(0.0, abs=1e-15)
 
     def test_frozen_arithmetic_case(self):
         # mu/L = 0.1, N1=40, N2=60, m=50, n1=40, n2=10, beta2=2 -> 1.905
-        spec = ModelSpec(parameter_dim=1, lipschitz_L=1.0, strong_convexity_mu=0.1, growth_bound_beta2=2.0)
+        spec = ModelSpec(lipschitz_L=1.0, strong_convexity_mu=0.1, growth_bound_beta2=2.0)
         grads, part = two_strata_family(np.zeros((40, 1)), np.zeros((60, 1)), [0.0])
         plan = make_plan(50, 40, part)
         result = convergence_rate_factor(spec, part, plan)
@@ -214,7 +214,7 @@ class TestRateFactor:
         assert not result.m_large_enough
 
     def test_missing_constants(self):
-        spec = ModelSpec(parameter_dim=1, lipschitz_L=1.0)
+        spec = ModelSpec(lipschitz_L=1.0)
         grads, part = two_strata_family(np.zeros((2, 1)), np.zeros((2, 1)), [0.0])
         with pytest.raises(CapabilityError):
             convergence_rate_factor(spec, part, make_plan(4, 2, part))

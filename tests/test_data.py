@@ -128,12 +128,6 @@ class TestCsv:
 
 
 class TestDataset:
-    def test_ids_are_range(self, rng):
-        ds = Dataset(features=rng.normal(size=(4, 2)))
-        assert np.array_equal(ds.ids, [0, 1, 2, 3])
-        with pytest.raises(InvalidArgumentError):
-            Dataset(features=rng.normal(size=(4, 2)), ids=np.array([0, 2, 1, 3]))
-
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidArgumentError):
             Dataset(features=np.array([[np.nan, 1.0]]))

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -120,8 +121,6 @@ class TestBuildPartition:
         assert part.h_indices.tolist() == [0]
 
     def test_threshold_property(self, rng):
-        import warnings
-
         values = rng.uniform(0.1, 5.0, size=37)
         dm = DensityMap(densities=values, bandwidth=np.eye(2))
         for gamma in (0.1, 0.3, 0.5, 0.7):
@@ -141,6 +140,13 @@ class TestBuildPartition:
         dm = DensityMap(densities=np.arange(1.0, 11.0), bandwidth=np.eye(2))
         with pytest.warns(UserWarning, match="N1"):
             build_partition(dm, 0.65)
+
+    def test_partition_with_h_larger_than_l_does_not_warn(self):
+        # the warning belongs where gamma is chosen; a partition read back or built by hand is silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            part = Partition(h_indices=np.arange(7), l_indices=np.arange(7, 10), gamma=0.65)
+        assert (part.n1, part.n2) == (7, 3)
 
     def test_partition_validation(self):
         with pytest.raises(InvalidArgumentError):

@@ -260,8 +260,12 @@ class TestTsne:
         # underflow to 0, so the KL sums over a strict subset of the entries.
         # 7-row blocks leave a ragged last block at every N here
         data = generate_clustered(n, 3, [[0.0] * 3, [30.0] * 3], [0.7, 0.3], 0.5, seed=n)
-        with row_blocks(n, rows, workers):
-            emb = tsne_embed(data, perplexity=perplexity, iterations=iterations, seed=3, **switches)
+        with ExitStack() as stack:
+            # the schedule is module constants; the reference takes the same values as arguments
+            for name, value in switches.items():
+                stack.enter_context(mock.patch.object(embedding, name.upper(), value))
+            stack.enter_context(row_blocks(n, rows, workers))
+            emb = tsne_embed(data, perplexity=perplexity, iterations=iterations, seed=3)
         points, kl_trace = reference_tsne(data.features, perplexity, iterations, seed=3, **switches)
         assert np.array_equal(emb.points, points)
         assert emb.kl_trace == kl_trace

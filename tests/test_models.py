@@ -146,9 +146,9 @@ class TestQuadraticConstants:
 
 def test_model_spec_validation():
     with pytest.raises(InvalidArgumentError):
-        ModelSpec(parameter_dim=2, lipschitz_L=1.0, strong_convexity_mu=2.0)
+        ModelSpec(lipschitz_L=1.0, strong_convexity_mu=2.0)
     with pytest.raises(InvalidArgumentError):
-        ModelSpec(parameter_dim=2, growth_bound_beta2=0.5)
+        ModelSpec(growth_bound_beta2=0.5)
 
 
 def test_numeric_error_carries_sample_id():

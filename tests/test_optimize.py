@@ -1,12 +1,12 @@
 import math
 import time
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from typsgd import analysis, optimize
+from typsgd.analysis import formula_alpha
 from typsgd.data import Dataset, generate_pwl_curves
 from typsgd.density import Partition
 from typsgd.errors import InvalidArgumentError, NumericError
@@ -25,7 +25,6 @@ from typsgd.optimize import (
     Sgd,
     TraceRecord,
     TrainTrace,
-    _alpha_at,
     adam_step,
     descent_recursion_check,
     load_trace_rows,
@@ -37,9 +36,7 @@ from typsgd.sampling import Batch, SrsScheme, StratifiedScheme, draw_batch, make
 
 
 def half_partition(n):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return Partition(h_indices=np.arange(n // 2), l_indices=np.arange(n // 2, n), gamma=0.5)
+    return Partition(h_indices=np.arange(n // 2), l_indices=np.arange(n // 2, n), gamma=0.5)
 
 
 def full_rows(ds):
@@ -356,7 +353,7 @@ def reference_train(
             subopt = loss - model_spec.exact_optimum_value
         alpha = None
         if alpha_probe is not None:
-            alpha = _alpha_at(model, dataset, st.theta, *alpha_probe)
+            alpha = formula_alpha(model, dataset, st.theta, *alpha_probe)
         trace.records.append(
             TraceRecord(
                 iteration=st.iteration,

@@ -1,5 +1,4 @@
 import itertools
-import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from typsgd.sampling import (
     enumerate_batches,
     load_batch_log,
     make_plan,
+    plan_beta,
     save_batch_log,
     srs_batch,
     typicality_batch,
@@ -32,9 +32,7 @@ def partition_of(n1, n2, scatter_seed=None):
     else:
         h = np.sort(np.random.default_rng(scatter_seed).choice(n, size=n1, replace=False))
     l = np.setdiff1d(np.arange(n), h)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return Partition(h_indices=h, l_indices=l, gamma=n1 / n)
+    return Partition(h_indices=h, l_indices=l, gamma=n1 / n)
 
 
 class TestSrs:
@@ -70,8 +68,7 @@ class TestPlans:
         part = partition_of(300, 700)
         plan = default_plan(50, part)
         assert (plan.n1, plan.n2) == (40, 10)
-        assert plan.beta == pytest.approx((40 * 1000) / (50 * 300))
-        assert plan.pi == pytest.approx(0.05)
+        assert plan_beta(plan, part) == (40 * 1000) / (50 * 300)
         small = default_plan(5, partition_of(10, 10))
         assert (small.n1, small.n2) == (4, 1)
 
@@ -87,11 +84,12 @@ class TestPlans:
 
     def test_plan_shape_validation(self):
         with pytest.raises(InvalidArgumentError):
-            BatchPlan(m=4, n1=0, n2=4, beta=1.0, pi=0.1)
+            BatchPlan(m=1, n1=1)
         with pytest.raises(InvalidArgumentError):
-            BatchPlan(m=4, n1=4, n2=0, beta=1.0, pi=0.1)
+            BatchPlan(m=4, n1=0)
         with pytest.raises(InvalidArgumentError):
-            BatchPlan(m=4, n1=2, n2=3, beta=1.0, pi=0.1)
+            BatchPlan(m=4, n1=4)
+        assert BatchPlan(m=4, n1=3).n2 == 1
 
     def test_plan_must_match_partition(self):
         plan = make_plan(4, 2, partition_of(4, 4))
