@@ -99,7 +99,8 @@ def exact_error(grads: GradientFamily, scheme) -> float:
     mean has expectation (1/m) sum_h (n_h/N_h) sum_{i in h} g_i and variance
     sum_h n_h (1 - n_h/N_h) S_h^2 / m^2, S_h^2 the dispersion of stratum h
     about its own mean (Cochran 1977, ch. 5). Agrees with enumeration for
-    every gradient family and reference.
+    every gradient family and reference. A fully drawn stratum (n_h = N_h)
+    adds no variance, so a one-member stratum needs no dispersion.
     """
     rows = grads.per_sample
     strata = scheme.strata(rows.shape[0])
@@ -108,6 +109,7 @@ def exact_error(grads: GradientFamily, scheme) -> float:
     var = sum(
         draws * (1.0 - draws / members.shape[0]) * dispersion_about_mean(rows[members])
         for members, draws in strata
+        if draws < members.shape[0]
     ) / m**2
     return _sq_norm(expectation - grads.reference) + var
 

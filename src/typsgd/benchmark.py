@@ -99,9 +99,8 @@ def run_comparison(
     iterations: int = 2500,
     eval_every: int = 25,
     adam_iterations: int = 800,
-    run_adam: bool = True,
 ) -> ComparisonResult:
-    """Paired-seed SGD (and Adam) runs; iterations to the loss threshold.
+    """Paired-seed SGD and Adam runs; iterations to the loss threshold.
 
     Runs that never reach the threshold within the budget enter the median
     as infinity.
@@ -123,12 +122,11 @@ def run_comparison(
                 seed=seed, eval_every=eval_every, model_spec=spec,
             )
             sgd_iters[name].append(trace.iterations_to_threshold(threshold))
-            if run_adam:
-                trace = train(
-                    model, setup.dataset, scheme, Adam(eta=0.05), adam_iterations,
-                    seed=seed, eval_every=eval_every, model_spec=spec,
-                )
-                adam_iters[name].append(trace.iterations_to_threshold(threshold))
+            trace = train(
+                model, setup.dataset, scheme, Adam(eta=0.05), adam_iterations,
+                seed=seed, eval_every=eval_every, model_spec=spec,
+            )
+            adam_iters[name].append(trace.iterations_to_threshold(threshold))
     alpha = formula_alpha(model, setup.dataset, np.zeros(2), setup.partition, plan)
     return ComparisonResult(
         sgd_iterations=sgd_iters,

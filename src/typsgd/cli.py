@@ -26,7 +26,7 @@ from .embedding import load_embedding_points, save_embedding, tsne_embed
 from .errors import CapabilityError, CsvFormatError, InvalidArgumentError, NumericError
 from .models import MODEL_KINDS, ModelSpec, quadratic_constants, save_theta
 from .optimize import Adam, Sgd, first_reach, load_trace_rows, median_reach, save_trace, train
-from .sampling import BatchPlan, SrsScheme, StratifiedScheme, default_plan, make_plan
+from .sampling import BatchPlan, SrsScheme, StratifiedScheme, default_plan, make_plan, save_batch_log
 from .svg import line_chart, scatter_chart
 from .verify import all_asserted_pass, run_verification
 
@@ -229,7 +229,7 @@ def _train_setup(config: RunConfig, out_dir: str) -> TrainSetup:
 
 
 def _run_cell(setup: TrainSetup, out_dir: str, sampler: str, optimizer: str, seed: int, with_alpha: bool):
-    """One (sampler, optimizer, seed) training run; writes trace and theta files."""
+    """One (sampler, optimizer, seed) training run; writes trace, theta and (if logged) batch files."""
     stem = f"{sampler}_{optimizer}_seed{seed}"
     trace = train(
         setup.model,
@@ -243,9 +243,11 @@ def _run_cell(setup: TrainSetup, out_dir: str, sampler: str, optimizer: str, see
         model_spec=setup.spec,
         record_thetas=True,
         alpha_probe=(setup.partition, setup.plan) if with_alpha else None,
-        batch_log_path=os.path.join(out_dir, f"batches_{stem}.csv") if setup.log_batches else None,
+        log_batches=setup.log_batches,
     )
     save_trace(os.path.join(out_dir, f"trace_{stem}.csv"), trace, config_digest=setup.digest)
+    if setup.log_batches:
+        save_batch_log(os.path.join(out_dir, f"batches_{stem}.csv"), trace.batches, setup.digest, seed=seed)
     save_theta(
         os.path.join(out_dir, f"theta_{stem}.csv"),
         setup.model.kind,

@@ -23,7 +23,7 @@ from .analysis import formula_alpha
 from .data import Dataset
 from .errors import InvalidArgumentError, NumericError
 from .models import _targets_for, mean_loss, per_sample_gradients
-from .sampling import Batch, batch_space_size, draw_indices, enumerate_batches, resolve_strata, save_batch_log
+from .sampling import Batch, batch_space_size, draw_indices, enumerate_batches, resolve_strata
 
 
 # The step protocol shared by the optimizers: ``init_state(theta)`` gives the
@@ -95,6 +95,7 @@ class TrainTrace:
     seed: int
     eval_every: int
     thetas: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    batches: list[tuple[int, Batch]] = field(default_factory=list)  # filled when train logs batches
 
     def iterations_to_threshold(self, threshold: float):
         """First recorded iteration whose suboptimality is <= threshold."""
@@ -162,14 +163,16 @@ def train(
     theta0: np.ndarray | None = None,
     record_thetas: bool = False,
     alpha_probe=None,
-    batch_log_path=None,
+    log_batches: bool = False,
 ) -> TrainTrace:
     """Run a full training loop and record its trace.
 
     Suboptimality is recorded whenever ``model_spec`` provides the exact
     optimum value. ``alpha_probe`` may be a (partition, plan) pair: at every
     evaluation point the stratified/SRS error ratio is computed from the
-    current per-sample gradients and stored on the record.
+    current per-sample gradients and stored on the record. With
+    ``log_batches`` every step's batch is kept on ``trace.batches`` for
+    :func:`save_batch_log`.
 
     The strata are resolved and checked once, before the first step; each
     step then only draws the batch ids, gathers their rows and updates.
@@ -192,7 +195,6 @@ def train(
         seed=seed,
         eval_every=eval_every,
     )
-    batches = []
     start = time.perf_counter()
 
     def evaluate(iteration, theta):
@@ -223,12 +225,10 @@ def train(
         if k % eval_every == 0:
             evaluate(k, theta)
         idx = draw_indices(strata, rng)
-        if batch_log_path is not None:
-            batches.append((k, Batch(indices=idx)))
+        if log_batches:
+            trace.batches.append((k, Batch(indices=idx)))
         theta, state = step(model, theta, features[idx], targets[idx], k, state)
     evaluate(iterations, theta)
-    if batch_log_path is not None:
-        save_batch_log(batch_log_path, batches, seed=seed)
     return trace
 
 

@@ -48,11 +48,17 @@ from .sampling import (
     SrsScheme,
     StratifiedScheme,
     make_plan,
+    resolve_strata,
     srs_batch,
     typicality_batch,
 )
 
 FORMULA_TOL = 1e-9
+INCLUSION_DRAWS = 20_000  # batches drawn by each inclusion-frequency check
+TARGET_NOISE = 0.3  # observation noise of quadratic_instance's targets
+FD_PROBES = 20  # random (theta, sample) probes per model of the finite-difference check
+MAJORITY_SEEDS = (0, 1)  # data and t-SNE seeds of the density-majority check
+MAJORITY_N = 200  # samples per density-majority dataset
 
 
 @dataclass(frozen=True)
@@ -98,16 +104,23 @@ def random_plan(rng, partition: Partition) -> BatchPlan:
     return make_plan(m, n1, partition)
 
 
+def leading_partition(n1: int, n: int) -> Partition:
+    """H = {0..n1-1} and L = {n1..n-1}."""
+    return Partition(h_indices=np.arange(n1), l_indices=np.arange(n1, n), gamma=n1 / n)
+
+
+def leading_scheme(n1_pop: int, n: int, m: int, n1: int) -> StratifiedScheme:
+    """The plan (m, n1) on the leading partition of n ids with N1 = n1_pop."""
+    return StratifiedScheme(partition=leading_partition(n1_pop, n), plan=BatchPlan(m=m, n1=n1))
+
+
 def two_strata_family(h_rows, l_rows, reference):
     """Gradient family + partition with H occupying the leading indices."""
     h_rows = np.atleast_2d(np.asarray(h_rows, dtype=np.float64))
     l_rows = np.atleast_2d(np.asarray(l_rows, dtype=np.float64))
     rows = np.vstack([h_rows, l_rows])
-    n1 = h_rows.shape[0]
-    n = rows.shape[0]
-    partition = Partition(h_indices=np.arange(n1), l_indices=np.arange(n1, n), gamma=n1 / n)
     grads = GradientFamily(per_sample=rows, reference=np.asarray(reference, dtype=np.float64))
-    return grads, partition
+    return grads, leading_partition(h_rows.shape[0], rows.shape[0])
 
 
 def zero_sum_instance(rng):
@@ -148,11 +161,11 @@ def representative_h_instance(rng):
     return grads, partition, make_plan(m, n1, partition)
 
 
-def quadratic_instance(rng, n: int = 40, d: int = 3, noise: float = 0.3):
+def quadratic_instance(rng, n: int = 40, d: int = 3):
     """Well-conditioned random least-squares problem with exact constants."""
     x = rng.normal(0.0, 1.0, (n, d)) + 0.2
     w_true = rng.normal(0.0, 1.0, d)
-    y = x @ w_true + noise * rng.normal(0.0, 1.0, n)
+    y = x @ w_true + TARGET_NOISE * rng.normal(0.0, 1.0, n)
     dataset = Dataset(features=x, targets=y[:, None])
     return dataset, quadratic_constants(dataset)
 
@@ -162,57 +175,37 @@ def quadratic_instance(rng, n: int = 40, d: int = 3, noise: float = 0.3):
 # ---------------------------------------------------------------------------
 
 
-def _formula_vs_enumeration(rng, instances, which, corrupt_offset=0.0):
+def _srs_instance(rng):
+    grads = random_gradient_family(rng)
+    return grads, SrsScheme(m=int(rng.integers(1, grads.n_samples + 1)))
+
+
+def _stratified_instance(rng):
+    grads = random_gradient_family(rng, min_n=5)
+    partition = random_partition(rng, grads.n_samples)
+    return grads, StratifiedScheme(partition=partition, plan=random_plan(rng, partition))
+
+
+def _zero_sum_scheme(rng):
+    grads, partition, plan = zero_sum_instance(rng)
+    return grads, StratifiedScheme(partition=partition, plan=plan)
+
+
+def check_formula(rng, instances, name, label, draw_instance, formula, corrupt=False, noun="instances") -> CheckResult:
+    """A closed form against enumeration: the worst gap over drawn instances.
+
+    ``draw_instance(rng)`` gives a (grads, scheme) pair and ``formula(grads,
+    scheme)`` its closed-form error; ``label`` and ``noun`` name the formula
+    and the instances in the detail. ``corrupt`` adds 1e-3 to every formula
+    value, so a test can see the check fail.
+    """
+    offset = 1e-3 if corrupt else 0.0
     worst = 0.0
     for _ in range(instances):
-        if which == "srs":
-            grads = random_gradient_family(rng)
-            m = int(rng.integers(1, grads.n_samples + 1))
-            got = srs_error_formula(grads, m) + corrupt_offset
-            want = enumerate_error(grads, SrsScheme(m=m))
-        else:
-            grads = random_gradient_family(rng, min_n=5)
-            partition = random_partition(rng, grads.n_samples)
-            plan = random_plan(rng, partition)
-            got = typicality_error_corrected(grads, partition, plan) + corrupt_offset
-            want = enumerate_error(grads, StratifiedScheme(partition=partition, plan=plan))
-        worst = max(worst, abs(got - want))
-    return worst
-
-
-def check_srs_formula(rng, instances, corrupt=False) -> CheckResult:
-    worst = _formula_vs_enumeration(rng, instances, "srs", corrupt_offset=1e-3 if corrupt else 0.0)
-    return CheckResult(
-        "srs_formula_exactness",
-        "ASSERTED",
-        worst <= FORMULA_TOL,
-        f"max |formula - enumeration| = {worst:.3e} over {instances} instances",
-    )
-
-
-def check_corrected(rng, instances, corrupt=False) -> CheckResult:
-    worst = _formula_vs_enumeration(rng, instances, "strat", corrupt_offset=1e-3 if corrupt else 0.0)
-    return CheckResult(
-        "stratified_corrected_identity",
-        "ASSERTED",
-        worst <= FORMULA_TOL,
-        f"max |corrected - enumeration| = {worst:.3e} over {instances} instances",
-    )
-
-
-def check_published_zero_sum(rng, instances) -> CheckResult:
-    worst = 0.0
-    for _ in range(instances):
-        grads, partition, plan = zero_sum_instance(rng)
-        got = typicality_error_formula_published(grads, partition, plan)
-        want = enumerate_error(grads, StratifiedScheme(partition=partition, plan=plan))
-        worst = max(worst, abs(got - want))
-    return CheckResult(
-        "published_formula_zero_sum",
-        "ASSERTED",
-        worst <= FORMULA_TOL,
-        f"max |published formula - enumeration| = {worst:.3e} over {instances} zero-sum instances",
-    )
+        grads, scheme = draw_instance(rng)
+        worst = max(worst, abs(formula(grads, scheme) + offset - enumerate_error(grads, scheme)))
+    detail = f"max |{label} - enumeration| = {worst:.3e} over {instances} {noun}"
+    return CheckResult(name, "ASSERTED", worst <= FORMULA_TOL, detail)
 
 
 def check_published_divergence() -> CheckResult:
@@ -232,20 +225,16 @@ def check_published_divergence() -> CheckResult:
     )
 
 
-def check_recursion(rng, scheme_kind: str) -> CheckResult:
+def check_recursion(rng, scheme) -> CheckResult:
+    """The descent recursion along 30 steps of ``scheme`` on an 8-sample quadratic."""
     dataset, spec = quadratic_instance(rng, n=8, d=2)
-    if scheme_kind == "srs":
-        scheme = SrsScheme(m=2)
-    else:
-        partition = Partition(h_indices=np.arange(4), l_indices=np.arange(4, 8), gamma=0.5)
-        scheme = StratifiedScheme(partition=partition, plan=make_plan(2, 1, partition))
     theta0 = spec.exact_minimizer + rng.normal(0.0, 2.0, 2)
     report = descent_recursion_check(
         QuadraticModel(), dataset, scheme, spec, k_steps=30, mc_batches=100, seed=7, theta0=theta0
     )
     margin = min(s.rhs - s.lhs for s in report.steps)
     return CheckResult(
-        f"descent_recursion_{scheme_kind}",
+        f"descent_recursion_{scheme.kind}",
         "ASSERTED",
         report.holds_all and report.exact,
         f"30 enumerated steps, min slack rhs - lhs = {margin:.3e}",
@@ -254,15 +243,14 @@ def check_recursion(rng, scheme_kind: str) -> CheckResult:
 
 def check_rate_specialization(rng) -> CheckResult:
     dataset, spec = quadratic_instance(rng, n=20, d=2)
-    partition = Partition(h_indices=np.arange(10), l_indices=np.arange(10, 20), gamma=0.5)
-    plan = make_plan(20, 10, partition)  # n1 = N1, n2 = N2: the full-draw batch
-    factor = convergence_rate_factor(spec, partition, plan)
+    scheme = leading_scheme(10, 20, m=20, n1=10)  # n1 = N1, n2 = N2: the full-draw batch
+    factor = convergence_rate_factor(spec, scheme.partition, scheme.plan)
     model = QuadraticModel()
     theta0 = spec.exact_minimizer + rng.normal(0.0, 3.0, 2)
     trace = train(
         model,
         dataset,
-        StratifiedScheme(partition=partition, plan=plan),
+        scheme,
         Sgd(eta=1.0 / spec.lipschitz_L),
         iterations=200,
         seed=3,
@@ -289,9 +277,8 @@ def check_rate_arithmetic() -> CheckResult:
     from .models import ModelSpec
 
     spec = ModelSpec(lipschitz_L=1.0, strong_convexity_mu=0.1, growth_bound_beta2=2.0)
-    partition = Partition(h_indices=np.arange(40), l_indices=np.arange(40, 100), gamma=0.4)
-    plan = make_plan(50, 40, partition)
-    result = convergence_rate_factor(spec, partition, plan)
+    scheme = leading_scheme(40, 100, m=50, n1=40)
+    result = convergence_rate_factor(spec, scheme.partition, scheme.plan)
     ok = abs(result.factor - 1.905) <= 1e-12 and result.m_large_enough is False
     return CheckResult(
         "rate_factor_arithmetic",
@@ -359,8 +346,8 @@ def _central_difference(model, dataset, theta, index, h=1e-5):
     return grad
 
 
-def gradient_check_models(rng, probes: int = 20):
-    """Yield (model name, worst relative error) over random probes.
+def gradient_check_models(rng):
+    """Yield (model name, worst relative error) over FD_PROBES random probes.
 
     The analytic side is the batched gradient training runs
     (``per_sample_gradients``, non-finite check included).
@@ -378,7 +365,7 @@ def gradient_check_models(rng, probes: int = 20):
     ]
     for model, dataset in cases:
         worst = 0.0
-        for _ in range(probes):
+        for _ in range(FD_PROBES):
             theta = rng.normal(0.0, 0.5, model.param_dim(dataset))
             index = int(rng.integers(dataset.n_samples))
             analytic = per_sample_gradients(model, dataset, theta)[index]
@@ -444,38 +431,26 @@ def check_growth_bound(rng) -> CheckResult:
     )
 
 
-def check_srs_inclusion(draws: int = 20_000) -> CheckResult:
-    rng = np.random.default_rng(11)
-    counts = np.zeros(4)
-    for _ in range(draws):
-        counts[srs_batch(4, 2, rng).indices] += 1
-    target = 2.0 / 4.0
-    sigma = np.sqrt(target * (1 - target) / draws)
-    worst = float(np.max(np.abs(counts / draws - target)))
-    return CheckResult(
-        "srs_inclusion_frequency",
-        "ASSERTED",
-        worst <= 3 * sigma,
-        f"max |freq - m/N| = {worst:.4f} over {draws} draws (3 sigma = {3 * sigma:.4f})",
-    )
+def check_inclusion(scheme, n_total: int, draw, seed: int) -> CheckResult:
+    """Each member of stratum h turns up in ``draw(rng)`` batches at rate n_h/N_h, within 3 sigma.
 
-
-def check_typicality_inclusion(draws: int = 20_000) -> CheckResult:
-    rng = np.random.default_rng(13)
-    partition = Partition(h_indices=np.arange(3), l_indices=np.arange(3, 9), gamma=1 / 3)
-    plan = make_plan(3, 2, partition)
-    counts = np.zeros(9)
-    for _ in range(draws):
-        counts[typicality_batch(partition, plan, rng).indices] += 1
-    freq = counts / draws
+    The strata come from ``resolve_strata(scheme, n_total)``; SRS is the
+    one-stratum case with rate m/N. ``draw`` is the sampler under test.
+    """
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(n_total)
+    for _ in range(INCLUSION_DRAWS):
+        counts[draw(rng).indices] += 1
+    freq = counts / INCLUSION_DRAWS
     ok = True
     detail = []
-    for target, idx in ((2.0 / 3.0, partition.h_indices), (1.0 / 6.0, partition.l_indices)):
-        sigma = np.sqrt(target * (1 - target) / draws)
-        worst = float(np.max(np.abs(freq[idx] - target)))
+    for members, draws in resolve_strata(scheme, n_total):
+        target = draws / members.shape[0]
+        sigma = np.sqrt(target * (1 - target) / INCLUSION_DRAWS)
+        worst = float(np.max(np.abs(freq[members] - target)))
         ok &= worst <= 3 * sigma
         detail.append(f"target {target:.3f}: max dev {worst:.4f} (3 sigma = {3 * sigma:.4f})")
-    return CheckResult("typicality_inclusion_frequency", "ASSERTED", ok, "; ".join(detail))
+    return CheckResult(f"{scheme.kind}_inclusion_frequency", "ASSERTED", ok, "; ".join(detail))
 
 
 def check_kde_normalization() -> CheckResult:
@@ -505,10 +480,10 @@ def check_tsne_perplexity() -> CheckResult:
     )
 
 
-def check_density_majority(seeds=(0, 1), n: int = 200) -> CheckResult:
+def check_density_majority() -> CheckResult:
     captured = total = 0
-    for seed in seeds:
-        data = generate_clustered(n, 2, [[0.0, 0.0], [8.0, 8.0]], [0.9, 0.1], 0.5, seed=seed)
+    for seed in MAJORITY_SEEDS:
+        data = generate_clustered(MAJORITY_N, 2, [[0.0, 0.0], [8.0, 8.0]], [0.9, 0.1], 0.5, seed=seed)
         emb = tsne_embed(data, perplexity=20.0, iterations=300, seed=seed)
         partition = build_partition(kde_densities(emb, "scott"), 0.3)
         majority = data.targets[:, 0] == 0
@@ -532,12 +507,21 @@ def run_verification(seed: int = 0, instances: int = 100, corrupt: str | None = 
     """Run every check; returns (results, error-report JSON lines)."""
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
-    results.append(check_srs_formula(rng, instances, corrupt == "srs_formula_exactness"))
-    results.append(check_corrected(rng, instances, corrupt == "stratified_corrected_identity"))
-    results.append(check_published_zero_sum(rng, max(instances // 2, 50)))
+    results.append(check_formula(
+        rng, instances, "srs_formula_exactness", "formula", _srs_instance,
+        lambda g, s: srs_error_formula(g, s.m), corrupt == "srs_formula_exactness",
+    ))
+    results.append(check_formula(
+        rng, instances, "stratified_corrected_identity", "corrected", _stratified_instance,
+        lambda g, s: typicality_error_corrected(g, s.partition, s.plan), corrupt == "stratified_corrected_identity",
+    ))
+    results.append(check_formula(
+        rng, max(instances // 2, 50), "published_formula_zero_sum", "published formula", _zero_sum_scheme,
+        lambda g, s: typicality_error_formula_published(g, s.partition, s.plan), noun="zero-sum instances",
+    ))
     results.append(check_published_divergence())
-    results.append(check_recursion(rng, "srs"))
-    results.append(check_recursion(rng, "typicality"))
+    results.append(check_recursion(rng, SrsScheme(m=2)))
+    results.append(check_recursion(rng, leading_scheme(4, 8, m=2, n1=1)))
     results.append(check_rate_specialization(rng))
     results.append(check_rate_arithmetic())
     results.extend(check_scheme_comparison_family(rng, instances))
@@ -545,8 +529,9 @@ def run_verification(seed: int = 0, instances: int = 100, corrupt: str | None = 
     results.append(check_gradients(rng))
     results.append(check_convexity_probes(rng))
     results.append(check_growth_bound(rng))
-    results.append(check_srs_inclusion())
-    results.append(check_typicality_inclusion())
+    results.append(check_inclusion(SrsScheme(m=2), 4, lambda r: srs_batch(4, 2, r), seed=11))
+    hl = leading_scheme(3, 9, m=3, n1=2)
+    results.append(check_inclusion(hl, 9, lambda r: typicality_batch(hl.partition, hl.plan, r), seed=13))
     results.append(check_kde_normalization())
     results.append(check_tsne_perplexity())
     results.append(check_density_majority())

@@ -230,7 +230,7 @@ def test_criterion_8_pipeline_sanity():
 
 def test_criterion_9_gradient_checks():
     rng = np.random.default_rng(909)
-    results = list(gradient_check_models(rng, probes=20))
+    results = list(gradient_check_models(rng))
     worst = max(err for _, err in results)
     detail = ", ".join(f"{name} {err:.1e}" for name, err in results)
     verdict(9, worst <= 1e-5, f"finite-difference relative errors: {detail}")

@@ -160,6 +160,21 @@ class TestStratifiedFormulas:
             want = enumerate_error(grads, StratifiedScheme(part, plan))
             assert abs(got - want) <= 1e-9
 
+    def test_one_member_stratum_equals_enumeration(self):
+        # drawing the whole of a one-member H leaves no variance term, so no dispersion of it is needed
+        rows = np.random.default_rng(0).normal(size=(10, 2))
+        grads, part = two_strata_family(rows[:1], rows[1:], rows.mean(axis=0))
+        plan = make_plan(3, 1, part)
+        want = enumerate_error(grads, StratifiedScheme(part, plan))
+        assert want == pytest.approx(0.3112, abs=1e-4)
+        assert abs(typicality_error_corrected(grads, part, plan) - want) <= 1e-9
+
+    def test_srs_of_one_sample_equals_enumeration(self):
+        grads = GradientFamily(per_sample=np.array([[1.0, -2.0]]), reference=np.array([0.5, 0.5]))
+        want = enumerate_error(grads, SrsScheme(m=1))
+        assert want == pytest.approx(0.25 + 6.25)
+        assert abs(srs_error_formula(grads, 1) - want) <= 1e-9
+
     def test_small_strata_rejected(self):
         grads, part = two_strata_family([[1.0], [2.0]], [[0.0]], [1.0])
         with pytest.raises(InvalidArgumentError):

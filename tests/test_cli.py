@@ -8,6 +8,7 @@ import pytest
 
 from typsgd import cli
 from typsgd.cli import main
+from typsgd.config import RunConfig
 
 BASE_CONFIG = """
 [data]
@@ -137,6 +138,17 @@ def test_comparison_without_suboptimality_reads_not_measured(workspace):
     medians = [row for row in rows if row[2] == "median"]
     assert len(medians) == 4 and all(row[3] == "n/a" for row in medians)
     assert all(row[3] == "" for row in rows if row[2] != "median")
+
+
+def test_every_csv_carries_the_config_digest(workspace):
+    config, out = workspace
+    config.write_text(config.read_text().replace("val_seed = 77", "val_seed = 77\nlog_batches = true"))
+    for cmd in ("gen", "embed", "partition", "train"):
+        assert main([cmd, "--config", str(config)]) == 0
+    csvs = sorted(out.glob("*.csv"))
+    assert len(list(out.glob("batches_*.csv"))) == 8
+    stamp = f"config={RunConfig.from_file(config).digest}"
+    assert [p.name for p in csvs if stamp not in p.read_text().splitlines()[0].split()] == []
 
 
 def test_gamma_out_of_range_is_usage_error(workspace):

@@ -195,8 +195,9 @@ class TestTrain:
 
         ds, spec = small_quadratic
         path = tmp_path / "batches.csv"
-        train(QuadraticModel(), ds, SrsScheme(m=3), Sgd(eta=0.01), 10, seed=11,
-              eval_every=5, batch_log_path=path)
+        trace = train(QuadraticModel(), ds, SrsScheme(m=3), Sgd(eta=0.01), 10, seed=11,
+                      eval_every=5, log_batches=True)
+        save_batch_log(path, trace.batches, seed=11)
         logged = load_batch_log(path)
         rng = np.random.default_rng(11)
         for k, idx in logged:
@@ -443,7 +444,8 @@ class TestMatchesReferenceLoop:
             eval_every=7, val_data=val, model_spec=spec, theta0=np.array([0.3, -0.1, 0.2]),
             record_thetas=True, alpha_probe=(part, plan),
         )
-        run = train(model, ds, scheme, optimizer, 53, seed=9, batch_log_path=tmp_path / "new.csv", **kwargs)
+        run = train(model, ds, scheme, optimizer, 53, seed=9, log_batches=True, **kwargs)
+        save_batch_log(tmp_path / "new.csv", run.batches, seed=9)
         ref = reference_train(model, ds, scheme, optimizer, 53, seed=9, batch_log_path=tmp_path / "ref.csv", **kwargs)
         assert len(run.records) == 9  # k = 0, 7, ..., 49 and the final 53
         assert_same_run(run, ref, tmp_path / "new.csv", tmp_path / "ref.csv")
@@ -456,7 +458,8 @@ class TestMatchesReferenceLoop:
         part = half_partition(ds.n_samples)
         scheme = StratifiedScheme(part, make_plan(5, 3, part))
         kwargs = dict(eval_every=4, val_data=val, record_thetas=True)
-        run = train(model, ds, scheme, optimizer, 30, seed=2, batch_log_path=tmp_path / "new.csv", **kwargs)
+        run = train(model, ds, scheme, optimizer, 30, seed=2, log_batches=True, **kwargs)
+        save_batch_log(tmp_path / "new.csv", run.batches, seed=2)
         ref = reference_train(model, ds, scheme, optimizer, 30, seed=2, batch_log_path=tmp_path / "ref.csv", **kwargs)
         assert_same_run(run, ref, tmp_path / "new.csv", tmp_path / "ref.csv")
 

@@ -7,12 +7,12 @@ from pathlib import Path
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def traced_names():
-    """The TRACED table of perfbench/tracing.py, read from its source without running it."""
+def traced_names(name="TRACED"):
+    """A literal table of perfbench/tracing.py (TRACED by default), read from its source without running it."""
     for node in ast.parse(TRACING.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
             return ast.literal_eval(node.value)
-    raise AssertionError("no TRACED table in perfbench/tracing.py")
+    raise AssertionError(f"no {name} table in perfbench/tracing.py")
 
 
 def test_every_traced_name_resolves():
@@ -33,3 +33,12 @@ def test_every_traced_name_resolves():
             if not callable(getattr(owner, path, None)):
                 missing.append(f"{module_name}.{path}")
     assert not missing, missing
+
+
+def test_verify_check_names_match_the_tracer():
+    # each verify.<check>_s metric is keyed by the name of a check's first (ASSERTED) result;
+    # a renamed check would read 0 there instead of failing
+    from typsgd.verify import run_verification
+
+    results, _ = run_verification(seed=0, instances=5)
+    assert [r.name for r in results if r.kind == "ASSERTED"] == list(traced_names("VERIFY_CHECKS"))

@@ -3,9 +3,11 @@ import pytest
 
 from typsgd.errors import InvalidArgumentError
 from typsgd.models import QuadraticModel
-from typsgd.sampling import validate_plan
+from typsgd.sampling import Batch, SrsScheme, srs_batch, validate_plan
 from typsgd.verify import (
     check_gradients,
+    check_inclusion,
+    leading_scheme,
     random_gradient_family,
     random_partition,
     random_plan,
@@ -59,3 +61,12 @@ def test_gradient_check_reads_the_batched_gradient(monkeypatch):
     result = check_gradients(np.random.default_rng(0))
     assert result.name == "gradient_finite_difference"
     assert result.passed is False
+
+
+def test_inclusion_check_catches_a_biased_sampler():
+    fixed = check_inclusion(SrsScheme(m=2), 4, lambda r: Batch(indices=np.array([0, 1])), seed=11)
+    assert not fixed.passed
+    hl = leading_scheme(3, 9, m=3, n1=2)
+    # three uniform draws from all nine ids include H members at 1/3, not n1/N1 = 2/3
+    unsplit = check_inclusion(hl, 9, lambda r: srs_batch(9, 3, r), seed=13)
+    assert not unsplit.passed
