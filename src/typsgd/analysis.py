@@ -6,7 +6,9 @@ under stratified typicality sampling. Each closed form is paired with an
 exhaustive enumeration oracle (every possible batch, exact probabilities)
 and a Monte-Carlo estimator for populations too large to enumerate. The
 exact error, the enumeration and the Monte-Carlo estimate are each written
-once over a scheme's strata; SRS is the one-stratum case.
+once over a scheme's strata; SRS is the one-stratum case. Every batch mean,
+the descent recursion check's included, comes from ``enumerated_means`` or
+``drawn_means``.
 
 Two stratified formulas are provided deliberately. The published identity
 (`typicality_error_formula_published`) measures H-stratum dispersion about the
@@ -185,6 +187,29 @@ def _combination_sums(rows: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def enumerated_means(rows: np.ndarray, strata):
+    """Yield the mean rows of every batch of the strata once, all equally likely.
+
+    One chunk per combination of draws from all strata but the last, which
+    bounds memory; the order is ``product`` over the strata of their
+    ``combinations``.
+    """
+    m = sum(draws for _, draws in strata)
+    *heads, last = [_combination_sums(rows[members], draws) for members, draws in strata]
+    for head in product(*heads):
+        yield sum(head, last) / m
+
+
+def drawn_means(rows: np.ndarray, strata, draws: int, rng: np.random.Generator) -> np.ndarray:
+    """The batch-mean rows of ``draws`` batches drawn by :func:`draw_indices` on resolved strata."""
+    m = sum(draws_h for _, draws_h in strata)
+    means = np.empty((draws, rows.shape[1]))
+    for t in range(draws):
+        # the sum over m rows divided by m is what mean() computes, without its per-call overhead
+        means[t] = rows[draw_indices(strata, rng)].sum(axis=0) / m
+    return means
+
+
 def enumerate_error(grads: GradientFamily, scheme, budget: int = ENUMERATION_BUDGET) -> float:
     """Exact E||batch mean - reference||^2 over every possible batch.
 
@@ -196,12 +221,9 @@ def enumerate_error(grads: GradientFamily, scheme, budget: int = ENUMERATION_BUD
     count = batch_space_size(scheme, rows.shape[0])
     if count > budget:
         raise CapabilityError(f"{count} batches exceed the enumeration budget {budget}; use monte_carlo_error")
-    strata = scheme.strata(rows.shape[0])
-    m = sum(draws for _, draws in strata)
-    *heads, last = [_combination_sums(rows[members], draws) for members, draws in strata]
     total = 0.0
-    for head in product(*heads):  # chunk over all but the last stratum to bound memory
-        diffs = sum(head, last) / m - grads.reference
+    for means in enumerated_means(rows, scheme.strata(rows.shape[0])):
+        diffs = means - grads.reference
         total += float(np.sum(diffs * diffs))
     return total / count
 
@@ -211,15 +233,9 @@ def monte_carlo_error(grads: GradientFamily, scheme, draws: int, seed: int) -> t
     if draws < 100:
         raise InvalidArgumentError("use at least 100 draws")
     rows = grads.per_sample
-    ref = grads.reference
     strata = resolve_strata(scheme, rows.shape[0])
-    rng = np.random.default_rng(seed)
-    sq_errors = np.empty(draws)
-    m = sum(draws_h for _, draws_h in strata)
-    for t in range(draws):
-        # the sum over m rows divided by m is what mean() computes, without its per-call overhead
-        diff = rows[draw_indices(strata, rng)].sum(axis=0) / m - ref
-        sq_errors[t] = diff @ diff
+    diffs = drawn_means(rows, strata, draws, np.random.default_rng(seed)) - grads.reference
+    sq_errors = np.array([diff @ diff for diff in diffs])
     se = float(np.std(sq_errors, ddof=1) / math.sqrt(draws))
     return float(np.mean(sq_errors)), se
 

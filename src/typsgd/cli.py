@@ -376,8 +376,7 @@ def cmd_report(config: RunConfig, out_dir: str) -> int:
 def cmd_verify(config: RunConfig, out_dir: str, seed_override=None) -> int:
     seed = seed_override if seed_override is not None else config.get_int("verify", "seed", 0)
     instances = config.get_int("verify", "instances", 100)
-    corrupt = config.get("verify", "inject_corruption") or None
-    results, json_lines = run_verification(seed=seed, instances=instances, corrupt=corrupt)
+    results, json_lines = run_verification(seed=seed, instances=instances)
     rows = []
     for r in results:
         status = "INFO" if r.passed is None else ("PASS" if r.passed else "FAIL")

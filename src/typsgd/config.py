@@ -11,6 +11,8 @@ import numpy as np
 from ._csvio import config_hash
 from .errors import InvalidArgumentError
 
+BOOLEAN_WORDS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
+
 
 @dataclass
 class RunConfig:
@@ -49,7 +51,9 @@ class RunConfig:
         raw = self.get(section, key)
         if raw is None:
             return fallback
-        return raw.lower() in ("1", "true", "yes", "on")
+        if raw.lower() not in BOOLEAN_WORDS:
+            raise InvalidArgumentError(f"[{section}] {key} = {raw!r} is not one of {', '.join(BOOLEAN_WORDS)}")
+        return BOOLEAN_WORDS[raw.lower()]
 
     def get_floats(self, section: str, key: str, required: bool = False):
         raw = self.get(section, key, required=required)

@@ -19,11 +19,11 @@ from typing import ClassVar
 import numpy as np
 
 from ._csvio import format_number, read_rows, write_rows
-from .analysis import formula_alpha
+from .analysis import drawn_means, enumerated_means, formula_alpha
 from .data import Dataset
 from .errors import InvalidArgumentError, NumericError
 from .models import _targets_for, mean_loss, per_sample_gradients
-from .sampling import Batch, batch_space_size, draw_indices, enumerate_batches, resolve_strata
+from .sampling import Batch, batch_space_size, draw_indices, resolve_strata
 
 
 # The step protocol shared by the optimizers: ``init_state(theta)`` gives the
@@ -271,7 +271,7 @@ def descent_recursion_check(
         raise InvalidArgumentError("recursion check needs exact L and mu")
     if model_spec.exact_optimum_value is None:
         raise InvalidArgumentError("recursion check needs the exact optimum value")
-    big_l = model_spec.lipschitz_L
+    big_l, optimum = model_spec.lipschitz_L, model_spec.exact_optimum_value
     contraction = 1.0 - model_spec.strong_convexity_mu / big_l
     eta = 1.0 / big_l if eta is None else eta
     n = dataset.n_samples
@@ -283,27 +283,22 @@ def descent_recursion_check(
 
     steps = []
     for k in range(k_steps):
-        gap = mean_loss(model, dataset, theta) - model_spec.exact_optimum_value
+        gap = mean_loss(model, dataset, theta) - optimum
         grads = per_sample_gradients(model, dataset, theta)
         full_grad = np.sum(grads, axis=0) / n
         if exact:
-            index_sets = list(enumerate_batches(scheme, n))
+            means = np.concatenate(list(enumerated_means(grads, strata)))
         else:
-            index_sets = [draw_indices(strata, rng) for _ in range(mc_batches)]
-        next_gaps = np.empty(len(index_sets))
-        err_sqs = np.empty(len(index_sets))
-        for b, idx in enumerate(index_sets):
-            batch_grad = grads[idx].sum(axis=0) / idx.shape[0]
-            next_gaps[b] = mean_loss(model, dataset, theta - eta * batch_grad) - model_spec.exact_optimum_value
-            err = batch_grad - full_grad
-            err_sqs[b] = err @ err
+            means = drawn_means(grads, strata, mc_batches, rng)
+        next_gaps = np.array([mean_loss(model, dataset, theta - eta * g) for g in means]) - optimum
+        err_sqs = np.array([err @ err for err in means - full_grad])
         lhs = float(np.mean(next_gaps))
         rhs = contraction * gap + float(np.mean(err_sqs)) / (2.0 * big_l)
         if exact:
             se = 0.0
         else:
             paired = next_gaps - contraction * gap - err_sqs / (2.0 * big_l)
-            se = float(np.std(paired, ddof=1) / math.sqrt(len(index_sets)))
+            se = float(np.std(paired, ddof=1) / math.sqrt(mc_batches))
         steps.append(
             RecursionStep(iteration=k, lhs=lhs, rhs=rhs, standard_error=se, holds=lhs <= rhs + 3.0 * se)
         )

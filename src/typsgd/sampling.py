@@ -2,8 +2,8 @@
 
 Both schemes are stratified sampling: ``strata(n_total)`` returns
 (members, draws) pairs, one pair for SRS (the whole population, m draws)
-and two for typicality sampling ((H, n1), (L, n2)). Drawing, counting and
-enumerating batches are written once over those pairs.
+and two for typicality sampling ((H, n1), (L, n2)). Drawing and counting
+batches are written once over those pairs; ``analysis`` enumerates them.
 
 A :class:`BatchPlan` fixes how a batch of size m is split across the
 high-representative stratum H (n1 draws) and the remainder L (n2 draws).
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
 from typing import ClassVar
 
 import numpy as np
@@ -196,13 +195,6 @@ def typicality_batch(partition: Partition, plan: BatchPlan, rng: np.random.Gener
 def batch_space_size(scheme, n_total: int) -> int:
     """Number of distinct batches the scheme can produce."""
     return math.prod(math.comb(members.shape[0], draws) for members, draws in scheme.strata(n_total))
-
-
-def enumerate_batches(scheme, n_total: int):
-    """Yield every possible batch of the scheme (equal probability each)."""
-    per_stratum = [combinations(members.tolist(), draws) for members, draws in scheme.strata(n_total)]
-    for parts in product(*per_stratum):
-        yield np.array(sum(parts, ()), dtype=np.int64)
 
 
 def save_batch_log(path, batches, config_digest: str = "none", seed=None) -> None:

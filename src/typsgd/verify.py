@@ -6,8 +6,7 @@ specializations, sampler inclusion probabilities, pipeline calibration) or
 REPORTS a quantity the analysis deliberately does not promise (the
 stratified-vs-SRS improvement ratio distribution, monotonicity of the
 optimal bias factor). The CLI `verify` subcommand exits nonzero iff an
-asserted check fails; `corrupt` lets a test harness poison one formula to
-prove failures are detected.
+asserted check fails.
 """
 
 from __future__ import annotations
@@ -191,19 +190,17 @@ def _zero_sum_scheme(rng):
     return grads, StratifiedScheme(partition=partition, plan=plan)
 
 
-def check_formula(rng, instances, name, label, draw_instance, formula, corrupt=False, noun="instances") -> CheckResult:
+def check_formula(rng, instances, name, label, draw_instance, formula, noun="instances") -> CheckResult:
     """A closed form against enumeration: the worst gap over drawn instances.
 
     ``draw_instance(rng)`` gives a (grads, scheme) pair and ``formula(grads,
     scheme)`` its closed-form error; ``label`` and ``noun`` name the formula
-    and the instances in the detail. ``corrupt`` adds 1e-3 to every formula
-    value, so a test can see the check fail.
+    and the instances in the detail.
     """
-    offset = 1e-3 if corrupt else 0.0
     worst = 0.0
     for _ in range(instances):
         grads, scheme = draw_instance(rng)
-        worst = max(worst, abs(formula(grads, scheme) + offset - enumerate_error(grads, scheme)))
+        worst = max(worst, abs(formula(grads, scheme) - enumerate_error(grads, scheme)))
     detail = f"max |{label} - enumeration| = {worst:.3e} over {instances} {noun}"
     return CheckResult(name, "ASSERTED", worst <= FORMULA_TOL, detail)
 
@@ -503,17 +500,19 @@ def check_density_majority() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def run_verification(seed: int = 0, instances: int = 100, corrupt: str | None = None):
+def run_verification(seed: int = 0, instances: int = 100):
     """Run every check; returns (results, error-report JSON lines)."""
+    if instances < 1:
+        raise InvalidArgumentError(f"instances must be >= 1; got {instances}")
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
     results.append(check_formula(
         rng, instances, "srs_formula_exactness", "formula", _srs_instance,
-        lambda g, s: srs_error_formula(g, s.m), corrupt == "srs_formula_exactness",
+        lambda g, s: srs_error_formula(g, s.m),
     ))
     results.append(check_formula(
         rng, instances, "stratified_corrected_identity", "corrected", _stratified_instance,
-        lambda g, s: typicality_error_corrected(g, s.partition, s.plan), corrupt == "stratified_corrected_identity",
+        lambda g, s: typicality_error_corrected(g, s.partition, s.plan),
     ))
     results.append(check_formula(
         rng, max(instances // 2, 50), "published_formula_zero_sum", "published formula", _zero_sum_scheme,
@@ -535,17 +534,6 @@ def run_verification(seed: int = 0, instances: int = 100, corrupt: str | None = 
     results.append(check_kde_normalization())
     results.append(check_tsne_perplexity())
     results.append(check_density_majority())
-
-    if corrupt is not None and corrupt not in {r.name for r in results}:
-        raise InvalidArgumentError(f"unknown corruption target {corrupt!r}")
-    # generic corruption fallback for checks without a dedicated hook
-    if corrupt is not None:
-        results = [
-            r
-            if r.name != corrupt or r.passed is False
-            else CheckResult(r.name, r.kind, False, r.detail + " [corruption injected]")
-            for r in results
-        ]
 
     report_rng = np.random.default_rng(seed + 1)
     json_lines = []

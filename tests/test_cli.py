@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from typsgd import cli
+from typsgd import cli, verify
+from typsgd._csvio import read_rows
 from typsgd.cli import main
 from typsgd.config import RunConfig
 
@@ -200,7 +201,12 @@ def test_pwl_curve_demo_trains_every_cell(tmp_path):
     assert (tmp_path / "comparison.csv").exists()
 
 
-def test_verify_command_and_corruption_hook(tmp_path, capsys):
+def verify_statuses(out):
+    """(name, status) of every row of verify_report.csv, in order."""
+    return [(row[1], row[2]) for row in read_rows(out / "verify_report.csv", has_header=True)[1]]
+
+
+def test_verify_command_and_corruption_hook(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     out.mkdir()
     config = tmp_path / "verify.ini"
@@ -212,13 +218,45 @@ def test_verify_command_and_corruption_hook(tmp_path, capsys):
     report_hash = sha(out / "verify_report.csv")
     assert main(["verify", "--config", str(config)]) == 0
     assert sha(out / "verify_report.csv") == report_hash  # reproducible report
+    passing = verify_statuses(out)
+    assert len(passing) == 20
 
-    corrupted = tmp_path / "corrupt.ini"
-    corrupted.write_text(
-        f"[verify]\nseed = 0\ninstances = 8\ninject_corruption = srs_formula_exactness\n[output]\ndir = {out}\n"
-    )
-    assert main(["verify", "--config", str(corrupted)]) == 1
+    # a closed form off by 1e-3 must fail its check against enumeration
+    for formula, check in (
+        ("srs_error_formula", "srs_formula_exactness"),
+        ("typicality_error_corrected", "stratified_corrected_identity"),
+    ):
+        assert (check, "PASS") in passing
+        exact = getattr(verify, formula)
+        monkeypatch.setattr(verify, formula, lambda *args, exact=exact: exact(*args) + 1e-3)
+        assert main(["verify", "--config", str(config)]) == 1
+        monkeypatch.undo()
+        poisoned = verify_statuses(out)
+        assert [name for name, _ in poisoned] == [name for name, _ in passing]
+        assert (check, "FAIL") in poisoned
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("instances", [0, -3])
+def test_verify_instances_below_one_is_usage_error(tmp_path, capsys, instances):
+    config = tmp_path / "verify.ini"
+    config.write_text(f"[verify]\nseed = 0\ninstances = {instances}\n[output]\ndir = {tmp_path}\n")
+    assert main(["verify", "--config", str(config)]) == 2
+    assert "instances" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.csv").exists()
+
+
+def test_unrecognised_boolean_is_usage_error(workspace, capsys):
+    config, out = workspace
+    config.write_text(config.read_text().replace("val_seed = 77", "val_seed = 77\nlog_batches = ture"))
+    for cmd in ("gen", "partition"):
+        assert main([cmd, "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config)]) == 2
+    assert "[train] log_batches" in capsys.readouterr().err
+    assert not list(out.glob("trace_*.csv"))
+    config.write_text(config.read_text().replace("log_batches = ture", "log_batches = ON"))
+    assert main(["train", "--config", str(config)]) == 0
+    assert len(list(out.glob("batches_*.csv"))) == 8
 
 
 def test_failed_error_report_write_keeps_the_old_file(tmp_path, monkeypatch):

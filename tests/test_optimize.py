@@ -1,6 +1,7 @@
 import math
 import time
 from dataclasses import dataclass, replace
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from typsgd.models import (
 )
 from typsgd.optimize import (
     Adam,
+    RecursionReport,
+    RecursionStep,
     Sgd,
     TraceRecord,
     TrainTrace,
@@ -32,7 +35,17 @@ from typsgd.optimize import (
     sgd_step,
     train,
 )
-from typsgd.sampling import Batch, SrsScheme, StratifiedScheme, draw_batch, make_plan, save_batch_log
+from typsgd.sampling import (
+    Batch,
+    SrsScheme,
+    StratifiedScheme,
+    batch_space_size,
+    draw_batch,
+    draw_indices,
+    make_plan,
+    resolve_strata,
+    save_batch_log,
+)
 
 
 def half_partition(n):
@@ -241,6 +254,125 @@ class TestRecursionCheck:
         assert not report.exact
         assert all(s.standard_error > 0.0 for s in report.steps)
         assert report.holds_all
+
+
+# The recursion check as it was when it enumerated and drew its own batches,
+# kept as the oracle for the batch-mean engine it now shares with analysis.
+
+
+def reference_enumerate_batches(scheme, n_total: int):
+    """Yield every possible batch of the scheme (equal probability each)."""
+    per_stratum = [combinations(members.tolist(), draws) for members, draws in scheme.strata(n_total)]
+    for parts in product(*per_stratum):
+        yield np.array(sum(parts, ()), dtype=np.int64)
+
+
+def reference_descent_recursion_check(
+    model,
+    dataset: Dataset,
+    scheme,
+    model_spec,
+    k_steps: int,
+    mc_batches: int,
+    seed: int,
+    eta: float | None = None,
+    theta0: np.ndarray | None = None,
+) -> RecursionReport:
+    """Check the one-step descent bound along a training path.
+
+    At each visited state the expected next-step optimality gap (lhs) is
+    compared with (1 - mu/L) * gap + E||e||^2 / (2L) (rhs). Expectations are
+    exact enumerations over all batches when the batch space has at most
+    ``mc_batches`` members, otherwise Monte-Carlo with a 3-standard-error
+    allowance on the paired difference.
+    """
+    if model_spec.lipschitz_L is None or model_spec.strong_convexity_mu is None:
+        raise InvalidArgumentError("recursion check needs exact L and mu")
+    if model_spec.exact_optimum_value is None:
+        raise InvalidArgumentError("recursion check needs the exact optimum value")
+    big_l = model_spec.lipschitz_L
+    contraction = 1.0 - model_spec.strong_convexity_mu / big_l
+    eta = 1.0 / big_l if eta is None else eta
+    n = dataset.n_samples
+    strata = resolve_strata(scheme, n)
+    features, targets = dataset.features, _targets_for(model, dataset)
+    rng = np.random.default_rng(seed)
+    theta = np.array(theta0, dtype=np.float64) if theta0 is not None else model.init_theta(dataset, seed)
+    exact = batch_space_size(scheme, n) <= mc_batches
+
+    steps = []
+    for k in range(k_steps):
+        gap = mean_loss(model, dataset, theta) - model_spec.exact_optimum_value
+        grads = per_sample_gradients(model, dataset, theta)
+        full_grad = np.sum(grads, axis=0) / n
+        if exact:
+            index_sets = list(reference_enumerate_batches(scheme, n))
+        else:
+            index_sets = [draw_indices(strata, rng) for _ in range(mc_batches)]
+        next_gaps = np.empty(len(index_sets))
+        err_sqs = np.empty(len(index_sets))
+        for b, idx in enumerate(index_sets):
+            batch_grad = grads[idx].sum(axis=0) / idx.shape[0]
+            next_gaps[b] = mean_loss(model, dataset, theta - eta * batch_grad) - model_spec.exact_optimum_value
+            err = batch_grad - full_grad
+            err_sqs[b] = err @ err
+        lhs = float(np.mean(next_gaps))
+        rhs = contraction * gap + float(np.mean(err_sqs)) / (2.0 * big_l)
+        if exact:
+            se = 0.0
+        else:
+            paired = next_gaps - contraction * gap - err_sqs / (2.0 * big_l)
+            se = float(np.std(paired, ddof=1) / math.sqrt(len(index_sets)))
+        steps.append(
+            RecursionStep(iteration=k, lhs=lhs, rhs=rhs, standard_error=se, holds=lhs <= rhs + 3.0 * se)
+        )
+        # advance the path by one real stochastic step
+        idx = draw_indices(strata, rng)
+        theta = sgd_step(model, theta, features[idx], targets[idx], eta, k)
+    return RecursionReport(steps=tuple(steps), holds_all=all(s.holds for s in steps), exact=exact)
+
+
+def stratified_half(m, n1):
+    part = half_partition(8)
+    return StratifiedScheme(part, make_plan(m, n1, part))
+
+
+class TestRecursionMatchesReference:
+    # (scheme, mc_batches, expect exact): exact SRS, exact H/L with n1 = 2 and n2 = 1, Monte-Carlo
+    CASES = [
+        (SrsScheme(m=2), 28, True),
+        (stratified_half(3, 2), 24, True),
+        (SrsScheme(m=4), 50, False),
+        (stratified_half(3, 2), 10, False),
+    ]
+
+    @staticmethod
+    def both(small_quadratic, scheme, mc_batches, seed):
+        ds, spec = small_quadratic
+        theta0 = spec.exact_minimizer + np.random.default_rng(seed).normal(0.0, 2.0, 2)
+        args = (QuadraticModel(), ds, scheme, spec)
+        kwargs = dict(k_steps=12, mc_batches=mc_batches, seed=seed, theta0=theta0)
+        return descent_recursion_check(*args, **kwargs), reference_descent_recursion_check(*args, **kwargs)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("scheme, mc_batches, exact", CASES)
+    def test_bit_identical(self, small_quadratic, scheme, mc_batches, exact, seed):
+        report, reference = self.both(small_quadratic, scheme, mc_batches, seed)
+        assert report.exact is exact
+        assert report == reference  # every RecursionStep field, compared with ==
+
+    def test_last_stratum_drawn_twice(self, small_quadratic):
+        # the engine adds the last stratum's combination sum first, so a batch mean
+        # (h0 + h1 + l0 + l1) / m is summed in another order than the reference's
+        # concatenated ids and may differ from it in the last bits
+        report, reference = self.both(small_quadratic, stratified_half(4, 2), 36, seed=1)
+        assert report.exact and reference.exact
+        assert len(report.steps) == len(reference.steps)
+        for step, ref in zip(report.steps, reference.steps):
+            assert step.iteration == ref.iteration and step.standard_error == ref.standard_error == 0.0
+            assert step.lhs == pytest.approx(ref.lhs, rel=1e-12)
+            assert step.rhs == pytest.approx(ref.rhs, rel=1e-12)
+            assert step.holds == ref.holds
 
 
 def test_trace_round_trip(tmp_path, small_quadratic):

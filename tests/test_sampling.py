@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from typsgd.analysis import enumerated_means
 from typsgd.density import Partition
 from typsgd.errors import InvalidArgumentError
 from typsgd.sampling import (
@@ -15,7 +16,6 @@ from typsgd.sampling import (
     StratifiedScheme,
     batch_space_size,
     default_plan,
-    enumerate_batches,
     load_batch_log,
     make_plan,
     plan_beta,
@@ -161,7 +161,11 @@ class TestSchemes:
     def test_enumerate_batches_cover_space(self):
         part = partition_of(3, 4, scatter_seed=11)
         plan = make_plan(3, 2, part)
-        batches = [tuple(sorted(b.tolist())) for b in enumerate_batches(StratifiedScheme(part, plan), 7)]
+        # with one-hot rows, m times a batch mean is that batch's 0/1 indicator
+        means = np.concatenate(list(enumerated_means(np.eye(7), StratifiedScheme(part, plan).strata(7))))
+        indicators = np.rint(means * plan.m).astype(int)
+        assert set(indicators.ravel().tolist()) == {0, 1} and (indicators.sum(axis=1) == plan.m).all()
+        batches = [tuple(np.flatnonzero(row).tolist()) for row in indicators]
         assert len(batches) == 12
         assert len(set(batches)) == 12
         for b in batches:

@@ -1,7 +1,5 @@
 import numpy as np
-import pytest
 
-from typsgd.errors import InvalidArgumentError
 from typsgd.models import QuadraticModel
 from typsgd.sampling import Batch, SrsScheme, srs_batch, validate_plan
 from typsgd.verify import (
@@ -44,13 +42,6 @@ def test_representative_instances_satisfy_total_reading(rng):
         # plan oversamples H at the recommended 80/20 split
         assert plan.n1 * part.n2 >= plan.n2 * part.n1
         assert plan.n1 == round(0.8 * plan.m)
-
-
-def test_unknown_corruption_target_rejected():
-    from typsgd.verify import run_verification
-
-    with pytest.raises(InvalidArgumentError):
-        run_verification(seed=0, instances=5, corrupt="no_such_check")
 
 
 def test_gradient_check_reads_the_batched_gradient(monkeypatch):
