@@ -33,6 +33,8 @@ BISECTION_STEPS = 50
 # bytes of one row block of an N x N float64 buffer: a pass over a block touches
 # up to four such buffers, which then fit a 4 MiB L2 cache
 BLOCK_BYTES = 1 << 20
+# numpy adds at most this many contiguous float64 elements in one unrolled loop
+PAIRWISE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -62,22 +64,22 @@ class Embedding:
         object.__setattr__(self, "points", pts)
 
 
-def _sq_distances_rows(sq: np.ndarray, gram: np.ndarray, start: int, stop: int, out: np.ndarray) -> np.ndarray:
-    """Rows ``start:stop`` of the squared distances of the rows of x, clipped at 0, written into ``out``.
+def _sq_distances_rows(sq: np.ndarray, gram: np.ndarray, start: int, stop: int, scratch: np.ndarray) -> np.ndarray:
+    """Rows ``start:stop`` of the squared distances of the rows of x, clipped at 0, written over those rows of ``gram``.
 
-    ``sq`` holds the squared row norms of x and ``gram`` holds x @ x.T; its rows
-    ``start:stop`` are doubled in place. numpy evaluates ``x @ x.T`` with syrk
-    (or, for inputs BLAS cannot take, as the same dot products in the same
-    order), so the result is exactly symmetric without averaging it with its
-    transpose. A row block of it computed alone with gemm does not have the
-    same bits at every N, so callers form the Gram matrix in one call. The
-    diagonal is left as computed.
+    ``sq`` holds the squared row norms of x and ``gram`` holds x @ x.T;
+    ``scratch`` holds at least ``stop - start`` rows. numpy evaluates
+    ``x @ x.T`` with syrk (or, for inputs BLAS cannot take, as the same dot
+    products in the same order), so the result is exactly symmetric without
+    averaging it with its transpose. A row block of it computed alone with
+    gemm does not have the same bits at every N, so callers form the Gram
+    matrix in one call. The diagonal is left as computed.
     """
-    gram = np.multiply(gram[start:stop], 2.0, out=gram[start:stop])
+    block = np.multiply(gram[start:stop], 2.0, out=gram[start:stop])
     # the outer sum comes first: (sq_i + sq_j) - 2 x_i.x_j, in that order
-    out = np.add(sq[start:stop, None], sq[None, :], out=out[start:stop])
-    np.subtract(out, gram, out=out)
-    return np.maximum(out, 0.0, out=out)
+    outer = np.add(sq[start:stop, None], sq[None, :], out=scratch[:stop - start])
+    np.subtract(outer, block, out=block)
+    return np.maximum(block, 0.0, out=block)
 
 
 def pairwise_sq_distances(points: np.ndarray) -> np.ndarray:
@@ -91,6 +93,38 @@ def pairwise_sq_distances(points: np.ndarray) -> np.ndarray:
     return d
 
 
+def _pairwise_tree(n: int, size: int):
+    """numpy's pairwise summation tree over n elements, cut into leaves of at most ``size`` elements.
+
+    numpy sums a contiguous float64 array of more than PAIRWISE_BLOCK
+    elements as the sum of its two halves, split at half its length rounded
+    down to a multiple of 8, and shorter ones in one unrolled loop. A leaf's
+    own ``.sum()`` is the sum of its subtree, so adding the leaves' sums in
+    tree order gives the bits of the whole array's ``.sum()``. That rule is
+    numpy's code, not its API; a test compares the two. Returns the leaves'
+    (start, stop) bounds in order and a function that adds their sums in
+    tree order.
+    """
+    leaves = []
+
+    def split(start, stop):
+        if stop - start <= max(size, PAIRWISE_BLOCK):
+            leaves.append((start, stop))
+            return len(leaves) - 1
+        half = (stop - start) // 2
+        half -= half % 8
+        return split(start, start + half), split(start + half, stop)
+
+    root = split(0, n)
+
+    def fold(sums, node=root):
+        if isinstance(node, tuple):
+            return fold(sums, node[0]) + fold(sums, node[1])
+        return sums[node]
+
+    return leaves, fold
+
+
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -102,10 +136,11 @@ class _RowBlocks:
     """The rows of an N x N buffer in blocks of at most BLOCK_BYTES, and the threads that run them.
 
     numpy releases the GIL inside its ufunc and BLAS loops, so threads that
-    fill disjoint row blocks work in parallel. With one block or one usable
-    CPU the blocks run inline and no thread is started. Each worker runs
-    every ``workers``-th block, so a pass costs one task per worker. The pool
-    is shut down when the ``with`` block exits, on error too.
+    fill disjoint row blocks, or sum disjoint leaves of a pairwise tree, work
+    in parallel. With one block or one usable CPU the tasks run inline and no
+    thread is started. Each worker runs every ``workers``-th task, so a pass
+    costs one submission per worker. The pool is shut down when the ``with``
+    block exits, on error too.
     """
 
     def __init__(self, n: int):
@@ -121,19 +156,21 @@ class _RowBlocks:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
 
-    def run(self, fn) -> None:
-        """Call ``fn(start, stop)`` for every block; return once all are done."""
+    def run(self, fn, tasks=None) -> list:
+        """Call ``fn(*task)`` for every task, by default every block's (start, stop); return the results in order."""
+        tasks = self.bounds if tasks is None else tasks
         if self._pool is None:
-            self._share(fn, 0)
-            return
-        futures = [self._pool.submit(self._share, fn, w) for w in range(self.workers)]
+            return self._share(fn, tasks)
+        futures = [self._pool.submit(self._share, fn, tasks[w::self.workers]) for w in range(self.workers)]
         wait(futures)
-        for future in futures:
-            future.result()
+        results = [None] * len(tasks)
+        for w, future in enumerate(futures):
+            results[w::self.workers] = future.result()
+        return results
 
-    def _share(self, fn, worker: int) -> None:
-        for start, stop in self.bounds[worker::self.workers]:
-            fn(start, stop)
+    @staticmethod
+    def _share(fn, tasks) -> list:
+        return [fn(*task) for task in tasks]
 
 
 def _entropies(shifted: np.ndarray, beta: np.ndarray):
@@ -214,6 +251,15 @@ def tsne_embed(
     3 <= perplexity <= (N - 1) / 3. Points are recentered to zero mean every
     iteration; the KL divergence against the (unexaggerated) affinities is
     recorded each iteration.
+
+    The descent keeps four N x N-sized arrays: P, one work buffer that holds
+    the Gram matrix, then the Student-t kernel, then the gradient's pairwise
+    weights, and P's positive entries with their logs. Row-block passes over
+    the work buffer, and the whole-matrix sums (the kernel's total and the
+    KL, computed from the kernel and its total before the weights overwrite
+    it) as leaves of numpy's pairwise summation tree, run on one thread pool
+    when the buffer spans several blocks. The leaves are added in tree
+    order, so every bit matches a one-call ``.sum()``.
     """
     x = np.atleast_2d(np.asarray(getattr(data, "features", data), dtype=np.float64))
     n = x.shape[0]
@@ -230,43 +276,57 @@ def tsne_embed(
     config = EmbedConfig(perplexity=perplexity, iterations=iterations, learning_rate=learning_rate, seed=seed)
 
     cond, achieved = conditional_affinities(pairwise_sq_distances(x), perplexity)
-    p_sym = (cond + cond.T) / (2.0 * n)
+    p_sym = np.add(cond, cond.T)
+    np.divide(p_sym, 2.0 * n, out=p_sym)
+    # cond's memory becomes the one N x N work buffer every iteration refills
+    work = cond
     del cond
-    # KL(P || Q) reads only the entries where P > 0; their P terms never change
-    kl_index = np.flatnonzero(p_sym > 0)
-    p_pos = np.take(p_sym, kl_index)
-    log_p_pos = np.log(np.maximum(p_pos, PROB_FLOOR))
-    kl_terms = np.empty_like(p_pos)
+    p_flat, num_flat = p_sym.reshape(-1), work.reshape(-1)
+    # KL(P || Q) reads only the entries where P > 0, in row-major order, and
+    # exaggeration keeps them positive. Each leaf of the pairwise tree over
+    # them covers one flat range of P; only the leaves' bounds are kept
+    leaf_size = BLOCK_BYTES // 8
+    kl_index = np.flatnonzero(p_flat > 0)
+    kl_leaves, kl_fold = _pairwise_tree(kl_index.size, leaf_size)
+    kl_leaves = [(a, b, int(kl_index[a]), int(kl_index[b - 1]) + 1) for a, b in kl_leaves]
+    del kl_index
+    # the P terms of the KL never change; made only now, so they and kl_index are never live together
+    p_pos = p_flat[p_flat > 0]
+    log_p_pos = np.maximum(p_pos, PROB_FLOOR)
+    np.log(log_p_pos, out=log_p_pos)
     # p_sym holds the exaggerated P until the loop puts P back from p_pos
     np.multiply(p_sym, EARLY_EXAGGERATION, out=p_sym)
-    # kl_index is row-major, so row i's entries are kl_index[row_cut[i]:row_cut[i + 1]]
-    row_cut = np.searchsorted(kl_index, np.arange(n + 1) * n)
-    # the N x N work buffers, reused by every iteration
-    num = np.empty((n, n))
-    q = np.empty((n, n))
+    sum_leaves, sum_fold = _pairwise_tree(n * n, leaf_size)
     row_sums = np.empty(n)
 
     def kernel_rows(start, stop):
-        # Student-t kernel 1 / (1 + |y_i - y_j|^2); q holds the Gram matrix first
-        block = _sq_distances_rows(sq, q, start, stop, num)
+        # Student-t kernel 1 / (1 + |y_i - y_j|^2) over the Gram matrix's rows, zero on the diagonal
+        block = _sq_distances_rows(sq, work, start, stop, np.empty((stop - start, n)))
         np.add(block, 1.0, out=block)
         np.divide(1.0, block, out=block)
+        # row r of the block holds the diagonal entry at flat offset start + r * (n + 1)
+        block.reshape(-1)[start::n + 1] = 0.0
+
+    def sum_leaf(start, stop):
+        return num_flat[start:stop].sum()
+
+    def kl_leaf(first, last, lo, hi):
+        # this leaf's terms P * (log P - log Q), with Q = num / total
+        q = num_flat[lo:hi][p_flat[lo:hi] > 0]
+        np.divide(q, total, out=q)
+        np.maximum(q, PROB_FLOOR, out=q)
+        np.log(q, out=q)
+        np.subtract(log_p_pos[first:last], q, out=q)
+        np.multiply(p_pos[first:last], q, out=q)
+        return q.sum()
 
     def weight_rows(start, stop):
-        q_block, num_block = q[start:stop], num[start:stop]
-        np.divide(num_block, total, out=q_block)
-        first, last = row_cut[start], row_cut[stop]
-        kl_block = kl_terms[first:last]
-        # "raise" would buffer out; the indices are in range
-        np.take(q, kl_index[first:last], out=kl_block, mode="clip")
-        np.maximum(kl_block, PROB_FLOOR, out=kl_block)
-        np.log(kl_block, out=kl_block)
-        np.subtract(log_p_pos[first:last], kl_block, out=kl_block)
-        np.multiply(p_pos[first:last], kl_block, out=kl_block)
-        # q becomes (P - Q) * num, the gradient's pairwise weights
+        # num becomes (P - Q) * num, the gradient's pairwise weights
+        num_block = work[start:stop]
+        q_block = num_block / total
         np.subtract(p_sym[start:stop], q_block, out=q_block)
-        np.multiply(q_block, num_block, out=q_block)
-        q_block.sum(axis=1, out=row_sums[start:stop])
+        np.multiply(q_block, num_block, out=num_block)
+        num_block.sum(axis=1, out=row_sums[start:stop])
 
     rng = np.random.default_rng(seed)
     y = rng.normal(0.0, 1e-4, size=(n, 2))
@@ -278,16 +338,15 @@ def tsne_embed(
             if not np.all(np.isfinite(y)):
                 raise NumericError("non-finite coordinates in distance computation")
             sq = np.sum(y * y, axis=1)
-            np.matmul(y, y.T, out=q)
+            np.matmul(y, y.T, out=work)
             blocks.run(kernel_rows)
-            np.fill_diagonal(num, 0.0)
-            total = num.sum()
+            total = sum_fold(blocks.run(sum_leaf, sum_leaves))
+            # the KL is taken before the weight pass overwrites num
+            kl = float(kl_fold(blocks.run(kl_leaf, kl_leaves)))
             if it == EXAGGERATION_ITERS:
-                p_sym.fill(0.0)
-                np.put(p_sym, kl_index, p_pos)
+                p_flat[p_flat > 0] = p_pos
             blocks.run(weight_rows)
-            kl = float(np.sum(kl_terms))
-            grad = 4.0 * (row_sums[:, None] * y - q @ y)
+            grad = 4.0 * (row_sums[:, None] * y - work @ y)
             if not np.all(np.isfinite(grad)):
                 raise NumericError(f"non-finite t-SNE gradient at iteration {it}", iteration=it)
             momentum = MOMENTUM_EARLY if it < MOMENTUM_SWITCH else MOMENTUM_LATE

@@ -265,7 +265,7 @@ def descent_recursion_check(
     compared with (1 - mu/L) * gap + E||e||^2 / (2L) (rhs). Expectations are
     exact enumerations over all batches when the batch space has at most
     ``mc_batches`` members, otherwise Monte-Carlo with a 3-standard-error
-    allowance on the paired difference.
+    allowance on the paired difference, which needs at least 2 batches.
     """
     if model_spec.lipschitz_L is None or model_spec.strong_convexity_mu is None:
         raise InvalidArgumentError("recursion check needs exact L and mu")
@@ -280,6 +280,9 @@ def descent_recursion_check(
     rng = np.random.default_rng(seed)
     theta = np.array(theta0, dtype=np.float64) if theta0 is not None else model.init_theta(dataset, seed)
     exact = batch_space_size(scheme, n) <= mc_batches
+    if not exact and mc_batches < 2:
+        # one draw has no standard error, and none has no mean
+        raise InvalidArgumentError(f"the Monte-Carlo recursion check needs at least 2 batches; got {mc_batches}")
 
     steps = []
     for k in range(k_steps):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from contextlib import ExitStack
 from unittest import mock
 
@@ -129,6 +130,38 @@ def laid_out_points(draw):
     if layout == "columns":
         return base[:n, ::2]
     return np.asarray(base[:n, :d], order=layout)
+
+
+def order_sensitive(n, seed=0):
+    """Values of random sign spread over 17 decades, whose float sum depends on the order of the additions."""
+    gen = np.random.default_rng(seed)
+    return gen.choice([-1.0, 1.0], n) * gen.uniform(0.0, 1.0, n) * 10.0 ** gen.integers(0, 17, n)
+
+
+class TestPairwiseTree:
+    # sizes around numpy's 8-wide unrolled loop and its 128-element blocks, and odd N^2
+    SIZES = [7, 8, 9, 127, 128, 129, 130, 181 * 181, 301 * 301, 999 * 999]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("depth", range(6))
+    @pytest.mark.parametrize("leaf", ["view", "copy"])
+    def test_leaf_sums_fold_to_numpys_sum(self, n, depth, leaf):
+        # the rule is numpy's code, not its API: if a release changes it, this fails
+        a = order_sensitive(n)
+        leaves, fold = embedding._pairwise_tree(n, -(-n // 2 ** depth))
+        if depth and n > embedding.PAIRWISE_BLOCK:
+            assert len(leaves) > 1
+        parts = [a[start:stop] if leaf == "view" else a[start:stop].copy() for start, stop in leaves]
+        assert all((p.base is a) == (leaf == "view") for p in parts)
+        assert fold([p.sum() for p in parts]) == np.sum(a)
+
+    @pytest.mark.parametrize("n", [130, 255])
+    def test_data_tells_the_split_apart(self, n):
+        # the test data are order-sensitive enough that a split at n/2 not
+        # rounded down to a multiple of 8, or one flat left-to-right sum, gives other bits
+        a = order_sensitive(n)
+        assert a[:n // 2].sum() + a[n // 2:].sum() != np.sum(a)
+        assert np.cumsum(a)[-1] != np.sum(a)
 
 
 class TestPairwiseDistances:
@@ -269,6 +302,22 @@ class TestTsne:
         points, kl_trace = reference_tsne(data.features, perplexity, iterations, seed=3, **switches)
         assert np.array_equal(emb.points, points)
         assert emb.kl_trace == kl_trace
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_below_five_n_by_n_arrays(self, workers):
+        # the descent keeps four N x N-sized arrays (P, the work buffer, and P's
+        # positive entries and their logs) plus block-sized scratch; the
+        # iterations cross the end of exaggeration, where P is put back
+        n = 300
+        data = generate_clustered(n, 3, [[0.0] * 3, [6.0] * 3], [0.6, 0.4], 0.5, seed=2)
+        with row_blocks(n, 7, workers), mock.patch.object(embedding, "EXAGGERATION_ITERS", 2):
+            tracemalloc.start()
+            try:
+                tsne_embed(data, perplexity=30.0, iterations=4, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 5 * 8 * n * n
 
     def test_same_points_at_one_and_two_blas_threads(self):
         # N = 600 splits into several row blocks, run on two worker threads

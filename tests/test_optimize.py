@@ -255,6 +255,16 @@ class TestRecursionCheck:
         assert all(s.standard_error > 0.0 for s in report.steps)
         assert report.holds_all
 
+    @pytest.mark.parametrize("mc_batches", [0, 1])
+    def test_monte_carlo_needs_two_batches(self, small_quadratic, mc_batches):
+        # 70 batches of 4 from 8 exceed the budget, so the check would draw, and
+        # 0 or 1 draws give no standard error
+        ds, spec = small_quadratic
+        with pytest.raises(InvalidArgumentError, match="at least 2 batches"):
+            descent_recursion_check(
+                QuadraticModel(), ds, SrsScheme(m=4), spec, k_steps=5, mc_batches=mc_batches, seed=2,
+            )
+
 
 # The recursion check as it was when it enumerated and drew its own batches,
 # kept as the oracle for the batch-mean engine it now shares with analysis.
