@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -180,19 +180,34 @@ def formula_alpha(model, dataset, theta, partition: Partition, plan: BatchPlan) 
 
 
 def _combination_sums(rows: np.ndarray, k: int) -> np.ndarray:
-    idx = np.array(list(combinations(range(rows.shape[0]), k)), dtype=np.int32)
-    out = np.zeros((idx.shape[0], rows.shape[1]))
-    for j in range(k):  # k gathers of (C, d) keep memory flat
-        out += rows[idx[:, j]]
+    """The row sums of every k-subset of ``rows``, in ``itertools.combinations`` order.
+
+    Built level by level: each partial batch is extended by every larger
+    member that still leaves room for the draws to come, so no level holds
+    more than C(n, k) rows and no index tuple is formed. Each sum is added
+    in member order onto 0.0 (0 + r_i0 + r_i1 + ...), so the bits, signed
+    zeros included, are those of a k-gather accumulation over the subsets.
+    """
+    n = rows.shape[0]
+    out = np.zeros((1, rows.shape[1]))
+    last = np.array([-1])
+    for level in range(1, k + 1):
+        counts = n - k + level - 1 - last  # members last+1 .. n-k+level-1 leave room
+        parent = np.repeat(np.arange(last.shape[0]), counts)
+        starts = np.cumsum(counts) - counts
+        last = np.arange(parent.shape[0]) + np.repeat(last + 1 - starts, counts)
+        out = out[parent]
+        out += rows[last]
     return out
 
 
 def enumerated_means(rows: np.ndarray, strata):
     """Yield the mean rows of every batch of the strata once, all equally likely.
 
-    One chunk per combination of draws from all strata but the last, which
-    bounds memory; the order is ``product`` over the strata of their
-    ``combinations``.
+    Each stratum's batch sums come from :func:`_combination_sums`, in
+    ``combinations`` order. One chunk is yielded per combination of draws
+    from all strata but the last, which bounds memory; the order is
+    ``product`` over the strata of their ``combinations``.
     """
     m = sum(draws for _, draws in strata)
     *heads, last = [_combination_sums(rows[members], draws) for members, draws in strata]

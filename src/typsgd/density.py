@@ -17,6 +17,9 @@ from ._csvio import format_number, read_rows, write_rows
 from .errors import InvalidArgumentError
 
 FALLBACK_BANDWIDTH = 1e-3
+# bytes of one (queries, points, d) float64 block in kde_evaluate; 2-3 such
+# temporaries are alive at once
+KDE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -100,14 +103,23 @@ def _kernel_covariance(points: np.ndarray, bandwidth_rule) -> np.ndarray:
 
 
 def kde_evaluate(points: np.ndarray, queries: np.ndarray, covariance: np.ndarray) -> np.ndarray:
-    """Gaussian KDE of ``points`` evaluated at ``queries`` (diagonal kernel)."""
+    """Gaussian KDE of ``points`` evaluated at ``queries`` (diagonal kernel).
+
+    Queries are taken in blocks so that one (q, n, d) difference array
+    holds at most KDE_BLOCK_BYTES; each query's density does not depend on
+    the block it falls in.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    n, d = points.shape
+    if queries.shape[1] != d:
+        raise InvalidArgumentError(f"queries have {queries.shape[1]} coordinates, points have {d}")
+    if np.shape(covariance) != (d, d):
+        raise InvalidArgumentError(f"kernel covariance must be {d} x {d}; got shape {np.shape(covariance)}")
     var = np.diag(covariance)
-    norm = 1.0 / ((2.0 * np.pi) ** (points.shape[1] / 2.0) * np.sqrt(np.prod(var)))
-    # chunk queries so the (q, n) distance block stays small
+    norm = 1.0 / ((2.0 * np.pi) ** (d / 2.0) * np.sqrt(np.prod(var)))
     out = np.empty(queries.shape[0])
-    step = max(1, int(4e6 // max(points.shape[0], 1)))
+    step = max(1, KDE_BLOCK_BYTES // (8 * max(n * d, 1)))
     for start in range(0, queries.shape[0], step):
         q = queries[start : start + step]
         sq = ((q[:, None, :] - points[None, :, :]) ** 2 / var).sum(axis=2)

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typsgd.analysis import (
+    _combination_sums,
     build_error_report,
     enumerate_error,
     monte_carlo_error,
@@ -47,6 +50,64 @@ def brute_force_expectation(grads, scheme):
         est = sum(rows[i] for i in batch) / len(batch)
         total += float(np.sum((est - ref) ** 2))
     return total / len(batches)
+
+
+def reference_combination_sums(rows: np.ndarray, k: int) -> np.ndarray:
+    idx = np.array(list(combinations(range(rows.shape[0]), k)), dtype=np.int32)
+    out = np.zeros((idx.shape[0], rows.shape[1]))
+    for j in range(k):  # k gathers of (C, d) keep memory flat
+        out += rows[idx[:, j]]
+    return out
+
+
+def order_sensitive_rows(n, d, seed=0):
+    """Rows of random sign spread over 16 decades, with signed zeros, whose float sums depend on the order of the additions."""
+    gen = np.random.default_rng(seed)
+    rows = gen.choice([-1.0, 1.0], (n, d)) * gen.uniform(0.0, 1.0, (n, d)) * 10.0 ** gen.integers(-8, 8, (n, d))
+    rows[gen.random((n, d)) < 0.1] = -0.0
+    return rows
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCombinationSums:
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_same_bytes_as_reference(self, n):
+        for k in range(1, n + 1):
+            for d in (1, 3):
+                rows = order_sensitive_rows(n, d, seed=100 * n + k)
+                got = _combination_sums(rows, k)
+                want = reference_combination_sums(rows, k)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_same_bytes_as_reference_hypothesis(self, n, k, d, seed):
+        k = min(k, n)
+        rows = order_sensitive_rows(n, d, seed)
+        assert _combination_sums(rows, k).tobytes() == reference_combination_sums(rows, k).tobytes()
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (5, 2), (9, 4), (12, 12), (13, 6)])
+    def test_rows_in_combinations_order(self, n, k):
+        # row i is 2^i, so each sum names its subset exactly
+        rows = 2.0 ** np.arange(n)[:, None]
+        want = [sum(2**i for i in subset) for subset in combinations(range(n), k)]
+        assert _combination_sums(rows, k)[:, 0].tolist() == want
+
+    @pytest.mark.parametrize("k", [4, 8, 11, 16])
+    def test_peak_memory_below_reference(self, k):
+        rows = order_sensitive_rows(22, 2)
+        peak = traced_peak(_combination_sums, rows, k)
+        assert peak < traced_peak(reference_combination_sums, rows, k)
+        assert peak < 6 * math.comb(22, k) * 2 * 8
 
 
 class TestEnumeration:

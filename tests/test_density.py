@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -5,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from typsgd import density
 from typsgd.data import generate_clustered
 from typsgd.density import (
     DensityMap,
@@ -106,6 +108,39 @@ class TestKde:
             DensityMap(densities=np.array([0.0, 1.0]), bandwidth=np.eye(2))
         with pytest.raises(InvalidArgumentError):
             DensityMap(densities=np.array([1.0]), bandwidth=-np.eye(2))
+
+
+class TestKdeBlocks:
+    @pytest.mark.parametrize("block_bytes", [1, 8 * 40 * 2 * 7, 1 << 30], ids=["one-query", "ragged", "single"])
+    def test_densities_do_not_depend_on_the_block(self, monkeypatch, rng, block_bytes):
+        points = rng.normal(size=(40, 2))
+        queries = rng.normal(size=(50, 2))  # 7 queries a block leave a ragged last block of 1
+        cov = kde_densities(points, "scott").bandwidth
+        want = kde_evaluate(points, queries, cov)
+        monkeypatch.setattr(density, "KDE_BLOCK_BYTES", block_bytes)
+        assert kde_evaluate(points, queries, cov).tobytes() == want.tobytes()
+
+    def test_grid_peak_memory_is_bounded_by_the_block(self):
+        # the grid quadrature case of test_integral_close_to_one: 100 points, 58 081 queries
+        points = np.random.default_rng(5).standard_normal((100, 2))
+        axis = np.arange(-6.0, 6.0 + 0.025, 0.05)
+        grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        cov = kde_densities(points, "scott").bandwidth
+        tracemalloc.start()
+        try:
+            out = kde_evaluate(points, grid, cov)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * density.KDE_BLOCK_BYTES + out.nbytes
+
+    def test_rejects_queries_of_another_width(self):
+        with pytest.raises(InvalidArgumentError, match="coordinates"):
+            kde_evaluate(np.zeros((4, 2)), np.zeros((3, 1)), np.eye(2))
+
+    def test_rejects_covariance_of_another_size(self):
+        with pytest.raises(InvalidArgumentError, match="covariance"):
+            kde_evaluate(np.zeros((4, 2)), np.zeros((3, 2)), np.eye(1))
 
 
 class TestBuildPartition:
