@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from glob import glob
 from pathlib import Path
 from typing import NamedTuple
@@ -19,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._csvio import format_number, read_rows, write_rows, write_text
+from ._parallel import map_processes
 from .config import RunConfig
 from .data import Dataset, generate_clustered, generate_pwl_curves, load_csv, save_csv, split_dataset
 from .density import Partition, build_partition, kde_densities, load_partition, save_partition
@@ -280,17 +280,7 @@ def cmd_train(config: RunConfig, out_dir: str, seed_override=None, workers: int 
     alpha_cell = next(
         ((s, o, sd) for (s, o, sd) in cells if s == "typicality" and o == "sgd"), None
     )
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_cell, setup, out_dir, s, o, sd, (s, o, sd) == alpha_cell)
-                for (s, o, sd) in cells
-            ]
-            for f in futures:
-                f.result()
-    else:
-        for s, o, sd in cells:
-            _run_cell(setup, out_dir, s, o, sd, (s, o, sd) == alpha_cell)
+    map_processes(_run_cell, [(setup, out_dir, *cell, cell == alpha_cell) for cell in cells], workers)
     _write_comparison(config, out_dir)
     print(f"train: {len(cells)} runs -> {out_dir}")
     return EXIT_OK
@@ -393,6 +383,17 @@ def cmd_verify(config: RunConfig, out_dir: str, seed_override=None) -> int:
     return EXIT_OK if all_asserted_pass(results) else EXIT_VERIFY_FAIL
 
 
+def _workers(args, config: RunConfig) -> int:
+    """The training pool size: ``--workers``, else ``[output] workers``, else 1."""
+    if args.workers is not None:
+        workers, source = args.workers, "--workers"
+    else:
+        workers, source = config.get_int("output", "workers", 1), "[output] workers"
+    if workers < 1:
+        raise InvalidArgumentError(f"{source} must be >= 1; got {workers}")
+    return workers
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="typsgd",
@@ -411,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--seed", type=int, default=None, help="override the config seed(s)")
         p.add_argument("--out", default=None, help="override [output] dir")
-        p.add_argument("--workers", type=int, default=None, help="parallel training runs")
+        p.add_argument("--workers", type=int, default=None, help="training processes (>= 1; capped at the cell count)")
         p.add_argument("--mkdir", action="store_true", help="create the output dir if missing")
     return parser
 
@@ -430,7 +431,6 @@ def main(argv=None) -> int:
                 os.makedirs(out_dir, exist_ok=True)
             else:
                 raise OSError(f"output directory {out_dir!r} does not exist (use --mkdir)")
-        workers = args.workers or config.get_int("output", "workers", 1)
         if args.command == "gen":
             return cmd_gen(config, out_dir, args.seed)
         if args.command == "embed":
@@ -438,7 +438,7 @@ def main(argv=None) -> int:
         if args.command == "partition":
             return cmd_partition(config, out_dir, args.seed)
         if args.command == "train":
-            return cmd_train(config, out_dir, args.seed, workers)
+            return cmd_train(config, out_dir, args.seed, _workers(args, config))
         if args.command == "verify":
             return cmd_verify(config, out_dir, args.seed)
         return cmd_report(config, out_dir)

@@ -10,12 +10,12 @@ bit-identical embedding.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _parallel
 from ._csvio import format_number, read_rows, write_rows
 from .errors import InvalidArgumentError, NumericError
 
@@ -125,13 +125,6 @@ def _pairwise_tree(n: int, size: int):
     return leaves, fold
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
 class _RowBlocks:
     """The rows of an N x N buffer in blocks of at most BLOCK_BYTES, and the threads that run them.
 
@@ -146,7 +139,7 @@ class _RowBlocks:
     def __init__(self, n: int):
         rows = max(1, BLOCK_BYTES // (8 * max(n, 1)))
         self.bounds = [(s, min(s + rows, n)) for s in range(0, n, rows)]
-        self.workers = max(1, min(len(self.bounds), _usable_cpus()))
+        self.workers = max(1, min(len(self.bounds), _parallel.usable_cpus()))
         self._pool = ThreadPoolExecutor(self.workers) if self.workers > 1 else None
 
     def __enter__(self):

@@ -1,12 +1,14 @@
 import builtins
 import hashlib
+import multiprocessing
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from test_parallel import PoolRefused, recording_pool
 
-from typsgd import cli, verify
+from typsgd import _parallel, cli, verify
 from typsgd._csvio import read_rows
 from typsgd.cli import main
 from typsgd.config import RunConfig
@@ -120,12 +122,53 @@ def test_train_with_worker_pool(workspace):
     config, out = workspace
     assert main(["gen", "--config", str(config)]) == 0
     assert main(["partition", "--config", str(config)]) == 0
+    before = {p.name for p in out.iterdir()}
     assert main(["train", "--config", str(config)]) == 0
-    serial = {p.name: sha(p) for p in out.glob("trace_*.csv")}
-    for p in out.glob("trace_*.csv"):
+    written = sorted(p for p in out.iterdir() if p.name not in before)
+    serial = {p.name: sha(p) for p in written}
+    for p in written:
         p.unlink()
     assert main(["train", "--config", str(config), "--workers", "2"]) == 0
-    assert {p.name: sha(p) for p in out.glob("trace_*.csv")} == serial
+    assert {p.name: sha(p) for p in out.iterdir() if p.name not in before} == serial
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize(
+    "flag, ini, source",
+    [(["--workers", "0"], "2", "--workers"), (["--workers", "-1"], "2", "--workers"),
+     ([], "0", "[output] workers"), ([], "-2", "[output] workers")],
+)
+def test_workers_below_one_is_usage_error(workspace, capsys, flag, ini, source):
+    config, out = workspace
+    config.write_text(config.read_text().replace("workers = 1", f"workers = {ini}"))
+    for cmd in ("gen", "partition"):
+        assert main([cmd, "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config), *flag]) == 2
+    assert f"{source} must be >= 1" in capsys.readouterr().err
+    assert not list(out.glob("trace_*.csv"))
+
+
+def test_train_pool_is_capped_at_the_cell_count(workspace, monkeypatch):
+    config, _ = workspace
+    for cmd in ("gen", "partition"):
+        assert main([cmd, "--config", str(config)]) == 0
+    sizes = []
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", recording_pool(sizes))
+    with pytest.raises(PoolRefused):
+        main(["train", "--config", str(config), "--workers", "1000"])
+    assert sizes == [8]  # 2 samplers x 2 optimizers x 2 seeds
+
+
+def test_failing_cell_stops_the_pool(workspace, capsys):
+    config, out = workspace
+    # a huge SGD step overflows theta: the SGD cells raise NumericError in the workers
+    config.write_text(config.read_text().replace("eta = auto", "eta = 1e300"))
+    for cmd in ("gen", "partition"):
+        assert main([cmd, "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config), "--workers", "2"]) == 2
+    assert "non-finite update" in capsys.readouterr().err
+    assert not multiprocessing.active_children()
+    assert not (out / "comparison.csv").exists()
 
 
 def test_comparison_without_suboptimality_reads_not_measured(workspace):

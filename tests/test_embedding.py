@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from test_tracer_names import traced_names
 
 import typsgd
-from typsgd import embedding
+from typsgd import _parallel, embedding
 from typsgd.data import generate_clustered
 from typsgd.embedding import (
     BISECTION_STEPS,
@@ -78,7 +78,7 @@ def reference_conditional_affinities(sq_distances, perplexity):
 def row_blocks(n, rows, workers):
     """Split the N x N buffers into blocks of ``rows`` rows (the module's size if None) on ``workers`` threads."""
     stack = ExitStack()
-    stack.enter_context(mock.patch.object(embedding, "_usable_cpus", lambda: workers))
+    stack.enter_context(mock.patch.object(_parallel, "usable_cpus", lambda: workers))
     if rows is not None:
         stack.enter_context(mock.patch.object(embedding, "BLOCK_BYTES", 8 * n * rows))
     return stack
@@ -323,8 +323,8 @@ class TestTsne:
         # N = 600 splits into several row blocks, run on two worker threads
         script = "\n".join([
             "import hashlib, numpy as np",
-            "from typsgd import embedding",
-            "embedding._usable_cpus = lambda: 2",
+            "from typsgd import _parallel, embedding",
+            "_parallel.usable_cpus = lambda: 2",
             "with embedding._RowBlocks(600) as blocks:",
             "    print(len(blocks.bounds), blocks.workers)",
             "x = np.random.default_rng(5).normal(size=(600, 4))",
