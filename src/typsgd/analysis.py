@@ -105,7 +105,7 @@ def exact_error(grads: GradientFamily, scheme) -> float:
     adds no variance, so a one-member stratum needs no dispersion.
     """
     rows = grads.per_sample
-    strata = scheme.strata(rows.shape[0])
+    strata = resolve_strata(scheme, rows.shape[0])
     m = sum(draws for _, draws in strata)
     expectation = sum(draws / members.shape[0] * rows[members].sum(axis=0) for members, draws in strata) / m
     var = sum(
@@ -237,7 +237,7 @@ def enumerate_error(grads: GradientFamily, scheme, budget: int = ENUMERATION_BUD
     if count > budget:
         raise CapabilityError(f"{count} batches exceed the enumeration budget {budget}; use monte_carlo_error")
     total = 0.0
-    for means in enumerated_means(rows, scheme.strata(rows.shape[0])):
+    for means in enumerated_means(rows, resolve_strata(scheme, rows.shape[0])):
         diffs = means - grads.reference
         total += float(np.sum(diffs * diffs))
     return total / count

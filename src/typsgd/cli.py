@@ -280,19 +280,20 @@ def cmd_train(config: RunConfig, out_dir: str, seed_override=None, workers: int 
     alpha_cell = next(
         ((s, o, sd) for (s, o, sd) in cells if s == "typicality" and o == "sgd"), None
     )
-    map_processes(_run_cell, [(setup, out_dir, *cell, cell == alpha_cell) for cell in cells], workers)
-    _write_comparison(config, out_dir)
+    stems = map_processes(_run_cell, [(setup, out_dir, *cell, cell == alpha_cell) for cell in cells], workers)
+    _write_comparison(config, out_dir, [os.path.join(out_dir, f"trace_{stem}.csv") for stem in stems])
     print(f"train: {len(cells)} runs -> {out_dir}")
     return EXIT_OK
 
 
-def _write_comparison(config: RunConfig, out_dir: str) -> None:
+def _write_comparison(config: RunConfig, out_dir: str, trace_paths) -> None:
+    """comparison.csv and the loss charts from the given trace files."""
     threshold = config.get_float("train", "threshold", 1e-3)
     rows = []
     by_cell: dict[tuple[str, str], list] = {}
     measured: set[tuple[str, str]] = set()  # cells whose traces record subopt
     curves: dict[tuple[str, str], tuple[int, list]] = {}
-    for path in sorted(glob(os.path.join(out_dir, "trace_*.csv"))):
+    for path in sorted(trace_paths):
         records = load_trace_rows(path)
         if not records:
             continue
@@ -358,7 +359,7 @@ def _write_comparison(config: RunConfig, out_dir: str) -> None:
 
 
 def cmd_report(config: RunConfig, out_dir: str) -> int:
-    _write_comparison(config, out_dir)
+    _write_comparison(config, out_dir, glob(os.path.join(out_dir, "trace_*.csv")))
     print(f"report: comparison rebuilt from traces in {out_dir}")
     return EXIT_OK
 

@@ -23,8 +23,13 @@ from .analysis import drawn_means, enumerated_means, formula_alpha
 from .data import Dataset
 from .errors import InvalidArgumentError, NumericError
 from .models import _targets_for, mean_loss, per_sample_gradients
-from .sampling import Batch, batch_space_size, draw_indices, resolve_strata
+from .sampling import batch_space_size, draw_indices, resolve_strata
 
+
+# Adam's moment decays and denominator guard, read by adam_step at call time
+ADAM_BETA_M = 0.9
+ADAM_BETA_V = 0.999
+ADAM_EPSILON = 1e-8
 
 # The step protocol shared by the optimizers: ``init_state(theta)`` gives the
 # state before the first step, and ``step(model, theta, x, y, iteration,
@@ -53,26 +58,17 @@ class Sgd:
 
 @dataclass(frozen=True)
 class Adam:
-    """Standard Adam with bias-corrected moments."""
+    """Standard Adam with bias-corrected moments (decays ADAM_BETA_M, ADAM_BETA_V)."""
 
     eta: float
-    beta_m: float = 0.9
-    beta_v: float = 0.999
-    epsilon: float = 1e-8
     kind: ClassVar[str] = "adam"
-
-    def __post_init__(self):
-        if not (0.0 <= self.beta_m < 1.0 and 0.0 <= self.beta_v < 1.0):
-            raise InvalidArgumentError("Adam moment decays must lie in [0, 1)")
 
     def init_state(self, theta):
         """First and second moments, zero before the first step."""
         return np.zeros_like(theta), np.zeros_like(theta)
 
     def step(self, model, theta, x, y, iteration, state):
-        theta, m, v = adam_step(
-            model, theta, x, y, self.eta, iteration, *state, self.beta_m, self.beta_v, self.epsilon
-        )
+        theta, m, v = adam_step(model, theta, x, y, self.eta, iteration, *state)
         return theta, (m, v)
 
 
@@ -95,7 +91,7 @@ class TrainTrace:
     seed: int
     eval_every: int
     thetas: list[tuple[int, np.ndarray]] = field(default_factory=list)
-    batches: list[tuple[int, Batch]] = field(default_factory=list)  # filled when train logs batches
+    batches: list[tuple[int, np.ndarray]] = field(default_factory=list)  # (iteration, ids) when train logs batches
 
     def iterations_to_threshold(self, threshold: float):
         """First recorded iteration whose suboptimality is <= threshold."""
@@ -127,27 +123,15 @@ def sgd_step(model, theta, x, y, eta: float, iteration: int) -> np.ndarray:
     return _check_finite(theta - eta * _batch_mean_gradient(model, theta, x, y), iteration)
 
 
-def adam_step(
-    model,
-    theta,
-    x,
-    y,
-    eta: float,
-    iteration: int,
-    m,
-    v,
-    beta_m: float = 0.9,
-    beta_v: float = 0.999,
-    epsilon: float = 1e-8,
-):
+def adam_step(model, theta, x, y, eta: float, iteration: int, m, v):
     """Bias-corrected moment update at step ``iteration`` (counted from 0); returns (theta, m, v)."""
     grad = _batch_mean_gradient(model, theta, x, y)
     t = iteration + 1
-    m = beta_m * m + (1.0 - beta_m) * grad
-    v = beta_v * v + (1.0 - beta_v) * grad * grad
-    m_hat = m / (1.0 - beta_m**t)
-    v_hat = v / (1.0 - beta_v**t)
-    return _check_finite(theta - eta * m_hat / (np.sqrt(v_hat) + epsilon), iteration), m, v
+    m = ADAM_BETA_M * m + (1.0 - ADAM_BETA_M) * grad
+    v = ADAM_BETA_V * v + (1.0 - ADAM_BETA_V) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA_M**t)
+    v_hat = v / (1.0 - ADAM_BETA_V**t)
+    return _check_finite(theta - eta * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON), iteration), m, v
 
 
 def train(
@@ -171,12 +155,11 @@ def train(
     optimum value. ``alpha_probe`` may be a (partition, plan) pair: at every
     evaluation point the stratified/SRS error ratio is computed from the
     current per-sample gradients and stored on the record. With
-    ``log_batches`` every step's batch is kept on ``trace.batches`` for
-    :func:`save_batch_log`.
+    ``log_batches`` every step's (iteration, ids) pair is kept on
+    ``trace.batches`` for :func:`save_batch_log`.
 
     The strata are resolved and checked once, before the first step; each
     step then only draws the batch ids, gathers their rows and updates.
-    Only a logged batch goes through the checked :class:`Batch`.
     """
     if iterations < 1:
         raise InvalidArgumentError("iterations must be >= 1")
@@ -226,7 +209,7 @@ def train(
             evaluate(k, theta)
         idx = draw_indices(strata, rng)
         if log_batches:
-            trace.batches.append((k, Batch(indices=idx)))
+            trace.batches.append((k, idx))
         theta, state = step(model, theta, features[idx], targets[idx], k, state)
     evaluate(iterations, theta)
     return trace

@@ -2,8 +2,13 @@
 
 Both schemes are stratified sampling: ``strata(n_total)`` returns
 (members, draws) pairs, one pair for SRS (the whole population, m draws)
-and two for typicality sampling ((H, n1), (L, n2)). Drawing and counting
-batches are written once over those pairs; ``analysis`` enumerates them.
+and two for typicality sampling ((H, n1), (L, n2)). Every batch is drawn
+by one routine, :func:`draw_indices`, as an int64 id array; counting
+batches is written once over the same pairs and ``analysis`` enumerates
+them. Ids are distinct by construction, checked once where the strata are
+made: by ``Partition``, :func:`validate_plan` and ``SrsScheme.strata`` for
+the built-in schemes, and by :func:`resolve_strata` for any scheme handed
+to a loop or an oracle. No drawn batch is checked again.
 
 A :class:`BatchPlan` fixes how a batch of size m is split across the
 high-representative stratum H (n1 draws) and the remainder L (n2 draws).
@@ -43,20 +48,6 @@ class BatchPlan:
     @property
     def n2(self) -> int:
         return self.m - self.n1
-
-
-@dataclass(frozen=True)
-class Batch:
-    """Selected sample ids, distinct."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        ordered = np.sort(idx)
-        if (ordered[1:] == ordered[:-1]).any():  # a repeat sorts next to its twin
-            raise InvalidArgumentError("batch indices must be distinct")
-        object.__setattr__(self, "indices", idx)
 
 
 def make_plan(m: int, n1: int, partition: Partition) -> BatchPlan:
@@ -177,29 +168,24 @@ def draw_indices(strata, rng: np.random.Generator) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def draw_batch(scheme, n_total: int, rng: np.random.Generator) -> Batch:
-    """One batch of the scheme, checked for distinct ids by :class:`Batch`."""
-    return Batch(indices=draw_indices(scheme.strata(n_total), rng))
+def srs_batch(n_total: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform m-subset of {0..n_total-1} without replacement, as int64 ids."""
+    return draw_indices(SrsScheme(m=m).strata(n_total), rng)
 
 
-def srs_batch(n_total: int, m: int, rng: np.random.Generator) -> Batch:
-    """Uniform m-subset of {0..n_total-1} without replacement."""
-    return draw_batch(SrsScheme(m=m), n_total, rng)
-
-
-def typicality_batch(partition: Partition, plan: BatchPlan, rng: np.random.Generator) -> Batch:
-    """n1 members of H and n2 members of L, drawn without replacement."""
-    return draw_batch(StratifiedScheme(partition=partition, plan=plan), partition.n_total, rng)
+def typicality_batch(partition: Partition, plan: BatchPlan, rng: np.random.Generator) -> np.ndarray:
+    """n1 members of H, then n2 members of L, drawn without replacement, as int64 ids."""
+    return draw_indices(StratifiedScheme(partition=partition, plan=plan).strata(partition.n_total), rng)
 
 
 def batch_space_size(scheme, n_total: int) -> int:
     """Number of distinct batches the scheme can produce."""
-    return math.prod(math.comb(members.shape[0], draws) for members, draws in scheme.strata(n_total))
+    return math.prod(math.comb(members.shape[0], draws) for members, draws in resolve_strata(scheme, n_total))
 
 
 def save_batch_log(path, batches, config_digest: str = "none", seed=None) -> None:
-    """Audit log: one row per iteration, 'iteration,id0,id1,...'."""
-    rows = [[k] + list(map(int, b.indices)) for k, b in batches]
+    """Audit log: one row per iteration, 'iteration,id0,id1,...', from (iteration, ids) pairs."""
+    rows = [[k] + list(map(int, ids)) for k, ids in batches]
     write_rows(path, rows, header=None, config_digest=config_digest, seed=seed)
 
 

@@ -432,12 +432,13 @@ def check_inclusion(scheme, n_total: int, draw, seed: int) -> CheckResult:
     """Each member of stratum h turns up in ``draw(rng)`` batches at rate n_h/N_h, within 3 sigma.
 
     The strata come from ``resolve_strata(scheme, n_total)``; SRS is the
-    one-stratum case with rate m/N. ``draw`` is the sampler under test.
+    one-stratum case with rate m/N. ``draw`` is the sampler under test; it
+    returns the batch's ids.
     """
     rng = np.random.default_rng(seed)
     counts = np.zeros(n_total)
     for _ in range(INCLUSION_DRAWS):
-        counts[draw(rng).indices] += 1
+        counts[draw(rng)] += 1
     freq = counts / INCLUSION_DRAWS
     ok = True
     detail = []

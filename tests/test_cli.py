@@ -118,6 +118,19 @@ def test_train_determinism(workspace):
     assert sha(out / "comparison.csv") == comparison
 
 
+def test_train_compares_only_the_cells_it_trained(workspace):
+    # report rebuilds from every trace in the directory; train reads only its own
+    config, out = workspace
+    for cmd in ("gen", "partition", "train"):
+        assert main([cmd, "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config), "--seed", "5"]) == 0
+    rows = [line.split(",") for line in (out / "comparison.csv").read_text().splitlines()[2:]]
+    assert sorted(row[2] for row in rows) == ["5"] * 4 + ["median"] * 4
+    assert main(["report", "--config", str(config)]) == 0
+    rows = [line.split(",") for line in (out / "comparison.csv").read_text().splitlines()[2:]]
+    assert sorted(row[2] for row in rows) == ["0"] * 4 + ["1"] * 4 + ["5"] * 4 + ["median"] * 4
+
+
 def test_train_with_worker_pool(workspace):
     config, out = workspace
     assert main(["gen", "--config", str(config)]) == 0

@@ -36,11 +36,9 @@ from typsgd.optimize import (
     train,
 )
 from typsgd.sampling import (
-    Batch,
     SrsScheme,
     StratifiedScheme,
     batch_space_size,
-    draw_batch,
     draw_indices,
     make_plan,
     resolve_strata,
@@ -120,9 +118,11 @@ class TestAdamStep:
         assert np.allclose(theta, spec.exact_minimizer)
         assert g0.shape == (8, 2)
 
-    def test_protocol_step_threads_the_moments(self, small_quadratic, rng):
+    def test_protocol_step_threads_the_moments(self, small_quadratic, rng, monkeypatch):
         ds, _ = small_quadratic
-        opt = Adam(eta=0.05, beta_m=0.8, beta_v=0.99, epsilon=1e-6)
+        for name, value in (("ADAM_BETA_M", 0.8), ("ADAM_BETA_V", 0.99), ("ADAM_EPSILON", 1e-6)):
+            monkeypatch.setattr(optimize, name, value)
+        opt = Adam(eta=0.05)
         theta = rng.normal(size=2)
         state = opt.init_state(theta)
         assert opt.kind == "adam" and all(np.array_equal(s, np.zeros(2)) for s in state)
@@ -130,7 +130,7 @@ class TestAdamStep:
         expected = theta
         for k in range(3):
             theta, state = opt.step(QuadraticModel(), theta, *full_rows(ds), k, state)
-            expected, m, v = adam_step(QuadraticModel(), expected, *full_rows(ds), 0.05, k, m, v, 0.8, 0.99, 1e-6)
+            expected, m, v = adam_step(QuadraticModel(), expected, *full_rows(ds), 0.05, k, m, v)
             assert np.array_equal(theta, expected)
             assert np.array_equal(state[0], m) and np.array_equal(state[1], v)
 
@@ -404,6 +404,25 @@ def test_trace_round_trip(tmp_path, small_quadratic):
 
 
 @dataclass(frozen=True)
+class ReferenceBatch:
+    """Selected sample ids, distinct."""
+
+    indices: np.ndarray
+
+    def __post_init__(self):
+        idx = np.asarray(self.indices, dtype=np.int64)
+        ordered = np.sort(idx)
+        if (ordered[1:] == ordered[:-1]).any():  # a repeat sorts next to its twin
+            raise InvalidArgumentError("batch indices must be distinct")
+        object.__setattr__(self, "indices", idx)
+
+
+def reference_draw_batch(scheme, n_total: int, rng: np.random.Generator) -> ReferenceBatch:
+    """One batch of the scheme, checked for distinct ids by :class:`ReferenceBatch`."""
+    return ReferenceBatch(indices=draw_indices(scheme.strata(n_total), rng))
+
+
+@dataclass(frozen=True)
 class ReferenceTrainState:
     """Parameters and per-optimizer bookkeeping at iteration k."""
 
@@ -415,13 +434,13 @@ class ReferenceTrainState:
     adam_t: int = 0
 
 
-def reference_batch_mean_gradient(model, dataset: Dataset, theta, batch: Batch):
+def reference_batch_mean_gradient(model, dataset: Dataset, theta, batch: ReferenceBatch):
     idx = batch.indices
     grads = model.per_sample_grads(theta, dataset.features[idx], _targets_for(model, dataset)[idx])
     return np.sum(grads, axis=0) / batch.indices.shape[0]
 
 
-def reference_sgd_step(state: ReferenceTrainState, model, dataset: Dataset, batch: Batch) -> ReferenceTrainState:
+def reference_sgd_step(state: ReferenceTrainState, model, dataset: Dataset, batch: ReferenceBatch) -> ReferenceTrainState:
     """theta <- theta - eta * (batch mean gradient); k <- k + 1."""
     grad = reference_batch_mean_gradient(model, dataset, state.theta, batch)
     theta = state.theta - state.learning_rate * grad
@@ -434,7 +453,7 @@ def reference_adam_step(
     state: ReferenceTrainState,
     model,
     dataset: Dataset,
-    batch: Batch,
+    batch: ReferenceBatch,
     beta_m: float = 0.9,
     beta_v: float = 0.999,
     epsilon: float = 1e-8,
@@ -514,18 +533,18 @@ def reference_train(
     for k in range(iterations):
         if k % eval_every == 0:
             evaluate(state)
-        batch = draw_batch(scheme, n, rng)
+        batch = reference_draw_batch(scheme, n, rng)
         if batch_log_path is not None:
             batches.append((k, batch))
         if isinstance(optimizer, Adam):
             state = reference_adam_step(
-                state, model, dataset, batch, optimizer.beta_m, optimizer.beta_v, optimizer.epsilon
+                state, model, dataset, batch, optimize.ADAM_BETA_M, optimize.ADAM_BETA_V, optimize.ADAM_EPSILON
             )
         else:
             state = reference_sgd_step(state, model, dataset, batch)
     evaluate(state)
     if batch_log_path is not None:
-        save_batch_log(batch_log_path, batches, seed=seed)
+        save_batch_log(batch_log_path, [(k, b.indices) for k, b in batches], seed=seed)
     return trace
 
 
@@ -538,7 +557,7 @@ def reference_monte_carlo_error(grads: GradientFamily, scheme, draws: int, seed:
     rng = np.random.default_rng(seed)
     sq_errors = np.empty(draws)
     for t in range(draws):
-        diff = rows[draw_batch(scheme, rows.shape[0], rng).indices].mean(axis=0) - ref
+        diff = rows[reference_draw_batch(scheme, rows.shape[0], rng).indices].mean(axis=0) - ref
         sq_errors[t] = diff @ diff
     se = float(np.std(sq_errors, ddof=1) / math.sqrt(draws))
     return float(np.mean(sq_errors)), se
@@ -576,8 +595,11 @@ def assert_same_run(run, ref, log, ref_log):
 
 class TestMatchesReferenceLoop:
     @pytest.mark.parametrize("sampler", ["srs", "typicality"])
-    @pytest.mark.parametrize("optimizer", [Sgd(eta=0.02), Adam(eta=0.05, beta_m=0.85, epsilon=1e-6)])
-    def test_quadratic_bit_for_bit(self, sampler, optimizer, tmp_path):
+    @pytest.mark.parametrize("optimizer", [Sgd(eta=0.02), Adam(eta=0.05)])
+    def test_quadratic_bit_for_bit(self, sampler, optimizer, tmp_path, monkeypatch):
+        if optimizer.kind == "adam":  # off-default settings, read by both loops at call time
+            monkeypatch.setattr(optimize, "ADAM_BETA_M", 0.85)
+            monkeypatch.setattr(optimize, "ADAM_EPSILON", 1e-6)
         model, ds, val, spec = quadratic_case()
         part = half_partition(ds.n_samples)
         plan = make_plan(6, 4, part)
@@ -668,6 +690,19 @@ class TestRepeatsRejectedBeforeTheFirstDraw:
         family = GradientFamily(per_sample=grads, reference=grads.mean(axis=0))
         with pytest.raises(InvalidArgumentError):
             analysis.monte_carlo_error(family, scheme, 100, seed=0)
+
+    @pytest.mark.parametrize("scheme", REPEATING_SCHEMES)
+    def test_exact_oracles(self, small_quadratic, scheme, no_draws):
+        # the formula and the enumeration it is checked against must not agree on repeating batches
+        ds, _ = small_quadratic
+        grads = per_sample_gradients(QuadraticModel(), ds, np.zeros(2))
+        family = GradientFamily(per_sample=grads, reference=grads.mean(axis=0))
+        with pytest.raises(InvalidArgumentError):
+            analysis.exact_error(family, scheme)
+        with pytest.raises(InvalidArgumentError):
+            analysis.enumerate_error(family, scheme)
+        with pytest.raises(InvalidArgumentError):
+            batch_space_size(scheme, ds.n_samples)
 
     def test_recursion_check(self, small_quadratic, no_draws):
         ds, spec = small_quadratic

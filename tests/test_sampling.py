@@ -4,21 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from typsgd.analysis import enumerated_means
 from typsgd.density import Partition
 from typsgd.errors import InvalidArgumentError
 from typsgd.sampling import (
-    Batch,
     BatchPlan,
     SrsScheme,
     StratifiedScheme,
     batch_space_size,
     default_plan,
+    draw_indices,
     load_batch_log,
     make_plan,
     plan_beta,
+    resolve_strata,
     save_batch_log,
     srs_batch,
     typicality_batch,
@@ -37,8 +37,7 @@ def partition_of(n1, n2, scatter_seed=None):
 
 class TestSrs:
     def test_full_draw_is_permutation(self, rng):
-        batch = srs_batch(5, 5, rng)
-        assert sorted(batch.indices.tolist()) == [0, 1, 2, 3, 4]
+        assert sorted(srs_batch(5, 5, rng).tolist()) == [0, 1, 2, 3, 4]
 
     def test_pair_frequencies(self):
         # every C(4,2) pair should appear with frequency 1/6 +- 3 sigma
@@ -46,7 +45,7 @@ class TestSrs:
         draws = 60_000
         counts = dict.fromkeys(itertools.combinations(range(4), 2), 0)
         for _ in range(draws):
-            counts[tuple(sorted(srs_batch(4, 2, rng).indices))] += 1
+            counts[tuple(sorted(srs_batch(4, 2, rng).tolist()))] += 1
         sigma = np.sqrt((1 / 6) * (5 / 6) / draws)
         for pair, count in counts.items():
             assert abs(count / draws - 1 / 6) <= 3 * sigma, pair
@@ -55,7 +54,7 @@ class TestSrs:
         seqs = []
         for _ in range(2):
             rng = np.random.default_rng(42)
-            seqs.append([srs_batch(10, 3, rng).indices.tolist() for _ in range(20)])
+            seqs.append([srs_batch(10, 3, rng).tolist() for _ in range(20)])
         assert seqs[0] == seqs[1]
 
     def test_oversized_batch(self, rng):
@@ -103,8 +102,8 @@ class TestTypicality:
         plan = make_plan(2, 1, part)
         for _ in range(20):
             batch = typicality_batch(part, plan, rng)
-            assert batch.indices[0] in part.h_indices
-            assert batch.indices[1] in part.l_indices
+            assert batch[0] in part.h_indices
+            assert batch[1] in part.l_indices
 
     def test_inclusion_frequencies(self):
         # H members included with probability 2/3, L members with 1/6
@@ -114,7 +113,7 @@ class TestTypicality:
         draws = 90_000
         counts = np.zeros(9)
         for _ in range(draws):
-            counts[typicality_batch(part, plan, rng).indices] += 1
+            counts[typicality_batch(part, plan, rng)] += 1
         freq = counts / draws
         for target, members in ((2 / 3, part.h_indices), (1 / 6, part.l_indices)):
             sigma = np.sqrt(target * (1 - target) / draws)
@@ -125,9 +124,9 @@ class TestTypicality:
         plan = make_plan(6, 4, part)
         for _ in range(200):
             batch = typicality_batch(part, plan, rng)
-            assert len(set(batch.indices.tolist())) == 6
-            assert np.isin(batch.indices, part.h_indices).sum() == 4
-            assert np.isin(batch.indices, part.l_indices).sum() == 2
+            assert len(set(batch.tolist())) == 6
+            assert np.isin(batch, part.h_indices).sum() == 4
+            assert np.isin(batch, part.l_indices).sum() == 2
 
 
 @given(st.data())
@@ -145,10 +144,10 @@ def test_typicality_batch_counts_property(data):
     m, k = data.draw(st.sampled_from(feasible))
     plan = make_plan(m, k, part)
     batch = typicality_batch(part, plan, np.random.default_rng(data.draw(st.integers(0, 2**32))))
-    assert len(batch.indices) == m
+    assert len(batch) == m
     # the first k indices are the H draws
-    assert np.isin(batch.indices[:k], part.h_indices).all()
-    assert not np.isin(batch.indices[k:], part.h_indices).any()
+    assert np.isin(batch[:k], part.h_indices).all()
+    assert not np.isin(batch[k:], part.h_indices).any()
 
 
 class TestSchemes:
@@ -179,25 +178,30 @@ def test_batch_log_round_trip(tmp_path, rng):
     path = tmp_path / "batches.csv"
     save_batch_log(path, batches)
     loaded = load_batch_log(path)
-    assert [(k, b.indices.tolist()) for k, b in batches] == [(k, idx.tolist()) for k, idx in loaded]
+    assert [(k, ids.tolist()) for k, ids in batches] == [(k, ids.tolist()) for k, ids in loaded]
 
 
-ids = st.integers(-(2**63), 2**63 - 1)
-
-
-@given(arrays(np.int64, st.integers(0, 60), elements=ids, unique=True))
+@given(st.data())
 @settings(max_examples=60, deadline=None)
-def test_batch_accepts_distinct_ids_unchanged(indices):
-    batch = Batch(indices=indices)
-    assert batch.indices.dtype == np.int64
-    assert np.array_equal(batch.indices, indices)
-
-
-@given(arrays(np.int64, st.integers(1, 60), elements=ids), st.data())
-@settings(max_examples=60, deadline=None)
-def test_batch_rejects_any_repeat(indices, data):
-    src = data.draw(st.integers(0, indices.shape[0] - 1))
-    dst = data.draw(st.integers(0, indices.shape[0]))
-    repeated = np.insert(indices, dst, indices[src])
-    with pytest.raises(InvalidArgumentError, match="distinct"):
-        Batch(indices=repeated)
+def test_samplers_are_draw_indices_on_resolved_strata(data):
+    # the inclusion checks call the samplers; training draws through draw_indices
+    n1_pop = data.draw(st.integers(1, 6))
+    n2_pop = data.draw(st.integers(n1_pop, 8))
+    part = partition_of(n1_pop, n2_pop, scatter_seed=data.draw(st.integers(0, 99)))
+    n = part.n_total
+    feasible = [
+        (m, k)
+        for m in range(2, n + 1)
+        for k in range(max(1, m - n2_pop), min(n1_pop, m - 1) + 1)
+        if k * n2_pop >= (m - k) * n1_pop
+    ]
+    seed = data.draw(st.integers(0, 2**32))
+    m = data.draw(st.integers(1, n))
+    got = srs_batch(n, m, np.random.default_rng(seed))
+    want = draw_indices(resolve_strata(SrsScheme(m=m), n), np.random.default_rng(seed))
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    m, k = data.draw(st.sampled_from(feasible))  # m = 2, k = 1 always fits, as N2 >= N1
+    plan = make_plan(m, k, part)
+    got = typicality_batch(part, plan, np.random.default_rng(seed))
+    want = draw_indices(resolve_strata(StratifiedScheme(part, plan), n), np.random.default_rng(seed))
+    assert got.dtype == np.int64 and np.array_equal(got, want)
