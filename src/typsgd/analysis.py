@@ -8,7 +8,8 @@ and a Monte-Carlo estimator for populations too large to enumerate. The
 exact error, the enumeration and the Monte-Carlo estimate are each written
 once over a scheme's strata; SRS is the one-stratum case. Every batch mean,
 the descent recursion check's included, comes from ``enumerated_means`` or
-``drawn_means``.
+``drawn_means``, and ``oracle_path`` alone decides which: enumeration when
+the batch space fits a budget, Monte-Carlo otherwise.
 
 Two stratified formulas are provided deliberately. The published identity
 (`typicality_error_formula_published`) measures H-stratum dispersion about the
@@ -52,6 +53,7 @@ class ErrorComparison(NamedTuple):
     mse_strat: float
     holds: bool
     alpha: float
+    paths: tuple[str, str]  # the (SRS, stratified) oracle paths, as oracle_path names them
 
 
 class RateFactor(NamedTuple):
@@ -225,16 +227,27 @@ def drawn_means(rows: np.ndarray, strata, draws: int, rng: np.random.Generator) 
     return means
 
 
+def oracle_path(scheme, n_total: int, budget: int) -> tuple[str, int]:
+    """The one enumerate-or-sample rule: (path, batch space size) of ``scheme`` over ``n_total`` samples.
+
+    The path is "enumeration" when the scheme has at most ``budget`` distinct
+    batches and "monte_carlo" otherwise. Every oracle that chooses between
+    :func:`enumerated_means` and :func:`drawn_means` reads its choice here.
+    """
+    count = batch_space_size(scheme, n_total)
+    return ("enumeration" if count <= budget else "monte_carlo"), count
+
+
 def enumerate_error(grads: GradientFamily, scheme, budget: int = ENUMERATION_BUDGET) -> float:
     """Exact E||batch mean - reference||^2 over every possible batch.
 
     The ground-truth oracle for all formula checks. Raises CapabilityError
-    when the batch space exceeds ``budget``; use :func:`monte_carlo_error`
-    in that case.
+    when :func:`oracle_path` does not choose enumeration under ``budget``;
+    use :func:`monte_carlo_error` in that case.
     """
     rows = grads.per_sample
-    count = batch_space_size(scheme, rows.shape[0])
-    if count > budget:
+    path, count = oracle_path(scheme, rows.shape[0], budget)
+    if path != "enumeration":
         raise CapabilityError(f"{count} batches exceed the enumeration budget {budget}; use monte_carlo_error")
     total = 0.0
     for means in enumerated_means(rows, resolve_strata(scheme, rows.shape[0])):
@@ -290,24 +303,27 @@ def compare_error_expectations(
 ) -> ErrorComparison:
     """Compare stratified vs SRS expected squared error on one instance.
 
-    Both expectations are enumerated exactly when affordable, otherwise
-    Monte-Carlo estimated. The inequality is reported, never asserted:
-    instances violating the representativeness premise can and do fail it.
-    alpha = mse_strat / mse_srs, with alpha = 1 by convention when the SRS
-    error vanishes.
+    Each expectation takes the path :func:`oracle_path` picks under
+    ``budget``: :func:`enumerate_error` when the scheme's batch space fits,
+    else the mean of :func:`monte_carlo_error` over ``mc_draws`` batches
+    drawn with ``seed``. ``paths`` names the (SRS, stratified) paths taken.
+    The inequality is reported, never asserted: instances violating the
+    representativeness premise can and do fail it. alpha = mse_strat /
+    mse_srs, with alpha = 1 by convention when the SRS error vanishes.
     """
-    stratified = StratifiedScheme(partition=partition, plan=plan)
 
     def expected(scheme):
-        try:
-            return enumerate_error(grads, scheme, budget=budget)
-        except CapabilityError:
-            return monte_carlo_error(grads, scheme, draws=mc_draws, seed=seed)[0]
+        path, _ = oracle_path(scheme, grads.n_samples, budget)
+        if path == "enumeration":
+            return path, enumerate_error(grads, scheme, budget=budget)
+        return path, monte_carlo_error(grads, scheme, draws=mc_draws, seed=seed)[0]
 
-    mse_srs = expected(SrsScheme(m=plan.m))
-    mse_strat = expected(stratified)
+    srs_path, mse_srs = expected(SrsScheme(m=plan.m))
+    strat_path, mse_strat = expected(StratifiedScheme(partition=partition, plan=plan))
     alpha = 1.0 if mse_srs == 0.0 else mse_strat / mse_srs
-    return ErrorComparison(mse_srs=mse_srs, mse_strat=mse_strat, holds=mse_strat <= mse_srs, alpha=alpha)
+    return ErrorComparison(
+        mse_srs=mse_srs, mse_strat=mse_strat, holds=mse_strat <= mse_srs, alpha=alpha, paths=(srs_path, strat_path)
+    )
 
 
 def optimal_beta(m: int) -> float:
@@ -328,21 +344,22 @@ def build_error_report(
     grads: GradientFamily,
     partition: Partition,
     plan: BatchPlan,
-    budget: int = ENUMERATION_BUDGET,
     mc_draws: int = 0,
     seed: int = 0,
 ) -> ErrorReport:
     """Evaluate every error expectation for one instance, side by side.
 
-    The stratified error is enumerated once, inside the SRS/stratified
-    comparison; ``mse_enumerated`` is that value when the batch space fits
-    ``budget`` and None otherwise.
+    The stratified error is taken once, inside the SRS/stratified
+    comparison, under the ``ENUMERATION_BUDGET`` read at call time;
+    ``mse_enumerated`` is that value when the comparison's stratified path
+    (``paths[1]``) is enumeration and None when it is Monte-Carlo. With
+    ``mc_draws`` > 0, ``mse_monte_carlo`` adds a stratified Monte-Carlo
+    (mean, standard error) over that many draws.
     """
     bias_sq, s_h_sq, s_l_sq, published = _published_terms(grads, partition, plan)
     stratified = StratifiedScheme(partition=partition, plan=plan)
     mc = monte_carlo_error(grads, stratified, draws=mc_draws, seed=seed) if mc_draws else None
-    compare = compare_error_expectations(grads, partition, plan, budget=budget, seed=seed)
-    fits = batch_space_size(stratified, partition.n_total) <= budget
+    compare = compare_error_expectations(grads, partition, plan, budget=ENUMERATION_BUDGET, seed=seed)
     return ErrorReport(
         mse_srs_formula=srs_error_formula(grads, plan.m),
         mse_strat_published=published,
@@ -351,7 +368,7 @@ def build_error_report(
         s_h_sq=s_h_sq,
         s_l_sq=s_l_sq,
         bias_sq=bias_sq,
-        mse_enumerated=compare.mse_strat if fits else None,
+        mse_enumerated=compare.mse_strat if compare.paths[1] == "enumeration" else None,
         mse_monte_carlo=mc,
         alpha=compare.alpha,
     )

@@ -5,8 +5,8 @@ batch stream comes from one seeded generator and evaluation happens on a
 fixed schedule, so traces are bit-reproducible and paired-seed comparisons
 across schemes share their evaluation grid. The recursion check at the
 bottom verifies the per-step descent bound along an actual training path,
-with batch expectations enumerated exactly whenever the batch space fits
-the budget.
+with batch expectations enumerated exactly whenever ``analysis.oracle_path``
+finds that the batch space fits the budget.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from typing import ClassVar
 import numpy as np
 
 from ._csvio import format_number, read_rows, write_rows
-from .analysis import drawn_means, enumerated_means, formula_alpha
+from .analysis import drawn_means, enumerated_means, formula_alpha, oracle_path
 from .data import Dataset
 from .errors import InvalidArgumentError, NumericError
 from .models import _targets_for, mean_loss, per_sample_gradients
-from .sampling import batch_space_size, draw_indices, resolve_strata
+from .sampling import draw_indices, resolve_strata
 
 
 # Adam's moment decays and denominator guard, read by adam_step at call time
@@ -62,6 +62,10 @@ class Adam:
 
     eta: float
     kind: ClassVar[str] = "adam"
+
+    def __post_init__(self):
+        if self.eta < 0:
+            raise InvalidArgumentError("learning rate must be >= 0")
 
     def init_state(self, theta):
         """First and second moments, zero before the first step."""
@@ -246,9 +250,11 @@ def descent_recursion_check(
 
     At each visited state the expected next-step optimality gap (lhs) is
     compared with (1 - mu/L) * gap + E||e||^2 / (2L) (rhs). Expectations are
-    exact enumerations over all batches when the batch space has at most
-    ``mc_batches`` members, otherwise Monte-Carlo with a 3-standard-error
-    allowance on the paired difference, which needs at least 2 batches.
+    exact enumerations over all batches when :func:`analysis.oracle_path`
+    with budget ``mc_batches`` picks enumeration (the batch space has at most
+    ``mc_batches`` members), otherwise Monte-Carlo over ``mc_batches`` drawn
+    batches with a 3-standard-error allowance on the paired difference,
+    which needs at least 2 batches. ``exact`` on the report names the path.
     """
     if model_spec.lipschitz_L is None or model_spec.strong_convexity_mu is None:
         raise InvalidArgumentError("recursion check needs exact L and mu")
@@ -262,7 +268,7 @@ def descent_recursion_check(
     features, targets = dataset.features, _targets_for(model, dataset)
     rng = np.random.default_rng(seed)
     theta = np.array(theta0, dtype=np.float64) if theta0 is not None else model.init_theta(dataset, seed)
-    exact = batch_space_size(scheme, n) <= mc_batches
+    exact = oracle_path(scheme, n, mc_batches)[0] == "enumeration"
     if not exact and mc_batches < 2:
         # one draw has no standard error, and none has no mean
         raise InvalidArgumentError(f"the Monte-Carlo recursion check needs at least 2 batches; got {mc_batches}")

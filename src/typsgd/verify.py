@@ -234,7 +234,8 @@ def check_recursion(rng, scheme) -> CheckResult:
         f"descent_recursion_{scheme.kind}",
         "ASSERTED",
         report.holds_all and report.exact,
-        f"30 enumerated steps, min slack rhs - lhs = {margin:.3e}",
+        f"{len(report.steps)} {'enumerated' if report.exact else 'Monte-Carlo'} steps, "
+        f"min slack rhs - lhs = {margin:.3e}",
     )
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from typsgd import analysis
 from typsgd.analysis import (
     _combination_sums,
     build_error_report,
@@ -17,6 +18,7 @@ from typsgd.analysis import (
     srs_error_formula,
     convergence_rate_factor,
     compare_error_expectations,
+    oracle_path,
     typicality_error_corrected,
     typicality_error_formula_published,
 )
@@ -347,3 +349,91 @@ def test_error_report_shows_both_formulas(rng):
     assert report.mse_monte_carlo is not None
     line = report.to_json(instance=0, scheme="stratified", m=plan.m, n1=plan.n1, n2=plan.n2)
     assert '"mse_strat_published"' in line and '"instance": 0' in line
+
+
+# The enumerate-or-sample rule at its boundary: SRS m = 4 of 10 samples has
+# C(10, 4) = 210 batches, the H/L scheme 2 of 4 and 2 of 6 has 6 * 15 = 90.
+SRS_SPACE, STRAT_SPACE = 210, 90
+
+
+def boundary_instance():
+    rows = np.random.default_rng(3).normal(size=(10, 2))
+    grads, part = two_strata_family(rows[:4], rows[4:], rows.mean(axis=0))
+    return grads, part, make_plan(4, 2, part)
+
+
+def expected_by_path(grads, scheme, path, budget, mc_draws, seed):
+    if path == "enumeration":
+        return enumerate_error(grads, scheme, budget=budget)
+    return monte_carlo_error(grads, scheme, draws=mc_draws, seed=seed)[0]
+
+
+class TestOraclePath:
+    @pytest.mark.parametrize("stratified, space", [(False, SRS_SPACE), (True, STRAT_SPACE)])
+    def test_enumerates_up_to_the_budget_and_samples_beyond(self, stratified, space):
+        grads, part, plan = boundary_instance()
+        scheme = StratifiedScheme(part, plan) if stratified else SrsScheme(m=plan.m)
+        assert oracle_path(scheme, grads.n_samples, space) == ("enumeration", space)
+        assert oracle_path(scheme, grads.n_samples, space - 1) == ("monte_carlo", space)
+        assert enumerate_error(grads, scheme, budget=space) == pytest.approx(brute_force_expectation(grads, scheme))
+        with pytest.raises(CapabilityError, match=f"{space} batches exceed the enumeration budget {space - 1}"):
+            enumerate_error(grads, scheme, budget=space - 1)
+
+    @pytest.mark.parametrize(
+        "budget, paths",
+        [
+            (SRS_SPACE, ("enumeration", "enumeration")),
+            (SRS_SPACE - 1, ("monte_carlo", "enumeration")),
+            (STRAT_SPACE, ("monte_carlo", "enumeration")),
+            (STRAT_SPACE - 1, ("monte_carlo", "monte_carlo")),
+        ],
+    )
+    def test_comparison_names_the_path_of_each_value(self, budget, paths):
+        grads, part, plan = boundary_instance()
+        result = compare_error_expectations(grads, part, plan, budget=budget, mc_draws=300, seed=5)
+        assert result.paths == paths
+        srs_path, strat_path = paths
+        # each value is exactly what its named oracle gives: a Monte-Carlo value
+        # is the mean of mc_draws batches drawn with the comparison's seed
+        assert result.mse_srs == expected_by_path(grads, SrsScheme(m=plan.m), srs_path, budget, 300, 5)
+        assert result.mse_strat == expected_by_path(grads, StratifiedScheme(part, plan), strat_path, budget, 300, 5)
+        assert result.alpha == result.mse_strat / result.mse_srs
+        assert result.holds == (result.mse_strat <= result.mse_srs)
+
+    @pytest.mark.parametrize("budget, enumerated", [(STRAT_SPACE, True), (STRAT_SPACE - 1, False)])
+    def test_error_report_reads_the_budget_at_call_time(self, monkeypatch, budget, enumerated):
+        grads, part, plan = boundary_instance()
+        monkeypatch.setattr(analysis, "ENUMERATION_BUDGET", budget)
+        # the comparison inside samples 100 000 batches per Monte-Carlo path; a stand-in keeps this fast
+        monkeypatch.setattr(analysis, "monte_carlo_error", lambda grads, scheme, draws, seed: (1.0, 0.0))
+        report = build_error_report(grads, part, plan)
+        if enumerated:
+            assert abs(report.mse_enumerated - report.mse_strat_corrected) <= 1e-9
+        else:
+            assert report.mse_enumerated is None and report.alpha == 1.0
+
+    def test_comparison_reaches_both_oracles_by_module_name(self, monkeypatch):
+        # span tracers bind wrappers to analysis.enumerate_error and
+        # analysis.monte_carlo_error by name; a comparison that called past
+        # them would leave analysis.enumerate_s, monte_carlo_s and mc_draws at 0
+        calls = {"enumerate_error": [], "monte_carlo_error": []}
+
+        def counting(name):
+            original = getattr(analysis, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name].append(kwargs.get("draws"))
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(analysis, name, counting(name))
+        grads, part, plan = boundary_instance()
+        assert compare_error_expectations(grads, part, plan, budget=SRS_SPACE - 1, mc_draws=300).paths == (
+            "monte_carlo",
+            "enumeration",
+        )
+        assert calls == {"enumerate_error": [None], "monte_carlo_error": [300]}
+        compare_error_expectations(grads, part, plan, budget=STRAT_SPACE - 1, mc_draws=300)
+        assert calls == {"enumerate_error": [None], "monte_carlo_error": [300, 300, 300]}

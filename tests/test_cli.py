@@ -172,6 +172,16 @@ def test_train_pool_is_capped_at_the_cell_count(workspace, monkeypatch):
     assert sizes == [8]  # 2 samplers x 2 optimizers x 2 seeds
 
 
+def test_negative_adam_learning_rate_is_usage_error(workspace, capsys):
+    config, out = workspace
+    config.write_text(config.read_text().replace("adam_eta = 0.05", "adam_eta = -0.05"))
+    for cmd in ("gen", "partition"):
+        assert main([cmd, "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config)]) == 2
+    assert "learning rate must be >= 0" in capsys.readouterr().err
+    assert not list(out.glob("trace_*.csv"))
+
+
 def test_failing_cell_stops_the_pool(workspace, capsys):
     config, out = workspace
     # a huge SGD step overflows theta: the SGD cells raise NumericError in the workers

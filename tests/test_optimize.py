@@ -143,6 +143,13 @@ class TestAdamStep:
         assert [r.train_loss for r in runs[0].records] == [r.train_loss for r in runs[1].records]
 
 
+@pytest.mark.parametrize("optimizer", [Sgd, Adam])
+def test_negative_learning_rate_rejected(optimizer):
+    with pytest.raises(InvalidArgumentError, match="learning rate must be >= 0"):
+        optimizer(eta=-0.05)
+    assert optimizer(eta=0.0).eta == 0.0
+
+
 class TestTrain:
     def test_full_batch_bound_over_200_iterations(self, small_quadratic):
         ds, spec = small_quadratic
@@ -348,12 +355,16 @@ def stratified_half(m, n1):
 
 
 class TestRecursionMatchesReference:
-    # (scheme, mc_batches, expect exact): exact SRS, exact H/L with n1 = 2 and n2 = 1, Monte-Carlo
+    # (scheme, mc_batches, expect exact): SRS and H/L with n1 = 2 and n2 = 1 at a budget equal
+    # to their batch space (exact), and Monte-Carlo
     CASES = [
         (SrsScheme(m=2), 28, True),
         (stratified_half(3, 2), 24, True),
         (SrsScheme(m=4), 50, False),
         (stratified_half(3, 2), 10, False),
+        # one batch past each exact case's budget: C(8, 2) = 28 and C(4, 2) * C(4, 1) = 24
+        (SrsScheme(m=2), 27, False),
+        (stratified_half(3, 2), 23, False),
     ]
 
     @staticmethod

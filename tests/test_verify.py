@@ -1,10 +1,13 @@
 import numpy as np
+import pytest
 
+from typsgd import verify
 from typsgd.models import QuadraticModel
 from typsgd.sampling import SrsScheme, srs_batch, validate_plan
 from typsgd.verify import (
     check_gradients,
     check_inclusion,
+    check_recursion,
     leading_scheme,
     random_gradient_family,
     random_partition,
@@ -61,3 +64,17 @@ def test_inclusion_check_catches_a_biased_sampler():
     # three uniform draws from all nine ids include H members at 1/3, not n1/N1 = 2/3
     unsplit = check_inclusion(hl, 9, lambda r: srs_batch(9, 3, r), seed=13)
     assert not unsplit.passed
+
+
+@pytest.mark.parametrize("mc_batches, words", [(None, "30 enumerated steps"), (20, "30 Monte-Carlo steps")])
+def test_recursion_check_names_its_path(monkeypatch, mc_batches, words):
+    # 8 samples give at most C(8, 4) = 70 batches, under the check's own budget of
+    # 100; a budget of 20 sends it down the Monte-Carlo path, which it does not accept
+    if mc_batches is not None:
+        check = verify.descent_recursion_check
+        monkeypatch.setattr(
+            verify, "descent_recursion_check", lambda *a, **k: check(*a, **{**k, "mc_batches": mc_batches})
+        )
+    result = check_recursion(np.random.default_rng(0), SrsScheme(m=2))
+    assert result.detail.startswith(words + ", min slack rhs - lhs = ")
+    assert result.passed is (mc_batches is None)
