@@ -6,10 +6,11 @@ under stratified typicality sampling. Each closed form is paired with an
 exhaustive enumeration oracle (every possible batch, exact probabilities)
 and a Monte-Carlo estimator for populations too large to enumerate. The
 exact error, the enumeration and the Monte-Carlo estimate are each written
-once over a scheme's strata; SRS is the one-stratum case. Every batch mean,
-the descent recursion check's included, comes from ``enumerated_means`` or
-``drawn_means``, and ``oracle_path`` alone decides which: enumeration when
-the batch space fits a budget, Monte-Carlo otherwise.
+once over a scheme's strata; SRS is the one-stratum case. Every batch mean
+comes from ``enumerated_means`` or ``drawn_means``, and ``oracle_path``
+alone decides which: enumeration when the batch space fits a budget,
+Monte-Carlo otherwise. The descent recursion check, which takes those
+batch means at every state of an SGD path, sits beside ``oracle_path``.
 
 Two stratified formulas are provided deliberately. The published identity
 (`typicality_error_formula_published`) measures H-stratum dispersion about the
@@ -31,9 +32,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import optimize
+from .data import Dataset
 from .density import Partition
 from .errors import CapabilityError, InvalidArgumentError
-from .models import GradientFamily, gradient_family
+from .models import GradientFamily, _targets_for, gradient_family, mean_loss, per_sample_gradients
 from .sampling import (
     BatchPlan,
     SrsScheme,
@@ -238,6 +241,89 @@ def oracle_path(scheme, n_total: int, budget: int) -> tuple[str, int]:
     return ("enumeration" if count <= budget else "monte_carlo"), count
 
 
+@dataclass(frozen=True)
+class RecursionStep:
+    iteration: int
+    lhs: float
+    rhs: float
+    standard_error: float
+    holds: bool
+
+
+@dataclass(frozen=True)
+class RecursionReport:
+    steps: tuple[RecursionStep, ...]
+    holds_all: bool
+    exact: bool
+
+
+def descent_recursion_check(
+    model,
+    dataset: Dataset,
+    scheme,
+    model_spec,
+    k_steps: int,
+    mc_batches: int,
+    seed: int,
+    eta: float | None = None,
+    theta0: np.ndarray | None = None,
+) -> RecursionReport:
+    """Check the one-step descent bound along a training path.
+
+    At each visited state the expected next-step optimality gap (lhs) is
+    compared with (1 - mu/L) * gap + E||e||^2 / (2L) (rhs). Expectations are
+    exact enumerations over all batches when :func:`oracle_path` with budget
+    ``mc_batches`` picks enumeration (the batch space has at most
+    ``mc_batches`` members), otherwise Monte-Carlo over ``mc_batches`` drawn
+    batches with a 3-standard-error allowance on the paired difference,
+    which needs at least 2 batches. ``exact`` on the report names the path.
+    The path advances by ``optimize.sgd_step``, looked up at call time so
+    that a wrapper bound to that name sees every step.
+    """
+    if model_spec.lipschitz_L is None or model_spec.strong_convexity_mu is None:
+        raise InvalidArgumentError("recursion check needs exact L and mu")
+    if model_spec.exact_optimum_value is None:
+        raise InvalidArgumentError("recursion check needs the exact optimum value")
+    big_l, optimum = model_spec.lipschitz_L, model_spec.exact_optimum_value
+    contraction = 1.0 - model_spec.strong_convexity_mu / big_l
+    eta = 1.0 / big_l if eta is None else eta
+    n = dataset.n_samples
+    strata = resolve_strata(scheme, n)
+    features, targets = dataset.features, _targets_for(model, dataset)
+    rng = np.random.default_rng(seed)
+    theta = np.array(theta0, dtype=np.float64) if theta0 is not None else model.init_theta(dataset, seed)
+    exact = oracle_path(scheme, n, mc_batches)[0] == "enumeration"
+    if not exact and mc_batches < 2:
+        # one draw has no standard error, and none has no mean
+        raise InvalidArgumentError(f"the Monte-Carlo recursion check needs at least 2 batches; got {mc_batches}")
+
+    steps = []
+    for k in range(k_steps):
+        gap = mean_loss(model, dataset, theta) - optimum
+        grads = per_sample_gradients(model, dataset, theta)
+        full_grad = np.sum(grads, axis=0) / n
+        if exact:
+            means = np.concatenate(list(enumerated_means(grads, strata)))
+        else:
+            means = drawn_means(grads, strata, mc_batches, rng)
+        next_gaps = np.array([mean_loss(model, dataset, theta - eta * g) for g in means]) - optimum
+        err_sqs = np.array([err @ err for err in means - full_grad])
+        lhs = float(np.mean(next_gaps))
+        rhs = contraction * gap + float(np.mean(err_sqs)) / (2.0 * big_l)
+        if exact:
+            se = 0.0
+        else:
+            paired = next_gaps - contraction * gap - err_sqs / (2.0 * big_l)
+            se = float(np.std(paired, ddof=1) / math.sqrt(mc_batches))
+        steps.append(
+            RecursionStep(iteration=k, lhs=lhs, rhs=rhs, standard_error=se, holds=lhs <= rhs + 3.0 * se)
+        )
+        # advance the path by one real stochastic step
+        idx = draw_indices(strata, rng)
+        theta = optimize.sgd_step(model, theta, features[idx], targets[idx], eta, k)
+    return RecursionReport(steps=tuple(steps), holds_all=all(s.holds for s in steps), exact=exact)
+
+
 def enumerate_error(grads: GradientFamily, scheme, budget: int = ENUMERATION_BUDGET) -> float:
     """Exact E||batch mean - reference||^2 over every possible batch.
 
@@ -354,12 +440,14 @@ def build_error_report(
     ``mse_enumerated`` is that value when the comparison's stratified path
     (``paths[1]``) is enumeration and None when it is Monte-Carlo. With
     ``mc_draws`` > 0, ``mse_monte_carlo`` adds a stratified Monte-Carlo
-    (mean, standard error) over that many draws.
+    (mean, standard error) over that many draws, and the comparison's
+    Monte-Carlo paths draw that many batches too instead of its default.
     """
     bias_sq, s_h_sq, s_l_sq, published = _published_terms(grads, partition, plan)
     stratified = StratifiedScheme(partition=partition, plan=plan)
     mc = monte_carlo_error(grads, stratified, draws=mc_draws, seed=seed) if mc_draws else None
-    compare = compare_error_expectations(grads, partition, plan, budget=ENUMERATION_BUDGET, seed=seed)
+    draws = {"mc_draws": mc_draws} if mc_draws else {}  # else the comparison's default
+    compare = compare_error_expectations(grads, partition, plan, budget=ENUMERATION_BUDGET, seed=seed, **draws)
     return ErrorReport(
         mse_srs_formula=srs_error_formula(grads, plan.m),
         mse_strat_published=published,

@@ -19,14 +19,15 @@ import numpy as np
 
 from ._csvio import format_number, read_rows, write_rows, write_text
 from ._parallel import map_processes
+from .analysis import formula_alpha
 from .config import RunConfig
 from .data import Dataset, generate_clustered, generate_pwl_curves, load_csv, save_csv, split_dataset
-from .density import Partition, build_partition, kde_densities, load_partition, save_partition
+from .density import build_partition, kde_densities, load_partition, save_partition
 from .embedding import load_embedding_points, save_embedding, tsne_embed
 from .errors import CapabilityError, CsvFormatError, InvalidArgumentError, NumericError
 from .models import MODEL_KINDS, ModelSpec, quadratic_constants, save_theta
 from .optimize import Adam, Sgd, first_reach, load_trace_rows, median_reach, save_trace, train
-from .sampling import BatchPlan, SrsScheme, StratifiedScheme, default_plan, make_plan, save_batch_log
+from .sampling import SrsScheme, StratifiedScheme, default_plan, make_plan, save_batch_log
 from .svg import line_chart, scatter_chart
 from .verify import all_asserted_pass, run_verification
 
@@ -170,8 +171,6 @@ class TrainSetup(NamedTuple):
     spec: ModelSpec | None
     schemes: dict
     optimizers: dict
-    partition: Partition | None
-    plan: BatchPlan | None
     iterations: int
     eval_every: int
     log_batches: bool
@@ -194,7 +193,6 @@ def _train_setup(config: RunConfig, out_dir: str) -> TrainSetup:
     samplers = config.get_list("train", "samplers", ("srs", "typicality"))
     m = config.get_int("train", "m", required=True)
     schemes = {}
-    partition = plan = None
     for name in samplers:
         if name == "srs":
             schemes[name] = SrsScheme(m=m)
@@ -220,7 +218,7 @@ def _train_setup(config: RunConfig, out_dir: str) -> TrainSetup:
         else:
             raise InvalidArgumentError(f"unknown optimizer {name!r}")
     return TrainSetup(
-        train_data, val_data, model, spec, schemes, optimizers, partition, plan,
+        train_data, val_data, model, spec, schemes, optimizers,
         iterations=config.get_int("train", "iterations", required=True),
         eval_every=config.get_int("train", "eval_every", 10),
         log_batches=config.get_bool("train", "log_batches", False),
@@ -229,12 +227,16 @@ def _train_setup(config: RunConfig, out_dir: str) -> TrainSetup:
 
 
 def _run_cell(setup: TrainSetup, out_dir: str, sampler: str, optimizer: str, seed: int, with_alpha: bool):
-    """One (sampler, optimizer, seed) training run; writes trace, theta and (if logged) batch files."""
+    """One (sampler, optimizer, seed) training run; writes trace, theta and (if logged) batch files.
+
+    ``with_alpha`` adds alpha.csv: the typicality scheme's error ratio at every recorded theta.
+    """
     stem = f"{sampler}_{optimizer}_seed{seed}"
+    scheme = setup.schemes[sampler]
     trace = train(
         setup.model,
         setup.train_data,
-        setup.schemes[sampler],
+        scheme,
         setup.optimizers[optimizer],
         iterations=setup.iterations,
         seed=seed,
@@ -242,7 +244,6 @@ def _run_cell(setup: TrainSetup, out_dir: str, sampler: str, optimizer: str, see
         val_data=setup.val_data,
         model_spec=setup.spec,
         record_thetas=True,
-        alpha_probe=(setup.partition, setup.plan) if with_alpha else None,
         log_batches=setup.log_batches,
     )
     save_trace(os.path.join(out_dir, f"trace_{stem}.csv"), trace, config_digest=setup.digest)
@@ -256,15 +257,17 @@ def _run_cell(setup: TrainSetup, out_dir: str, sampler: str, optimizer: str, see
         seed=seed,
     )
     if with_alpha:
-        rows = [[r.iteration, format_number(r.alpha)] for r in trace.records if r.alpha is not None]
-        if rows:
-            write_rows(
-                os.path.join(out_dir, "alpha.csv"),
-                rows,
-                header=["iteration", "alpha"],
-                config_digest=setup.digest,
-                seed=seed,
-            )
+        rows = [
+            [k, format_number(formula_alpha(setup.model, setup.train_data, theta, scheme.partition, scheme.plan))]
+            for k, theta in trace.thetas
+        ]
+        write_rows(
+            os.path.join(out_dir, "alpha.csv"),
+            rows,
+            header=["iteration", "alpha"],
+            config_digest=setup.digest,
+            seed=seed,
+        )
     return stem
 
 

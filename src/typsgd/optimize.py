@@ -3,26 +3,23 @@
 A run is a pure function of (model, dataset, scheme, optimizer, seed): the
 batch stream comes from one seeded generator and evaluation happens on a
 fixed schedule, so traces are bit-reproducible and paired-seed comparisons
-across schemes share their evaluation grid. The recursion check at the
-bottom verifies the per-step descent bound along an actual training path,
-with batch expectations enumerated exactly whenever ``analysis.oracle_path``
-finds that the batch space fits the budget.
+across schemes share their evaluation grid. A trace keeps only what the
+run observes (losses, suboptimality and, on request, the parameters and
+batch ids); quantities along the path, such as the error ratio alpha, are
+derived from the recorded parameters afterwards.
 """
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
 from ._csvio import format_number, read_rows, write_rows
-from .analysis import drawn_means, enumerated_means, formula_alpha, oracle_path
 from .data import Dataset
 from .errors import InvalidArgumentError, NumericError
-from .models import _targets_for, mean_loss, per_sample_gradients
+from .models import _targets_for, mean_loss
 from .sampling import draw_indices, resolve_strata
 
 
@@ -82,18 +79,13 @@ class TraceRecord:
     train_loss: float
     val_loss: float | None
     subopt: float | None
-    wall_time: float
-    sampler: str
-    alpha: float | None = None
 
 
 @dataclass
 class TrainTrace:
     records: list[TraceRecord]
     sampler_kind: str
-    optimizer_kind: str
     seed: int
-    eval_every: int
     thetas: list[tuple[int, np.ndarray]] = field(default_factory=list)
     batches: list[tuple[int, np.ndarray]] = field(default_factory=list)  # (iteration, ids) when train logs batches
 
@@ -150,17 +142,15 @@ def train(
     model_spec=None,
     theta0: np.ndarray | None = None,
     record_thetas: bool = False,
-    alpha_probe=None,
     log_batches: bool = False,
 ) -> TrainTrace:
     """Run a full training loop and record its trace.
 
     Suboptimality is recorded whenever ``model_spec`` provides the exact
-    optimum value. ``alpha_probe`` may be a (partition, plan) pair: at every
-    evaluation point the stratified/SRS error ratio is computed from the
-    current per-sample gradients and stored on the record. With
-    ``log_batches`` every step's (iteration, ids) pair is kept on
-    ``trace.batches`` for :func:`save_batch_log`.
+    optimum value. With ``record_thetas`` the parameters at every evaluation
+    point are kept on ``trace.thetas``; with ``log_batches`` every step's
+    (iteration, ids) pair is kept on ``trace.batches`` for
+    :func:`save_batch_log`.
 
     The strata are resolved and checked once, before the first step; each
     step then only draws the batch ids, gathers their rows and updates.
@@ -175,14 +165,7 @@ def train(
     rng = np.random.default_rng(seed)
     theta = np.array(theta0, dtype=np.float64) if theta0 is not None else model.init_theta(dataset, seed)
     state = optimizer.init_state(theta)
-    trace = TrainTrace(
-        records=[],
-        sampler_kind=scheme.kind,
-        optimizer_kind=optimizer.kind,
-        seed=seed,
-        eval_every=eval_every,
-    )
-    start = time.perf_counter()
+    trace = TrainTrace(records=[], sampler_kind=scheme.kind, seed=seed)
 
     def evaluate(iteration, theta):
         loss = mean_loss(model, dataset, theta)
@@ -190,20 +173,7 @@ def train(
         subopt = None
         if model_spec is not None and model_spec.exact_optimum_value is not None:
             subopt = loss - model_spec.exact_optimum_value
-        alpha = None
-        if alpha_probe is not None:
-            alpha = formula_alpha(model, dataset, theta, *alpha_probe)
-        trace.records.append(
-            TraceRecord(
-                iteration=iteration,
-                train_loss=loss,
-                val_loss=val,
-                subopt=subopt,
-                wall_time=time.perf_counter() - start,
-                sampler=trace.sampler_kind,
-                alpha=alpha,
-            )
-        )
+        trace.records.append(TraceRecord(iteration=iteration, train_loss=loss, val_loss=val, subopt=subopt))
         if record_thetas:
             trace.thetas.append((iteration, theta.copy()))
 
@@ -219,98 +189,14 @@ def train(
     return trace
 
 
-@dataclass(frozen=True)
-class RecursionStep:
-    iteration: int
-    lhs: float
-    rhs: float
-    standard_error: float
-    holds: bool
-
-
-@dataclass(frozen=True)
-class RecursionReport:
-    steps: tuple[RecursionStep, ...]
-    holds_all: bool
-    exact: bool
-
-
-def descent_recursion_check(
-    model,
-    dataset: Dataset,
-    scheme,
-    model_spec,
-    k_steps: int,
-    mc_batches: int,
-    seed: int,
-    eta: float | None = None,
-    theta0: np.ndarray | None = None,
-) -> RecursionReport:
-    """Check the one-step descent bound along a training path.
-
-    At each visited state the expected next-step optimality gap (lhs) is
-    compared with (1 - mu/L) * gap + E||e||^2 / (2L) (rhs). Expectations are
-    exact enumerations over all batches when :func:`analysis.oracle_path`
-    with budget ``mc_batches`` picks enumeration (the batch space has at most
-    ``mc_batches`` members), otherwise Monte-Carlo over ``mc_batches`` drawn
-    batches with a 3-standard-error allowance on the paired difference,
-    which needs at least 2 batches. ``exact`` on the report names the path.
-    """
-    if model_spec.lipschitz_L is None or model_spec.strong_convexity_mu is None:
-        raise InvalidArgumentError("recursion check needs exact L and mu")
-    if model_spec.exact_optimum_value is None:
-        raise InvalidArgumentError("recursion check needs the exact optimum value")
-    big_l, optimum = model_spec.lipschitz_L, model_spec.exact_optimum_value
-    contraction = 1.0 - model_spec.strong_convexity_mu / big_l
-    eta = 1.0 / big_l if eta is None else eta
-    n = dataset.n_samples
-    strata = resolve_strata(scheme, n)
-    features, targets = dataset.features, _targets_for(model, dataset)
-    rng = np.random.default_rng(seed)
-    theta = np.array(theta0, dtype=np.float64) if theta0 is not None else model.init_theta(dataset, seed)
-    exact = oracle_path(scheme, n, mc_batches)[0] == "enumeration"
-    if not exact and mc_batches < 2:
-        # one draw has no standard error, and none has no mean
-        raise InvalidArgumentError(f"the Monte-Carlo recursion check needs at least 2 batches; got {mc_batches}")
-
-    steps = []
-    for k in range(k_steps):
-        gap = mean_loss(model, dataset, theta) - optimum
-        grads = per_sample_gradients(model, dataset, theta)
-        full_grad = np.sum(grads, axis=0) / n
-        if exact:
-            means = np.concatenate(list(enumerated_means(grads, strata)))
-        else:
-            means = drawn_means(grads, strata, mc_batches, rng)
-        next_gaps = np.array([mean_loss(model, dataset, theta - eta * g) for g in means]) - optimum
-        err_sqs = np.array([err @ err for err in means - full_grad])
-        lhs = float(np.mean(next_gaps))
-        rhs = contraction * gap + float(np.mean(err_sqs)) / (2.0 * big_l)
-        if exact:
-            se = 0.0
-        else:
-            paired = next_gaps - contraction * gap - err_sqs / (2.0 * big_l)
-            se = float(np.std(paired, ddof=1) / math.sqrt(mc_batches))
-        steps.append(
-            RecursionStep(iteration=k, lhs=lhs, rhs=rhs, standard_error=se, holds=lhs <= rhs + 3.0 * se)
-        )
-        # advance the path by one real stochastic step
-        idx = draw_indices(strata, rng)
-        theta = sgd_step(model, theta, features[idx], targets[idx], eta, k)
-    return RecursionReport(steps=tuple(steps), holds_all=all(s.holds for s in steps), exact=exact)
-
-
 def save_trace(path, trace: TrainTrace, config_digest: str = "none") -> None:
-    """Persist 'iteration, train_loss, val_loss, subopt, sampler, seed' rows.
-
-    Wall times stay in memory: they would break byte-level reproducibility.
-    """
+    """Persist 'iteration, train_loss, val_loss, subopt, sampler, seed' rows."""
 
     def cell(v):
         return "" if v is None else format_number(v)
 
     rows = [
-        [r.iteration, format_number(r.train_loss), cell(r.val_loss), cell(r.subopt), r.sampler, trace.seed]
+        [r.iteration, format_number(r.train_loss), cell(r.val_loss), cell(r.subopt), trace.sampler_kind, trace.seed]
         for r in trace.records
     ]
     write_rows(

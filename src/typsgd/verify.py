@@ -22,6 +22,7 @@ from .analysis import (
     srs_error_formula,
     convergence_rate_factor,
     compare_error_expectations,
+    descent_recursion_check,
     typicality_error_corrected,
     typicality_error_formula_published,
 )
@@ -41,7 +42,7 @@ from .models import (
     per_sample_gradients,
     quadratic_constants,
 )
-from .optimize import Sgd, descent_recursion_check, train
+from .optimize import Sgd, train
 from .sampling import (
     BatchPlan,
     SrsScheme,

@@ -18,6 +18,7 @@ from typsgd.analysis import (
     srs_error_formula,
     convergence_rate_factor,
     compare_error_expectations,
+    descent_recursion_check,
     typicality_error_corrected,
     typicality_error_formula_published,
 )
@@ -27,7 +28,7 @@ from typsgd.data import generate_clustered
 from typsgd.density import build_partition, kde_densities, kde_evaluate
 from typsgd.embedding import tsne_embed
 from typsgd.models import QuadraticModel
-from typsgd.optimize import Sgd, descent_recursion_check, train
+from typsgd.optimize import Sgd, train
 from typsgd.sampling import SrsScheme, StratifiedScheme, make_plan
 from typsgd.verify import (
     gradient_check_models,

@@ -405,12 +405,26 @@ class TestOraclePath:
         grads, part, plan = boundary_instance()
         monkeypatch.setattr(analysis, "ENUMERATION_BUDGET", budget)
         # the comparison inside samples 100 000 batches per Monte-Carlo path; a stand-in keeps this fast
-        monkeypatch.setattr(analysis, "monte_carlo_error", lambda grads, scheme, draws, seed: (1.0, 0.0))
+        asked = []
+
+        def stand_in(grads, scheme, draws, seed):
+            asked.append(draws)
+            return 1.0, 0.0
+
+        monkeypatch.setattr(analysis, "monte_carlo_error", stand_in)
         report = build_error_report(grads, part, plan)
         if enumerated:
             assert abs(report.mse_enumerated - report.mse_strat_corrected) <= 1e-9
         else:
             assert report.mse_enumerated is None and report.alpha == 1.0
+        # the SRS space exceeds both budgets, so the comparison samples SRS batches in both cases
+        mc_paths = 1 if enumerated else 2
+        assert asked == [100_000] * mc_paths
+        # a report with a Monte-Carlo budget of its own spends it on the comparison's paths too
+        asked.clear()
+        report = build_error_report(grads, part, plan, mc_draws=200)
+        assert report.mse_monte_carlo == (1.0, 0.0)
+        assert asked == [200] * (1 + mc_paths)
 
     def test_comparison_reaches_both_oracles_by_module_name(self, monkeypatch):
         # span tracers bind wrappers to analysis.enumerate_error and

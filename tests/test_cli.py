@@ -9,9 +9,11 @@ import pytest
 from test_parallel import PoolRefused, recording_pool
 
 from typsgd import _parallel, cli, verify
-from typsgd._csvio import read_rows
+from typsgd._csvio import format_number, read_rows
+from typsgd.analysis import formula_alpha
 from typsgd.cli import main
 from typsgd.config import RunConfig
+from typsgd.models import load_theta
 
 BASE_CONFIG = """
 [data]
@@ -98,12 +100,24 @@ def test_gen_embed_partition_train_report(workspace, capsys):
     traces = sorted(p.name for p in out.glob("trace_*.csv"))
     assert len(traces) == 8  # 2 samplers x 2 optimizers x 2 seeds
     assert (out / "comparison.csv").exists()
-    assert (out / "alpha.csv").exists()
     assert (out / "losses_sgd.svg").exists() and (out / "losses_adam.svg").exists()
     assert len(list(out.glob("theta_*.csv"))) == 8
+    assert_alpha_from_saved_theta(config, out)
 
     assert main(["report", "--config", str(config)]) == 0
     capsys.readouterr()
+
+
+def assert_alpha_from_saved_theta(config, out):
+    # alpha.csv has a row per eval point of the first typicality SGD cell (60 iterations,
+    # eval_every 20), and its last alpha is the one the saved final theta gives
+    _, rows = read_rows(out / "alpha.csv", has_header=True)
+    assert [int(row[0]) for row in rows] == [0, 20, 40, 60]
+    setup = cli._train_setup(RunConfig.from_file(config), str(out))
+    scheme = setup.schemes["typicality"]
+    _, theta = load_theta(out / "theta_typicality_sgd_seed0.csv")
+    alpha = formula_alpha(setup.model, setup.train_data, theta, scheme.partition, scheme.plan)
+    assert rows[-1][1] == format_number(alpha)
 
 
 def test_train_determinism(workspace):

@@ -1,13 +1,13 @@
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from typsgd import analysis, optimize
-from typsgd.analysis import formula_alpha
+from typsgd.analysis import RecursionReport, RecursionStep, descent_recursion_check, formula_alpha
 from typsgd.data import Dataset, generate_pwl_curves
 from typsgd.density import Partition
 from typsgd.errors import InvalidArgumentError, NumericError
@@ -23,13 +23,8 @@ from typsgd.models import (
 )
 from typsgd.optimize import (
     Adam,
-    RecursionReport,
-    RecursionStep,
     Sgd,
-    TraceRecord,
-    TrainTrace,
     adam_step,
-    descent_recursion_check,
     load_trace_rows,
     save_trace,
     sgd_step,
@@ -197,17 +192,17 @@ class TestTrain:
             train(QuadraticModel(), ds, StratifiedScheme(part, plan), Sgd(eta=0.1), 5, seed=0)
 
     def test_validation_and_alpha_recording(self, small_quadratic, rng):
+        # alpha is derived from trace.thetas: TestMatchesReferenceLoop and the CLI alpha.csv test check it
         ds, spec = small_quadratic
         val = Dataset(features=rng.normal(size=(4, 2)), targets=rng.normal(size=(4, 1)))
         part = half_partition(8)
         plan = make_plan(2, 1, part)
         trace = train(
             QuadraticModel(), ds, StratifiedScheme(part, plan), Sgd(eta=1.0 / spec.lipschitz_L),
-            20, seed=1, eval_every=10, model_spec=spec, val_data=val, alpha_probe=(part, plan),
+            20, seed=1, eval_every=10, model_spec=spec, val_data=val,
         )
         for rec in trace.records:
             assert rec.val_loss is not None and rec.val_loss >= 0.0
-            assert rec.alpha is not None and rec.alpha >= 0.0
             assert rec.subopt is not None
 
     def test_batch_log_replay(self, small_quadratic, tmp_path):
@@ -434,6 +429,29 @@ def reference_draw_batch(scheme, n_total: int, rng: np.random.Generator) -> Refe
 
 
 @dataclass(frozen=True)
+class ReferenceRecord:
+    """A record as the loop kept it, with wall time, sampler and the in-loop alpha."""
+
+    iteration: int
+    train_loss: float
+    val_loss: float | None
+    subopt: float | None
+    wall_time: float
+    sampler: str
+    alpha: float | None = None
+
+
+@dataclass
+class ReferenceTrace:
+    records: list[ReferenceRecord]
+    sampler_kind: str
+    optimizer_kind: str
+    seed: int
+    eval_every: int
+    thetas: list[tuple[int, np.ndarray]] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
 class ReferenceTrainState:
     """Parameters and per-optimizer bookkeeping at iteration k."""
 
@@ -498,7 +516,7 @@ def reference_train(
     record_thetas: bool = False,
     alpha_probe=None,
     batch_log_path=None,
-) -> TrainTrace:
+) -> ReferenceTrace:
     if iterations < 1:
         raise InvalidArgumentError("iterations must be >= 1")
     if eval_every < 1:
@@ -508,7 +526,7 @@ def reference_train(
     rng = np.random.default_rng(seed)
     theta = np.array(theta0, dtype=np.float64) if theta0 is not None else model.init_theta(dataset, seed)
     state = ReferenceTrainState(theta=theta, learning_rate=optimizer.eta)
-    trace = TrainTrace(
+    trace = ReferenceTrace(
         records=[],
         sampler_kind=scheme.kind,
         optimizer_kind="adam" if isinstance(optimizer, Adam) else "sgd",
@@ -528,7 +546,7 @@ def reference_train(
         if alpha_probe is not None:
             alpha = formula_alpha(model, dataset, st.theta, *alpha_probe)
         trace.records.append(
-            TraceRecord(
+            ReferenceRecord(
                 iteration=st.iteration,
                 train_loss=loss,
                 val_loss=val,
@@ -590,17 +608,18 @@ def curve_case(model):
     return model, train_ds, val_ds, None
 
 
-def assert_same_run(run, ref, log, ref_log):
-    assert (run.sampler_kind, run.optimizer_kind, run.seed, run.eval_every) == (
-        ref.sampler_kind, ref.optimizer_kind, ref.seed, ref.eval_every,
-    )
+def assert_same_run(run, ref, log, ref_log, alpha_at=None):
+    """``alpha_at(theta)`` derives alpha from a recorded theta; the reference computed it in the loop."""
+    assert (run.sampler_kind, run.seed) == (ref.sampler_kind, ref.seed)
     assert len(run.records) == len(ref.records)
     for got, want in zip(run.records, ref.records):
-        assert (got.iteration, got.train_loss, got.val_loss, got.subopt, got.sampler, got.alpha) == (
-            want.iteration, want.train_loss, want.val_loss, want.subopt, want.sampler, want.alpha,
+        assert (got.iteration, got.train_loss, got.val_loss, got.subopt, run.sampler_kind) == (
+            want.iteration, want.train_loss, want.val_loss, want.subopt, want.sampler,
         )
-    assert [k for k, _ in run.thetas] == [k for k, _ in ref.thetas]
+    assert [k for k, _ in run.thetas] == [k for k, _ in ref.thetas] == [r.iteration for r in ref.records]
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(run.thetas, ref.thetas))
+    derived = [None if alpha_at is None else alpha_at(theta) for _, theta in run.thetas]
+    assert derived == [r.alpha for r in ref.records]
     assert log.read_bytes() == ref_log.read_bytes()
 
 
@@ -616,14 +635,19 @@ class TestMatchesReferenceLoop:
         plan = make_plan(6, 4, part)
         scheme = SrsScheme(m=6) if sampler == "srs" else StratifiedScheme(part, plan)
         kwargs = dict(
-            eval_every=7, val_data=val, model_spec=spec, theta0=np.array([0.3, -0.1, 0.2]),
-            record_thetas=True, alpha_probe=(part, plan),
+            eval_every=7, val_data=val, model_spec=spec, theta0=np.array([0.3, -0.1, 0.2]), record_thetas=True,
         )
         run = train(model, ds, scheme, optimizer, 53, seed=9, log_batches=True, **kwargs)
         save_batch_log(tmp_path / "new.csv", run.batches, seed=9)
-        ref = reference_train(model, ds, scheme, optimizer, 53, seed=9, batch_log_path=tmp_path / "ref.csv", **kwargs)
+        ref = reference_train(
+            model, ds, scheme, optimizer, 53, seed=9, alpha_probe=(part, plan), batch_log_path=tmp_path / "ref.csv",
+            **kwargs,
+        )
         assert len(run.records) == 9  # k = 0, 7, ..., 49 and the final 53
-        assert_same_run(run, ref, tmp_path / "new.csv", tmp_path / "ref.csv")
+        assert_same_run(
+            run, ref, tmp_path / "new.csv", tmp_path / "ref.csv",
+            alpha_at=lambda theta: formula_alpha(model, ds, theta, part, plan),
+        )
 
     @pytest.mark.parametrize(
         "model, optimizer", [(ConvCurveModel(), Sgd(eta=0.001)), (MlpModel(hidden=4), Adam(eta=0.01))]
