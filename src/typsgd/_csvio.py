@@ -1,5 +1,8 @@
 """Low-level CSV reading/writing shared by the persistence helpers.
 
+Every artifact is read back through :func:`read_table`, which checks each
+row's width and parses each cell with its column's parser.
+
 All files written by this package start with a single comment line of the
 form ``# typsgd v<version> config=<hash> seed=<seed>`` so outputs are
 traceable to the run that produced them. Numeric cells are written with
@@ -76,12 +79,35 @@ def read_rows(path, has_header=False):
     return header, rows
 
 
-def parse_float(cell: str, row: int, column: int) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise CsvFormatError(
-            f"non-numeric value {cell!r} at row {row}, column {column}",
-            row=row,
-            column=column,
-        ) from None
+def read_table(path, columns, has_header=False):
+    """Read rows through :func:`read_rows`, looked up when called, and parse every cell with its column's parser.
+
+    ``columns`` is one parser per column, or one parser for every column of a
+    table as wide as its header (or, with no header, its first row). A parser
+    raises ValueError on a cell it rejects. No data rows, a row of the wrong
+    width or a rejected cell raises CsvFormatError naming the file, with
+    0-based ``row`` (over data rows) and ``column`` set. Returns (header, rows
+    of parsed cells).
+    """
+    header, raw = read_rows(path, has_header=has_header)
+    if not raw:
+        raise CsvFormatError(f"{path}: file contains no data rows", row=0, column=0)
+    if callable(columns):
+        columns = [columns] * len(header if header is not None else raw[0])
+    width = len(columns)
+    rows = []
+    for i, cells in enumerate(raw):
+        if len(cells) != width:
+            raise CsvFormatError(
+                f"{path}: row {i} has {len(cells)} cells, expected {width}", row=i, column=min(len(cells), width)
+            )
+        row = []
+        for j, (parse, cell) in enumerate(zip(columns, cells)):
+            try:
+                row.append(parse(cell))
+            except ValueError:
+                raise CsvFormatError(
+                    f"{path}: row {i}, column {j}: cannot read {cell!r} as {parse.__name__}", row=i, column=j
+                ) from None
+        rows.append(row)
+    return header, rows

@@ -9,6 +9,7 @@ the config hash and seed. Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import configparser
 import os
 import sys
 from glob import glob
@@ -17,11 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._csvio import format_number, read_rows, write_rows, write_text
+from ._csvio import format_number, write_rows, write_text
 from ._parallel import map_processes
 from .analysis import formula_alpha
 from .config import RunConfig
-from .data import Dataset, generate_clustered, generate_pwl_curves, load_csv, save_csv, split_dataset
+from .data import Dataset, generate_clustered, generate_pwl_curves, load_csv, load_dataset_file, save_csv, split_dataset
 from .density import build_partition, kde_densities, load_partition, save_partition
 from .embedding import load_embedding_points, save_embedding, tsne_embed
 from .errors import CapabilityError, CsvFormatError, InvalidArgumentError, NumericError
@@ -34,9 +35,8 @@ from .verify import all_asserted_pass, run_verification
 EXIT_OK, EXIT_VERIFY_FAIL, EXIT_USAGE, EXIT_IO = 0, 1, 2, 3
 
 
-def _dataset_from_config(config: RunConfig, seed_override=None) -> Dataset:
+def _dataset_from_config(config: RunConfig, seed: int) -> Dataset:
     kind = config.get("data", "kind", required=True)
-    seed = seed_override if seed_override is not None else config.get_int("data", "seed", 0)
     if kind == "pwl":
         dataset = generate_pwl_curves(
             config.get_int("data", "count", required=True),
@@ -70,21 +70,20 @@ def _dataset_from_config(config: RunConfig, seed_override=None) -> Dataset:
     return dataset
 
 
+def _number_or(word: str, number=float):
+    """A config value parser: ``word`` as itself, anything else as a number."""
+    return lambda raw: raw if raw == word else number(raw)
+
+
 def _split_for_training(config: RunConfig, dataset: Dataset):
     frac = config.get_float("train", "val_fraction", 0.0)
     return split_dataset(dataset, frac, config.get_int("train", "val_seed", 1234))
 
 
-def _load_dataset_file(path: str) -> Dataset:
-    header, _ = read_rows(path, has_header=True)
-    targets = [i for i, name in enumerate(header) if name.startswith("t")]
-    return load_csv(path, has_header=True, target_columns=targets)
-
-
-def cmd_gen(config: RunConfig, out_dir: str, seed_override=None) -> int:
-    dataset = _dataset_from_config(config, seed_override)
+def cmd_gen(config: RunConfig, out_dir: str) -> int:
+    seed = config.get_int("data", "seed", 0)
+    dataset = _dataset_from_config(config, seed)
     path = os.path.join(out_dir, "dataset.csv")
-    seed = seed_override if seed_override is not None else config.get_int("data", "seed", 0)
     save_csv(dataset, path, config_digest=config.digest, seed=seed)
     print(
         f"gen: N={dataset.n_samples} D={dataset.n_features} "
@@ -93,43 +92,31 @@ def cmd_gen(config: RunConfig, out_dir: str, seed_override=None) -> int:
     return EXIT_OK
 
 
-def _embed(config: RunConfig, train_data: Dataset, seed_override=None):
-    seed = seed_override if seed_override is not None else config.get_int("embedding", "seed", 0)
-    return tsne_embed(
+def cmd_embed(config: RunConfig, out_dir: str) -> int:
+    dataset = load_dataset_file(os.path.join(out_dir, "dataset.csv"))
+    train_data, _ = _split_for_training(config, dataset)
+    emb = tsne_embed(
         train_data,
         perplexity=config.get_float("embedding", "perplexity", 30.0),
         iterations=config.get_int("embedding", "iterations", 1000),
         learning_rate=config.get_float("embedding", "learning_rate", 200.0),
-        seed=seed,
+        seed=config.get_int("embedding", "seed", 0),
     )
-
-
-def cmd_embed(config: RunConfig, out_dir: str, seed_override=None) -> int:
-    dataset = _load_dataset_file(os.path.join(out_dir, "dataset.csv"))
-    train_data, _ = _split_for_training(config, dataset)
-    emb = _embed(config, train_data, seed_override)
     path = os.path.join(out_dir, "embedding.csv")
     save_embedding(path, emb, config_digest=config.digest, seed=emb.config.seed)
     print(f"embed: N={train_data.n_samples} final KL={emb.kl_trace[-1][1]:.4f} -> {path}")
     return EXIT_OK
 
 
-def cmd_partition(config: RunConfig, out_dir: str, seed_override=None) -> int:
+def cmd_partition(config: RunConfig, out_dir: str) -> int:
     csv_path = os.path.join(out_dir, "partition.csv")
     svg_path = os.path.join(out_dir, "partition.svg")
     try:
-        dataset = _load_dataset_file(os.path.join(out_dir, "dataset.csv"))
-        train_data, _ = _split_for_training(config, dataset)
         emb_path = os.path.join(out_dir, "embedding.csv")
-        if os.path.exists(emb_path):
-            points = load_embedding_points(emb_path)
-        else:
-            emb = _embed(config, train_data, seed_override)
-            save_embedding(emb_path, emb, config_digest=config.digest, seed=emb.config.seed)
-            points = emb.points
-        bandwidth = config.get("partition", "bandwidth", "scott")
-        if bandwidth not in ("scott", "silverman"):
-            bandwidth = float(bandwidth)
+        if not os.path.exists(emb_path):
+            cmd_embed(config, out_dir)
+        points = load_embedding_points(emb_path)
+        bandwidth = config.parse("partition", "bandwidth", _number_or("scott"), "scott")
         gamma = config.get_float("partition", "gamma", 0.3)
         densities = kde_densities(points, bandwidth)
         partition = build_partition(densities, gamma)
@@ -178,18 +165,16 @@ class TrainSetup(NamedTuple):
 
 
 def _train_setup(config: RunConfig, out_dir: str) -> TrainSetup:
-    dataset = _load_dataset_file(os.path.join(out_dir, "dataset.csv"))
+    dataset = load_dataset_file(os.path.join(out_dir, "dataset.csv"))
     train_data, val_data = _split_for_training(config, dataset)
     model = _model_from_config(config)
     spec = None
-    eta_raw = config.get("train", "eta", "auto")
+    eta = config.parse("train", "eta", _number_or("auto"), "auto")
     if model.kind == "quadratic":
         spec = quadratic_constants(train_data)
-        eta = 1.0 / spec.lipschitz_L if eta_raw == "auto" else float(eta_raw)
-    else:
-        if eta_raw == "auto":
-            raise InvalidArgumentError("eta=auto needs the quadratic model; give a number")
-        eta = float(eta_raw)
+        eta = 1.0 / spec.lipschitz_L if eta == "auto" else eta
+    elif eta == "auto":
+        raise InvalidArgumentError("eta=auto needs the quadratic model; give a number")
     samplers = config.get_list("train", "samplers", ("srs", "typicality"))
     m = config.get_int("train", "m", required=True)
     schemes = {}
@@ -200,12 +185,8 @@ def _train_setup(config: RunConfig, out_dir: str) -> TrainSetup:
             partition = load_partition(
                 os.path.join(out_dir, "partition.csv"), config.get_float("partition", "gamma", 0.3)
             )
-            n1_raw = config.get("train", "n1", "auto")
-            plan = (
-                default_plan(m, partition)
-                if n1_raw == "auto"
-                else make_plan(m, int(n1_raw), partition)
-            )
+            n1 = config.parse("train", "n1", _number_or("auto", int), "auto")
+            plan = default_plan(m, partition) if n1 == "auto" else make_plan(m, n1, partition)
             schemes[name] = StratifiedScheme(partition=partition, plan=plan)
         else:
             raise InvalidArgumentError(f"unknown sampler {name!r}")
@@ -271,9 +252,14 @@ def _run_cell(setup: TrainSetup, out_dir: str, sampler: str, optimizer: str, see
     return stem
 
 
-def cmd_train(config: RunConfig, out_dir: str, seed_override=None, workers: int = 1) -> int:
+def cmd_train(config: RunConfig, out_dir: str, workers: int | None = None) -> int:
+    """``workers`` (the ``--workers`` flag) sizes the training pool; without it ``[output] workers`` does, else 1."""
+    source = "--workers" if workers is not None else "[output] workers"
+    workers = workers if workers is not None else config.get_int("output", "workers", 1)
+    if workers < 1:
+        raise InvalidArgumentError(f"{source} must be >= 1; got {workers}")
     setup = _train_setup(config, out_dir)
-    seeds = [seed_override] if seed_override is not None else config.get_ints("train", "seeds", [0])
+    seeds = config.get_ints("train", "seeds", [0])
     cells = [
         (sampler, optimizer, seed)
         for sampler in setup.schemes
@@ -298,23 +284,14 @@ def _write_comparison(config: RunConfig, out_dir: str, trace_paths) -> None:
     curves: dict[tuple[str, str], tuple[int, list]] = {}
     for path in sorted(trace_paths):
         records = load_trace_rows(path)
-        if not records:
-            continue
         stem = Path(path).stem[len("trace_") :]
         sampler, optimizer, seed_part = stem.rsplit("_", 2)
         seed = int(seed_part.removeprefix("seed"))
         reached = first_reach(((r["iteration"], r["subopt"]) for r in records), threshold)
         final = records[-1]
         rows.append(
-            [
-                sampler,
-                optimizer,
-                seed,
-                "" if reached is None else reached,
-                format_number(final["train_loss"]),
-                "" if final["val_loss"] is None else format_number(final["val_loss"]),
-                "" if final["subopt"] is None else format_number(final["subopt"]),
-            ]
+            [sampler, optimizer, seed, "" if reached is None else reached]
+            + ["" if final[k] is None else format_number(final[k]) for k in ("train_loss", "val_loss", "subopt")]
         )
         cell = (sampler, optimizer)
         by_cell.setdefault(cell, []).append(reached)
@@ -367,8 +344,8 @@ def cmd_report(config: RunConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig, out_dir: str, seed_override=None) -> int:
-    seed = seed_override if seed_override is not None else config.get_int("verify", "seed", 0)
+def cmd_verify(config: RunConfig, out_dir: str) -> int:
+    seed = config.get_int("verify", "seed", 0)
     instances = config.get_int("verify", "instances", 100)
     results, json_lines = run_verification(seed=seed, instances=instances)
     rows = []
@@ -387,15 +364,22 @@ def cmd_verify(config: RunConfig, out_dir: str, seed_override=None) -> int:
     return EXIT_OK if all_asserted_pass(results) else EXIT_VERIFY_FAIL
 
 
-def _workers(args, config: RunConfig) -> int:
-    """The training pool size: ``--workers``, else ``[output] workers``, else 1."""
-    if args.workers is not None:
-        workers, source = args.workers, "--workers"
-    else:
-        workers, source = config.get_int("output", "workers", 1), "[output] workers"
-    if workers < 1:
-        raise InvalidArgumentError(f"{source} must be >= 1; got {workers}")
-    return workers
+class Subcommand(NamedTuple):
+    """The handler is ``cmd_<name>``, looked up when it runs, so a wrapper set on the module attribute sees the call."""
+
+    help: str
+    seed_key: tuple[str, str] | None  # the config key --seed replaces; None: no --seed
+    workers: bool = False  # takes --workers
+
+
+SUBCOMMANDS = {
+    "gen": Subcommand("generate a dataset and write dataset.csv", ("data", "seed")),
+    "embed": Subcommand("embed dataset.csv to 2-D and write embedding.csv", ("embedding", "seed")),
+    "partition": Subcommand("density-partition the embedding into strata H and L", ("embedding", "seed")),
+    "train": Subcommand("run paired sampler/optimizer training cells", ("train", "seeds"), workers=True),
+    "verify": Subcommand("run the oracle verification suite", ("verify", "seed")),
+    "report": Subcommand("rebuild the comparison report from existing traces", None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,29 +388,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="typicality-sampled minibatch SGD: data, partition, training, verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("gen", "generate a dataset and write dataset.csv"),
-        ("embed", "embed dataset.csv to 2-D and write embedding.csv"),
-        ("partition", "density-partition the embedding into strata H and L"),
-        ("train", "run paired sampler/optimizer training cells"),
-        ("verify", "run the oracle verification suite"),
-        ("report", "rebuild the comparison report from existing traces"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", required=True, help="INI config path")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed(s)")
         p.add_argument("--out", default=None, help="override [output] dir")
-        p.add_argument("--workers", type=int, default=None, help="training processes (>= 1; capped at the cell count)")
         p.add_argument("--mkdir", action="store_true", help="create the output dir if missing")
+        if command.seed_key is not None:
+            p.add_argument("--seed", type=int, default=None, help="override [{}] {}".format(*command.seed_key))
+        if command.workers:
+            p.add_argument("--workers", type=int, default=None, help="training processes (>= 1; capped at the cell count)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = SUBCOMMANDS[args.command]
     try:
         config = RunConfig.from_file(args.config)
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
         out_dir = args.out or config.get("output", "dir", "out")
@@ -435,17 +415,10 @@ def main(argv=None) -> int:
                 os.makedirs(out_dir, exist_ok=True)
             else:
                 raise OSError(f"output directory {out_dir!r} does not exist (use --mkdir)")
-        if args.command == "gen":
-            return cmd_gen(config, out_dir, args.seed)
-        if args.command == "embed":
-            return cmd_embed(config, out_dir, args.seed)
-        if args.command == "partition":
-            return cmd_partition(config, out_dir, args.seed)
-        if args.command == "train":
-            return cmd_train(config, out_dir, args.seed, _workers(args, config))
-        if args.command == "verify":
-            return cmd_verify(config, out_dir, args.seed)
-        return cmd_report(config, out_dir)
+        if command.seed_key is not None and args.seed is not None:
+            config.set(*command.seed_key, args.seed)
+        handler = globals()[f"cmd_{args.command}"]
+        return handler(config, out_dir, args.workers) if command.workers else handler(config, out_dir)
     except (OSError, CsvFormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import format_number, parse_float, read_rows, write_rows
-from .errors import CsvFormatError, InvalidArgumentError
+from ._csvio import format_number, read_table, write_rows
+from .errors import InvalidArgumentError
 
 # the uniform ranges of a curve's bias and of each segment's slope
 BIAS_RANGE = (-1.0, 1.0)
@@ -193,25 +193,24 @@ def load_csv(path, has_header: bool = False, target_columns=()) -> Dataset:
     """Load a numeric CSV as a Dataset.
 
     ``target_columns`` are 0-based column positions that become targets;
-    all remaining columns become features. Row/column positions in error
-    messages are 0-based over data rows (the header, if any, is excluded).
+    all remaining columns become features.
     """
-    _, raw = read_rows(path, has_header=has_header)
-    if not raw:
-        raise CsvFormatError("file contains no data rows")
-    width = len(raw[0])
-    values = np.empty((len(raw), width), dtype=np.float64)
-    for i, cells in enumerate(raw):
-        if len(cells) != width:
-            raise CsvFormatError(
-                f"ragged row {i}: expected {width} cells, found {len(cells)}", row=i
-            )
-        for j, cell in enumerate(cells):
-            values[i, j] = parse_float(cell, i, j)
+    _, rows = read_table(path, float, has_header=has_header)
+    return _dataset_from_rows(rows, target_columns)
+
+
+def load_dataset_file(path) -> Dataset:
+    """Load a file written by :func:`save_csv`: its header names the target columns ``t<j>``."""
+    header, rows = read_table(path, float, has_header=True)
+    return _dataset_from_rows(rows, [j for j, name in enumerate(header) if name.startswith("t")])
+
+
+def _dataset_from_rows(rows, target_columns) -> Dataset:
+    values = np.array(rows, dtype=np.float64)
     target_columns = sorted(set(int(c) for c in target_columns))
-    if any(c < 0 or c >= width for c in target_columns):
+    if any(c < 0 or c >= values.shape[1] for c in target_columns):
         raise InvalidArgumentError("target column index out of range")
-    feature_cols = [j for j in range(width) if j not in target_columns]
+    feature_cols = [j for j in range(values.shape[1]) if j not in target_columns]
     if not feature_cols:
         raise InvalidArgumentError("at least one feature column is required")
     targets = values[:, target_columns] if target_columns else None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import format_number, read_rows, write_rows
+from ._csvio import format_number, read_table, write_rows
 from .errors import InvalidArgumentError
 
 FALLBACK_BANDWIDTH = 1e-3
@@ -80,16 +80,15 @@ class Partition:
 def _kernel_covariance(points: np.ndarray, bandwidth_rule) -> np.ndarray:
     """Resolve a bandwidth rule to a diagonal 2x2 kernel covariance matrix.
 
-    'scott' and 'silverman' both reduce to sigma_hat * N^(-1/6) per axis in
-    two dimensions; a float selects a fixed isotropic kernel with that
-    standard deviation.
+    'scott' is sigma_hat * N^(-1/(d+4)) per axis; a float selects a fixed
+    isotropic kernel with that standard deviation.
     """
     n, d = points.shape
     if isinstance(bandwidth_rule, (int, float)):
         if bandwidth_rule <= 0:
             raise InvalidArgumentError("fixed bandwidth must be positive")
         return float(bandwidth_rule) ** 2 * np.eye(d)
-    if bandwidth_rule not in ("scott", "silverman"):
+    if bandwidth_rule != "scott":
         raise InvalidArgumentError(f"unknown bandwidth rule {bandwidth_rule!r}")
     sigma = np.std(points, axis=0, ddof=1)
     if np.any(sigma <= 0):
@@ -173,8 +172,14 @@ def save_partition(path, partition: Partition, densities: DensityMap | None = No
     write_rows(path, rows, header=["id", "stratum", "density"], config_digest=config_digest, seed=seed)
 
 
+def stratum(cell: str) -> str:
+    if cell not in ("H", "L"):
+        raise ValueError(cell)
+    return cell
+
+
 def load_partition(path, gamma: float) -> Partition:
-    _, rows = read_rows(path, has_header=True)
-    h = [int(r[0]) for r in rows if r[1] == "H"]
-    l = [int(r[0]) for r in rows if r[1] == "L"]
-    return Partition(h_indices=np.array(sorted(h)), l_indices=np.array(sorted(l)), gamma=gamma)
+    _, rows = read_table(path, (int, stratum, float), has_header=True)
+    h = sorted(i for i, label, _ in rows if label == "H")
+    l = sorted(i for i, label, _ in rows if label == "L")
+    return Partition(h_indices=np.array(h), l_indices=np.array(l), gamma=gamma)

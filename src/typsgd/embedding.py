@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _parallel
-from ._csvio import format_number, read_rows, write_rows
+from ._csvio import format_number, read_table, write_rows
 from .errors import InvalidArgumentError, NumericError
 
 PROB_FLOOR = 1e-12
@@ -357,5 +357,5 @@ def save_embedding(path, embedding: Embedding, config_digest: str = "none", seed
 
 
 def load_embedding_points(path) -> np.ndarray:
-    _, rows = read_rows(path, has_header=True)
-    return np.array([[float(r[0]), float(r[1])] for r in rows])
+    _, rows = read_table(path, (float, float), has_header=True)
+    return np.array(rows)

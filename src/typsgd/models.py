@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._csvio import format_number, read_rows, write_rows
+from ._csvio import format_number, read_table, write_rows
 from .data import Dataset
-from .errors import InvalidArgumentError, NumericError
+from .errors import CsvFormatError, InvalidArgumentError, NumericError
 
 
 @dataclass(frozen=True)
@@ -342,10 +342,9 @@ def save_theta(path, model_kind: str, theta, config_digest: str = "none", seed=N
 
 def load_theta(path) -> tuple[str, np.ndarray]:
     """Load a parameter vector saved by :func:`save_theta`."""
-    header, rows = read_rows(path, has_header=True)
+    header, rows = read_table(path, (float,), has_header=True)
     tag = header[0]
     kind, dim = tag[tag.index("[") + 1 : tag.index("]")].split(":")
-    theta = np.array([float(r[0]) for r in rows])
-    if theta.shape[0] != int(dim):
-        raise InvalidArgumentError(f"expected {dim} parameters, found {theta.shape[0]}")
-    return kind, theta
+    if len(rows) != int(dim):
+        raise CsvFormatError(f"{path}: expected {dim} parameters, found {len(rows)}", row=min(len(rows), int(dim)), column=0)
+    return kind, np.array([r[0] for r in rows])

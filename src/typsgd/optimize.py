@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._csvio import format_number, read_rows, write_rows
+from ._csvio import format_number, read_table, write_rows
 from .data import Dataset
 from .errors import InvalidArgumentError, NumericError
 from .models import _targets_for, mean_loss
@@ -189,6 +189,9 @@ def train(
     return trace
 
 
+TRACE_COLUMNS = ("iteration", "train_loss", "val_loss", "subopt", "sampler", "seed")
+
+
 def save_trace(path, trace: TrainTrace, config_digest: str = "none") -> None:
     """Persist 'iteration, train_loss, val_loss, subopt, sampler, seed' rows."""
 
@@ -202,24 +205,16 @@ def save_trace(path, trace: TrainTrace, config_digest: str = "none") -> None:
     write_rows(
         path,
         rows,
-        header=["iteration", "train_loss", "val_loss", "subopt", "sampler", "seed"],
+        header=TRACE_COLUMNS,
         config_digest=config_digest,
         seed=trace.seed,
     )
 
 
+def optional_float(cell: str):
+    return float(cell) if cell else None
+
+
 def load_trace_rows(path):
-    _, rows = read_rows(path, has_header=True)
-    out = []
-    for r in rows:
-        out.append(
-            {
-                "iteration": int(r[0]),
-                "train_loss": float(r[1]),
-                "val_loss": float(r[2]) if r[2] else None,
-                "subopt": float(r[3]) if r[3] else None,
-                "sampler": r[4],
-                "seed": int(r[5]),
-            }
-        )
-    return out
+    _, rows = read_table(path, (int, float, optional_float, optional_float, str, int), has_header=True)
+    return [dict(zip(TRACE_COLUMNS, r)) for r in rows]

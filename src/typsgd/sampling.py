@@ -27,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._csvio import read_rows, write_rows
+from ._csvio import read_table, write_rows
 from .density import Partition
 from .errors import InvalidArgumentError
 
@@ -190,5 +190,5 @@ def save_batch_log(path, batches, config_digest: str = "none", seed=None) -> Non
 
 
 def load_batch_log(path) -> list[tuple[int, np.ndarray]]:
-    _, rows = read_rows(path)
-    return [(int(r[0]), np.array([int(c) for c in r[1:]], dtype=np.int64)) for r in rows]
+    _, rows = read_table(path, int)
+    return [(r[0], np.array(r[1:], dtype=np.int64)) for r in rows]

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_csvio import truncate_last_row
 from test_parallel import PoolRefused, recording_pool
 
-from typsgd import _parallel, cli, verify
+from typsgd import _csvio, _parallel, cli, verify
 from typsgd._csvio import format_number, read_rows
 from typsgd.analysis import formula_alpha
 from typsgd.cli import main
@@ -372,3 +373,75 @@ def test_failed_error_report_write_keeps_the_old_file(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert (out / "error_reports.jsonl").read_text() == '{"old": 1}\n'
     assert not (out / "error_reports.jsonl.tmp").exists()
+
+
+@pytest.mark.parametrize(
+    "artifact, reader",
+    [("embedding.csv", "partition"), ("partition.csv", "train"), ("trace_srs_sgd_seed0.csv", "report")],
+)
+def test_truncated_artifact_is_io_error(workspace, capsys, artifact, reader):
+    # a write that stopped mid-row: the last row keeps only its first cell
+    config, out = workspace
+    for cmd in ("gen", "embed", "partition", "train"):
+        assert main([cmd, "--config", str(config)]) == 0
+    truncate_last_row(out / artifact)
+    assert main([reader, "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert str(out / artifact) in err and "Traceback" not in err
+
+
+def test_embed_reads_the_dataset_once(workspace, monkeypatch):
+    config, out = workspace
+    assert main(["gen", "--config", str(config)]) == 0
+    reads = []
+    real = _csvio.read_rows
+    monkeypatch.setattr(_csvio, "read_rows", lambda path, **kw: reads.append(Path(path).name) or real(path, **kw))
+    assert main(["embed", "--config", str(config)]) == 0
+    assert reads == ["dataset.csv"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"m = 3\n[data]\nkind = pwl\n", b"[data]\nkind = pwl\n[data]\nseed = 1\n", b"[data]\nkind = pwl\nkind = csv\n",
+     b"[data]\nkind = pwl # \xff\n"],
+    ids=["key-before-section", "duplicate-section", "duplicate-key", "not-utf8"],
+)
+def test_malformed_config_is_io_error(tmp_path, capsys, text):
+    config = tmp_path / "bad.ini"
+    config.write_bytes(text)
+    assert main(["gen", "--config", str(config), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {config}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "old, new, cmd, key",
+    [("m = 10", "m = 20.5", "train", "[train] m = '20.5'"),
+     ("bandwidth = scott", "bandwidth = wide", "partition", "[partition] bandwidth = 'wide'"),
+     ("bandwidth = scott", "bandwidth = silverman", "partition", "[partition] bandwidth = 'silverman'")],
+)
+def test_bad_config_value_names_its_key(workspace, capsys, old, new, cmd, key):
+    config, out = workspace
+    assert main(["gen", "--config", str(config)]) == 0
+    assert main(["partition", "--config", str(config)]) == 0
+    config.write_text(config.read_text().replace(old, new))
+    assert main([cmd, "--config", str(config)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_seed_flag_replaces_the_config_key_its_command_names(workspace):
+    config, out = workspace
+    assert main(["gen", "--config", str(config), "--seed", "9"]) == 0
+    flagged = (out / "dataset.csv").read_text().splitlines()
+    config.write_text(config.read_text().replace("seed = 5", "seed = 9"))
+    assert main(["gen", "--config", str(config)]) == 0
+    assert (out / "dataset.csv").read_text().splitlines()[1:] == flagged[1:]
+    assert flagged[0].endswith("seed=9")
+
+
+@pytest.mark.parametrize("argv", [["report", "--seed", "9", "--workers", "0"], ["verify", "--workers", "0"]])
+def test_flag_outside_its_subcommand_is_usage_error(workspace, argv):
+    config, _ = workspace
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--config", str(config)])
+    assert err.value.code == 2

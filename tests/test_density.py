@@ -97,12 +97,6 @@ class TestKde:
             dm = kde_densities(points, "scott")
         assert np.allclose(np.diag(dm.bandwidth), 1e-6)
 
-    def test_silverman_matches_scott_in_2d(self, rng):
-        points = rng.normal(size=(50, 2))
-        a = kde_densities(points, "scott").densities
-        b = kde_densities(points, "silverman").densities
-        assert np.allclose(a, b)
-
     def test_density_map_validation(self):
         with pytest.raises(InvalidArgumentError):
             DensityMap(densities=np.array([0.0, 1.0]), bandwidth=np.eye(2))

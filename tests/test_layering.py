@@ -42,3 +42,9 @@ def test_optimize_imports_nothing_from_analysis():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "analysis.py"], ids=lambda p: p.name)
 def test_oracle_engine_stays_inside_analysis(path):
     assert not set(names_used(parse(path))) & ORACLE_ENGINE
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "_csvio.py"], ids=lambda p: p.name)
+def test_only_csvio_reads_raw_rows(path):
+    # every artifact is read back through _csvio.read_table, which checks widths and cells
+    assert "read_rows" not in set(names_used(parse(path)))
