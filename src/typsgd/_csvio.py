@@ -5,8 +5,9 @@ row's width and parses each cell with its column's parser.
 
 All files written by this package start with a single comment line of the
 form ``# typsgd v<version> config=<hash> seed=<seed>`` so outputs are
-traceable to the run that produced them. Numeric cells are written with
-``repr`` which round-trips float64 exactly.
+traceable to the run that produced them. :func:`write_rows` owns the text
+of every cell: a float (numpy float64 included) is written with ``repr``,
+which round-trips float64 exactly, and None as an empty cell.
 """
 
 from __future__ import annotations
@@ -53,12 +54,19 @@ def write_text(path, text: str) -> None:
         raise
 
 
+def format_cell(cell) -> str:
+    """None as an empty cell, a float with :func:`format_number`, anything else with ``str``."""
+    if cell is None:
+        return ""
+    return format_number(cell) if isinstance(cell, float) else str(cell)
+
+
 def write_rows(path, rows, header=None, config_digest="none", seed=None):
-    """Write rows (iterables of cells) with the provenance comment line."""
+    """Write rows (iterables of raw cell values, see :func:`format_cell`) with the provenance comment line."""
     lines = [provenance_line(config_digest, seed)]
     if header is not None:
         lines.append(",".join(header))
-    lines.extend(",".join(str(c) for c in row) for row in rows)
+    lines.extend(",".join(format_cell(c) for c in row) for row in rows)
     write_text(path, "\n".join(lines) + "\n")
 
 

@@ -36,7 +36,7 @@ from . import optimize
 from .data import Dataset
 from .density import Partition
 from .errors import CapabilityError, InvalidArgumentError
-from .models import GradientFamily, _targets_for, gradient_family, mean_loss, per_sample_gradients
+from .models import GradientFamily, _targets_for, gradient_family, mean_loss
 from .sampling import (
     BatchPlan,
     SrsScheme,
@@ -300,8 +300,8 @@ def descent_recursion_check(
     steps = []
     for k in range(k_steps):
         gap = mean_loss(model, dataset, theta) - optimum
-        grads = per_sample_gradients(model, dataset, theta)
-        full_grad = np.sum(grads, axis=0) / n
+        family = gradient_family(model, dataset, theta)
+        grads, full_grad = family.per_sample, family.reference
         if exact:
             means = np.concatenate(list(enumerated_means(grads, strata)))
         else:

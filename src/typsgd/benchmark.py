@@ -75,7 +75,7 @@ def build_benchmark(
     raw = generate_clustered(
         n_samples, 2, [list(CENTER), list(MINORITY_CENTER)], [0.9, 0.1], CLUSTER_SIGMA, seed=data_seed
     )
-    minority = raw.targets[:, 0] == 1
+    minority = raw.targets.ravel() == 1  # generate_clustered's one target column is the center index
     radius = np.linalg.norm(raw.features - center, axis=1)
     noisy = (~minority) & (radius > OUTSKIRT_RADIUS * CLUSTER_SIGMA)
     noise = np.random.default_rng(noise_seed).standard_normal(n_samples)
@@ -133,7 +133,8 @@ def run_comparison(
     for (_, name, kind), reach in zip(runs, reaches):
         table[kind][name].append(reach)
     sgd_iters, adam_iters = table["sgd"], table["adam"]
-    alpha = formula_alpha(model, setup.dataset, np.zeros(2), setup.partition, plan)
+    # the quadratic model starts every paired run at the same theta
+    alpha = formula_alpha(model, setup.dataset, model.init_theta(setup.dataset, seeds[0]), setup.partition, plan)
     return ComparisonResult(
         sgd_iterations=sgd_iters,
         adam_iterations=adam_iters,

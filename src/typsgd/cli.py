@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import os
+import re
 import sys
 from glob import glob
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._csvio import format_number, write_rows, write_text
+from ._csvio import write_rows, write_text
 from ._parallel import map_processes
 from .analysis import formula_alpha
 from .config import RunConfig
@@ -27,7 +28,7 @@ from .density import build_partition, kde_densities, load_partition, save_partit
 from .embedding import load_embedding_points, save_embedding, tsne_embed
 from .errors import CapabilityError, CsvFormatError, InvalidArgumentError, NumericError
 from .models import MODEL_KINDS, ModelSpec, quadratic_constants, save_theta
-from .optimize import Adam, Sgd, first_reach, load_trace_rows, median_reach, save_trace, train
+from .optimize import Adam, Sgd, load_trace, median_reach, save_trace, train
 from .sampling import SrsScheme, StratifiedScheme, default_plan, make_plan, save_batch_log
 from .svg import line_chart, scatter_chart
 from .verify import all_asserted_pass, run_verification
@@ -239,7 +240,7 @@ def _run_cell(setup: TrainSetup, out_dir: str, sampler: str, optimizer: str, see
     )
     if with_alpha:
         rows = [
-            [k, format_number(formula_alpha(setup.model, setup.train_data, theta, scheme.partition, scheme.plan))]
+            [k, formula_alpha(setup.model, setup.train_data, theta, scheme.partition, scheme.plan)]
             for k, theta in trace.thetas
         ]
         write_rows(
@@ -275,6 +276,21 @@ def cmd_train(config: RunConfig, out_dir: str, workers: int | None = None) -> in
     return EXIT_OK
 
 
+TRACE_NAME = re.compile(r"trace_(?P<sampler>.+)_(?P<optimizer>[^_]+)_seed(?P<seed>\d+)\.csv")
+
+
+def _load_named_trace(path):
+    """(sampler, optimizer, trace) of a file named by TRACE_NAME; its rows must name the same sampler and seed."""
+    name = TRACE_NAME.fullmatch(Path(path).name)
+    if name is None:
+        raise CsvFormatError(f"{path}: a trace file must be named trace_<sampler>_<optimizer>_seed<n>.csv")
+    trace = load_trace(path)
+    named, recorded = (name["sampler"], int(name["seed"])), (trace.sampler_kind, trace.seed)
+    if named != recorded:
+        raise CsvFormatError(f"{path}: the name says (sampler, seed) = {named}, the rows say {recorded}")
+    return name["sampler"], name["optimizer"], trace
+
+
 def _write_comparison(config: RunConfig, out_dir: str, trace_paths) -> None:
     """comparison.csv and the loss charts from the given trace files."""
     threshold = config.get_float("train", "threshold", 1e-3)
@@ -283,39 +299,23 @@ def _write_comparison(config: RunConfig, out_dir: str, trace_paths) -> None:
     measured: set[tuple[str, str]] = set()  # cells whose traces record subopt
     curves: dict[tuple[str, str], tuple[int, list]] = {}
     for path in sorted(trace_paths):
-        records = load_trace_rows(path)
-        stem = Path(path).stem[len("trace_") :]
-        sampler, optimizer, seed_part = stem.rsplit("_", 2)
-        seed = int(seed_part.removeprefix("seed"))
-        reached = first_reach(((r["iteration"], r["subopt"]) for r in records), threshold)
-        final = records[-1]
-        rows.append(
-            [sampler, optimizer, seed, "" if reached is None else reached]
-            + ["" if final[k] is None else format_number(final[k]) for k in ("train_loss", "val_loss", "subopt")]
-        )
+        sampler, optimizer, trace = _load_named_trace(path)
+        reached = trace.iterations_to_threshold(threshold)
+        final = trace.records[-1]
+        rows.append([sampler, optimizer, trace.seed, reached, final.train_loss, final.val_loss, final.subopt])
         cell = (sampler, optimizer)
         by_cell.setdefault(cell, []).append(reached)
-        if any(r["subopt"] is not None for r in records):
+        if any(r.subopt is not None for r in trace.records):
             measured.add(cell)
-        if cell not in curves or seed < curves[cell][0]:
-            curves[cell] = (seed, [(r["iteration"], r["train_loss"]) for r in records])
+        if cell not in curves or trace.seed < curves[cell][0]:
+            curves[cell] = (trace.seed, [(r.iteration, r.train_loss) for r in trace.records])
     for (sampler, optimizer), reaches in sorted(by_cell.items()):
         median = median_reach(reaches)
         if (sampler, optimizer) not in measured:
-            median_cell = "n/a"  # the model has no exact optimum to measure against
-        else:
-            median_cell = "never" if np.isinf(median) else format_number(median)
-        rows.append(
-            [
-                sampler,
-                optimizer,
-                "median",
-                median_cell,
-                "",
-                "",
-                "",
-            ]
-        )
+            median = "n/a"  # the model has no exact optimum to measure against
+        elif np.isinf(median):
+            median = "never"
+        rows.append([sampler, optimizer, "median", median, None, None, None])
     write_rows(
         os.path.join(out_dir, "comparison.csv"),
         rows,

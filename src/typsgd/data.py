@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import format_number, read_table, write_rows
+from ._csvio import read_table, write_rows
 from .errors import InvalidArgumentError
 
 # the uniform ranges of a curve's bias and of each segment's slope
@@ -180,13 +180,8 @@ def save_csv(dataset: Dataset, path, header: bool = True, config_digest: str = "
     """Write a dataset as CSV; feature columns first, then target columns."""
     d, t = dataset.n_features, 0 if dataset.targets is None else dataset.targets.shape[1]
     names = [f"f{j}" for j in range(d)] + [f"t{j}" for j in range(t)]
-    rows = []
-    for i in range(dataset.n_samples):
-        cells = [format_number(v) for v in dataset.features[i]]
-        if t:
-            cells += [format_number(v) for v in dataset.targets[i]]
-        rows.append(cells)
-    write_rows(path, rows, header=names if header else None, config_digest=config_digest, seed=seed)
+    values = np.hstack((dataset.features, dataset.targets)) if t else dataset.features
+    write_rows(path, values.tolist(), header=names if header else None, config_digest=config_digest, seed=seed)
 
 
 def load_csv(path, has_header: bool = False, target_columns=()) -> Dataset:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import format_number, read_table, write_rows
+from ._csvio import read_table, write_rows
 from .errors import InvalidArgumentError
 
 FALLBACK_BANDWIDTH = 1e-3
@@ -161,14 +161,13 @@ def build_partition(densities: DensityMap, gamma: float) -> Partition:
     return Partition(h_indices=h, l_indices=l, gamma=gamma)
 
 
-def save_partition(path, partition: Partition, densities: DensityMap | None = None, config_digest: str = "none", seed=None) -> None:
+def save_partition(path, partition: Partition, densities: DensityMap, config_digest: str = "none", seed=None) -> None:
     """Persist as 'sample id, stratum label, density' rows."""
     n = partition.n_total
     labels = np.empty(n, dtype="<U1")
     labels[partition.h_indices] = "H"
     labels[partition.l_indices] = "L"
-    dens = densities.densities if densities is not None else np.full(n, np.nan)
-    rows = [[i, labels[i], format_number(dens[i])] for i in range(n)]
+    rows = list(zip(range(n), labels.tolist(), densities.densities.tolist()))
     write_rows(path, rows, header=["id", "stratum", "density"], config_digest=config_digest, seed=seed)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _parallel
-from ._csvio import format_number, read_table, write_rows
+from ._csvio import read_table, write_rows
 from .errors import InvalidArgumentError, NumericError
 
 PROB_FLOOR = 1e-12
@@ -352,8 +352,7 @@ def tsne_embed(
 
 def save_embedding(path, embedding: Embedding, config_digest: str = "none", seed=None) -> None:
     """Persist as one 'x,y' row per sample, in sample-id order."""
-    rows = [[format_number(px), format_number(py)] for px, py in embedding.points]
-    write_rows(path, rows, header=["x", "y"], config_digest=config_digest, seed=seed)
+    write_rows(path, embedding.points.tolist(), header=["x", "y"], config_digest=config_digest, seed=seed)
 
 
 def load_embedding_points(path) -> np.ndarray:

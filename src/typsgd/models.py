@@ -1,7 +1,10 @@
 """Per-sample differentiable models and their exact constants.
 
 Each model derives its per-sample losses once (``losses``) and its
-per-sample gradients once (``per_sample_grads``), both batched over rows.
+per-sample gradients once (``per_sample_grads``), both batched over rows,
+and declares the target columns they read (``target_columns``). Every
+mean over the samples comes from here: :func:`mean_loss` for the loss and
+:func:`gradient_family` for the per-sample gradients with their mean.
 The quadratic model additionally yields exact smoothness (L), strong
 convexity (mu) and minimizer values, which the convergence checks rely on.
 All gradients are hand-derived; the verify suite and the tests check
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._csvio import format_number, read_table, write_rows
+from ._csvio import read_table, write_rows
 from .data import Dataset
 from .errors import CsvFormatError, InvalidArgumentError, NumericError
 
@@ -89,6 +92,7 @@ class QuadraticModel:
     """Least-squares regression: loss_i = (w . x_i - y_i)^2 / 2."""
 
     kind = "quadratic"
+    target_columns = 0
 
     def param_dim(self, dataset: Dataset) -> int:
         return dataset.n_features
@@ -109,6 +113,7 @@ class LogisticModel:
     """Binary logistic regression with log-loss; labels in {0,1} or {-1,+1}."""
 
     kind = "logistic"
+    target_columns = 0
 
     def param_dim(self, dataset: Dataset) -> int:
         return dataset.n_features
@@ -131,6 +136,7 @@ class MlpModel:
     """Two-layer perceptron: tanh hidden layer, linear scalar output, squared loss."""
 
     kind = "mlp"
+    target_columns = 0
 
     def __init__(self, hidden: int = 16):
         if hidden < 1:
@@ -185,6 +191,7 @@ class ConvCurveModel:
     """
 
     kind = "conv"
+    target_columns = slice(None)
 
     def _dims(self, dataset: Dataset):
         t = dataset.n_features
@@ -239,11 +246,10 @@ MODEL_KINDS = {
 
 
 def _targets_for(model, dataset: Dataset):
+    """The target columns ``model`` reads: one column as a vector, or a slice as a matrix."""
     if dataset.targets is None:
         raise InvalidArgumentError(f"{model.kind} model requires targets")
-    if isinstance(model, ConvCurveModel):
-        return dataset.targets
-    return dataset.targets[:, 0]
+    return dataset.targets[:, model.target_columns]
 
 
 def per_sample_gradients(model, dataset: Dataset, theta) -> np.ndarray:
@@ -258,9 +264,8 @@ def per_sample_gradients(model, dataset: Dataset, theta) -> np.ndarray:
 
 
 def full_gradient(model, dataset: Dataset, theta) -> np.ndarray:
-    """Mean per-sample gradient; summation order fixed (numpy pairwise)."""
-    grads = per_sample_gradients(model, dataset, theta)
-    return np.sum(grads, axis=0) / dataset.n_samples
+    """Mean per-sample gradient: the reference of :func:`gradient_family`."""
+    return gradient_family(model, dataset, theta).reference
 
 
 def mean_loss(model, dataset: Dataset, theta) -> float:
@@ -272,32 +277,36 @@ def mean_loss(model, dataset: Dataset, theta) -> float:
 
 
 def gradient_family(model, dataset: Dataset, theta) -> GradientFamily:
-    """Per-sample gradients at theta with the N-sample mean as reference."""
+    """Per-sample gradients at theta with the N-sample mean as reference; summation order fixed (numpy pairwise)."""
     grads = per_sample_gradients(model, dataset, theta)
     ref = np.sum(grads, axis=0) / dataset.n_samples
     return GradientFamily(per_sample=grads, reference=ref)
 
 
-def estimate_growth_bounds(model, dataset: Dataset, center, n_probes: int = 20, scale: float = 1.0, seed: int = 0):
+GROWTH_PROBES = 20  # random probes of estimate_growth_bounds, a third at each of three radii
+
+
+def estimate_growth_bounds(model, dataset: Dataset, center, scale: float = 1.0, seed: int = 0):
     """Empirical (beta1, beta2) so that |grad_i|^2 <= beta1 + beta2 |grad|^2 at probes.
 
     beta1 is the worst per-sample squared gradient norm at ``center`` (where
-    the full gradient is smallest); beta2 covers the growth ratio over random
-    probes around it, with a 5% safety factor. Returns (beta1, beta2, probes).
+    the full gradient is smallest); beta2 covers the growth ratio over
+    GROWTH_PROBES random probes around it, with a 5% safety factor. Returns
+    (beta1, beta2, probes).
     """
     center = np.asarray(center, dtype=np.float64)
     rng = np.random.default_rng(seed)
     probes = [center]
     for r in (0.1 * scale, scale, 3.0 * scale):
-        for _ in range(max(1, n_probes // 3)):
+        for _ in range(GROWTH_PROBES // 3):
             u = rng.standard_normal(center.shape[0])
             probes.append(center + r * u / np.linalg.norm(u))
     g0 = per_sample_gradients(model, dataset, center)
     beta1 = float(np.max(np.sum(g0 * g0, axis=1)))
     beta2 = 1.0
     for theta in probes[1:]:
-        grads = per_sample_gradients(model, dataset, theta)
-        full = np.sum(grads, axis=0) / dataset.n_samples
+        family = gradient_family(model, dataset, theta)
+        grads, full = family.per_sample, family.reference
         denom = float(full @ full)
         if denom < 1e-18:
             continue
@@ -306,24 +315,22 @@ def estimate_growth_bounds(model, dataset: Dataset, center, n_probes: int = 20, 
     return beta1 * 1.05, max(1.0, beta2 * 1.05), probes
 
 
-def quadratic_constants(dataset: Dataset, n_probes: int = 20, probe_seed: int = 0) -> ModelSpec:
+def quadratic_constants(dataset: Dataset) -> ModelSpec:
     """Exact L, mu, minimizer and optimum of the quadratic model on a dataset.
 
     L and mu are the extreme eigenvalues of X^T X / N; the minimizer solves
     the normal equations. Raises if X^T X is rank deficient.
     """
-    x = dataset.features
-    y = _targets_for(QuadraticModel(), dataset)
+    model = QuadraticModel()
+    x, y = dataset.features, _targets_for(model, dataset)
     n = dataset.n_samples
     gram = (x.T @ x) / n
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= 1e-12 * max(eigs[-1], 1.0):
         raise InvalidArgumentError("X^T X is rank deficient; quadratic constants undefined")
     theta_star = np.linalg.solve(gram * n, x.T @ y)
-    model = QuadraticModel()
-    opt = float(np.sum(model.losses(theta_star, x, y)) / n)
-    scale = max(1.0, float(np.linalg.norm(theta_star)))
-    _, beta2, _ = estimate_growth_bounds(model, dataset, theta_star, n_probes=n_probes, scale=scale, seed=probe_seed)
+    opt = mean_loss(model, dataset, theta_star)
+    _, beta2, _ = estimate_growth_bounds(model, dataset, theta_star, scale=max(1.0, float(np.linalg.norm(theta_star))))
     return ModelSpec(
         lipschitz_L=float(eigs[-1]),
         strong_convexity_mu=float(eigs[0]),
@@ -336,8 +343,8 @@ def quadratic_constants(dataset: Dataset, n_probes: int = 20, probe_seed: int = 
 def save_theta(path, model_kind: str, theta, config_digest: str = "none", seed=None) -> None:
     """Persist a flat parameter vector with a (model kind, dim) header."""
     theta = np.asarray(theta, dtype=np.float64)
-    rows = [[format_number(v)] for v in theta]
-    write_rows(path, rows, header=[f"theta[{model_kind}:{theta.shape[0]}]"], config_digest=config_digest, seed=seed)
+    header = [f"theta[{model_kind}:{theta.shape[0]}]"]
+    write_rows(path, theta[:, None].tolist(), header=header, config_digest=config_digest, seed=seed)
 
 
 def load_theta(path) -> tuple[str, np.ndarray]:

@@ -6,7 +6,9 @@ fixed schedule, so traces are bit-reproducible and paired-seed comparisons
 across schemes share their evaluation grid. A trace keeps only what the
 run observes (losses, suboptimality and, on request, the parameters and
 batch ids); quantities along the path, such as the error ratio alpha, are
-derived from the recorded parameters afterwards.
+derived from the recorded parameters afterwards. A trace on disk reads
+back through :func:`load_trace` as the same :class:`TrainTrace`, so the
+iterations-to-threshold rule has one home.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._csvio import format_number, read_table, write_rows
+from ._csvio import read_table, write_rows
 from .data import Dataset
-from .errors import InvalidArgumentError, NumericError
+from .errors import CsvFormatError, InvalidArgumentError, NumericError
 from .models import _targets_for, mean_loss
 from .sampling import draw_indices, resolve_strata
 
@@ -90,13 +92,8 @@ class TrainTrace:
     batches: list[tuple[int, np.ndarray]] = field(default_factory=list)  # (iteration, ids) when train logs batches
 
     def iterations_to_threshold(self, threshold: float):
-        """First recorded iteration whose suboptimality is <= threshold."""
-        return first_reach(((r.iteration, r.subopt) for r in self.records), threshold)
-
-
-def first_reach(points, threshold: float):
-    """First iteration of (iteration, subopt) points with subopt <= threshold, else None."""
-    return next((it for it, subopt in points if subopt is not None and subopt <= threshold), None)
+        """First recorded iteration whose suboptimality is <= threshold, else None."""
+        return next((r.iteration for r in self.records if r.subopt is not None and r.subopt <= threshold), None)
 
 
 def median_reach(reaches) -> float:
@@ -194,27 +191,18 @@ TRACE_COLUMNS = ("iteration", "train_loss", "val_loss", "subopt", "sampler", "se
 
 def save_trace(path, trace: TrainTrace, config_digest: str = "none") -> None:
     """Persist 'iteration, train_loss, val_loss, subopt, sampler, seed' rows."""
-
-    def cell(v):
-        return "" if v is None else format_number(v)
-
-    rows = [
-        [r.iteration, format_number(r.train_loss), cell(r.val_loss), cell(r.subopt), trace.sampler_kind, trace.seed]
-        for r in trace.records
-    ]
-    write_rows(
-        path,
-        rows,
-        header=TRACE_COLUMNS,
-        config_digest=config_digest,
-        seed=trace.seed,
-    )
+    rows = [[r.iteration, r.train_loss, r.val_loss, r.subopt, trace.sampler_kind, trace.seed] for r in trace.records]
+    write_rows(path, rows, header=TRACE_COLUMNS, config_digest=config_digest, seed=trace.seed)
 
 
 def optional_float(cell: str):
     return float(cell) if cell else None
 
 
-def load_trace_rows(path):
+def load_trace(path) -> TrainTrace:
+    """Read a trace written by :func:`save_trace`; every row must name the same sampler and seed."""
     _, rows = read_table(path, (int, float, optional_float, optional_float, str, int), has_header=True)
-    return [dict(zip(TRACE_COLUMNS, r)) for r in rows]
+    runs = sorted({tuple(row[4:]) for row in rows})
+    if len(runs) > 1:
+        raise CsvFormatError(f"{path}: the rows name more than one (sampler, seed): {runs}")
+    return TrainTrace(records=[TraceRecord(*row[:4]) for row in rows], sampler_kind=runs[0][0], seed=runs[0][1])

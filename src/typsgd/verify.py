@@ -39,6 +39,8 @@ from .models import (
     _targets_for,
     estimate_growth_bounds,
     full_gradient,
+    gradient_family,
+    mean_loss,
     per_sample_gradients,
     quadratic_constants,
 )
@@ -398,8 +400,7 @@ def check_convexity_probes(rng) -> CheckResult:
         gap = float(np.linalg.norm(ga - gb))
         dist = float(np.linalg.norm(a - b))
         lipschitz_ok &= gap <= big_l * dist * (1.0 + 1e-9) + 1e-12
-        ja = float(np.mean(model.losses(a, dataset.features, dataset.targets[:, 0])))
-        jb = float(np.mean(model.losses(b, dataset.features, dataset.targets[:, 0])))
+        ja, jb = mean_loss(model, dataset, a), mean_loss(model, dataset, b)
         lower = ja + float(ga @ (b - a)) + 0.5 * mu * dist**2
         convexity_ok &= jb >= lower - 1e-9 * max(1.0, abs(jb))
     return CheckResult(
@@ -418,8 +419,8 @@ def check_growth_bound(rng) -> CheckResult:
     )
     ok = True
     for theta in probes:
-        grads = model.per_sample_grads(theta, dataset.features, dataset.targets[:, 0])
-        full = grads.mean(axis=0)
+        family = gradient_family(model, dataset, theta)
+        grads, full = family.per_sample, family.reference
         bound = beta1 + beta2 * float(full @ full)
         ok &= bool(np.max(np.sum(grads * grads, axis=1)) <= bound * (1.0 + 1e-9))
     return CheckResult(
@@ -486,7 +487,7 @@ def check_density_majority() -> CheckResult:
         data = generate_clustered(MAJORITY_N, 2, [[0.0, 0.0], [8.0, 8.0]], [0.9, 0.1], 0.5, seed=seed)
         emb = tsne_embed(data, perplexity=20.0, iterations=300, seed=seed)
         partition = build_partition(kde_densities(emb, "scott"), 0.3)
-        majority = data.targets[:, 0] == 0
+        majority = data.targets.ravel() == 0  # generate_clustered's one target column is the center index
         captured += int(np.sum(majority[partition.h_indices]))
         total += partition.n1
     frac = captured / total

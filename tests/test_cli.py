@@ -390,6 +390,24 @@ def test_truncated_artifact_is_io_error(workspace, capsys, artifact, reader):
     assert str(out / artifact) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "copy, message",
+    [
+        ("trace_notes.csv", "trace_<sampler>_<optimizer>_seed<n>.csv"),
+        ("trace_srs_sgd_seed9.csv", "('srs', 9), the rows say ('srs', 0)"),
+    ],
+)
+def test_trace_named_for_another_run_is_io_error(workspace, capsys, copy, message):
+    # report takes a trace's run from its file name; a name that is not a run's, or not this trace's, is malformed
+    config, out = workspace
+    for cmd in ("gen", "embed", "partition", "train"):
+        assert main([cmd, "--config", str(config)]) == 0
+    (out / copy).write_bytes((out / "trace_srs_sgd_seed0.csv").read_bytes())
+    assert main(["report", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert str(out / copy) in err and message in err
+
+
 def test_embed_reads_the_dataset_once(workspace, monkeypatch):
     config, out = workspace
     assert main(["gen", "--config", str(config)]) == 0

@@ -1,4 +1,4 @@
-"""Every artifact loader reads through _csvio.read_table.
+"""Every artifact is written through _csvio.write_rows and read through _csvio.read_table.
 
 Each loader returns exactly what its writer was given, and a corrupted copy
 (a truncated last row, a non-numeric cell, an unknown stratum label) raises
@@ -10,12 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from typsgd._csvio import format_number, read_rows, write_rows
 from typsgd.data import Dataset, load_csv, load_dataset_file, save_csv
 from typsgd.density import DensityMap, Partition, load_partition, save_partition
 from typsgd.embedding import EmbedConfig, Embedding, load_embedding_points, save_embedding
 from typsgd.errors import CsvFormatError
 from typsgd.models import load_theta, save_theta
-from typsgd.optimize import TraceRecord, TrainTrace, load_trace_rows, save_trace
+from typsgd.optimize import TraceRecord, TrainTrace, load_trace, save_trace
 from typsgd.sampling import load_batch_log, save_batch_log
 
 RNG = np.random.default_rng(19)
@@ -47,16 +48,7 @@ LOADERS = {
         PARTITION,
         6,
     ),
-    "load_trace_rows": (
-        lambda p: save_trace(p, TRACE),
-        load_trace_rows,
-        [
-            {"iteration": r.iteration, "train_loss": r.train_loss, "val_loss": r.val_loss, "subopt": r.subopt,
-             "sampler": "typicality", "seed": 3}
-            for r in TRACE.records
-        ],
-        3,
-    ),
+    "load_trace": (lambda p: save_trace(p, TRACE), load_trace, TRACE, 3),
     "load_theta": (lambda p: save_theta(p, "quadratic", THETA), load_theta, ("quadratic", THETA), 4),
     "load_batch_log": (lambda p: save_batch_log(p, BATCHES), load_batch_log, BATCHES, 3),
 }
@@ -68,6 +60,10 @@ def plain(value):
         return plain((value.features, value.targets))
     if isinstance(value, Partition):
         return plain((value.h_indices, value.l_indices, value.gamma))
+    if isinstance(value, TrainTrace):
+        return plain((value.records, value.sampler_kind, value.seed))
+    if isinstance(value, TraceRecord):
+        return [value.iteration, value.train_loss, value.val_loss, value.subopt]
     if isinstance(value, np.ndarray):
         return [value.dtype.kind, value.tolist()]
     if isinstance(value, (list, tuple)):
@@ -132,3 +128,18 @@ def test_unknown_stratum_label(tmp_path):
     save_partition(path, PARTITION, DENSITIES)
     last_row_edited(path, lambda cells: [cells[0], "M", cells[2]])
     raises_located(lambda p: load_partition(p, 0.3), path, PARTITION.n_total - 1, 1)
+
+
+def test_write_rows_formats_each_cell(tmp_path):
+    path = tmp_path / "cells.csv"
+    # None is empty, a float (numpy float64 included) goes through format_number, the rest through str
+    write_rows(path, [[None, 0.1, np.float64(2.0) / 3, 7, "H"]])
+    assert read_rows(path)[1] == [["", "0.1", format_number(2.0 / 3), "7", "H"]]
+
+
+def test_trace_rows_of_two_runs(tmp_path):
+    path = tmp_path / "trace.csv"
+    save_trace(path, TRACE)
+    last_row_edited(path, lambda cells: cells[:-1] + ["4"])
+    with pytest.raises(CsvFormatError, match="more than one"):
+        load_trace(path)

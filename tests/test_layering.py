@@ -1,14 +1,21 @@
-"""Module layering, read from the source: training does not depend on the oracle engine."""
+"""Module layering, read from the source.
+
+Training does not depend on the oracle engine, and each rule has one owner:
+_csvio the text of every cell, models the target columns every loss reads.
+"""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+from typsgd.models import MODEL_KINDS
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "typsgd"
 MODULES = sorted(SRC.glob("*.py"))
 # the batch-mean engine and the rule that picks between its two paths
 ORACLE_ENGINE = {"oracle_path", "enumerated_means", "drawn_means"}
+MODEL_CLASSES = {cls.__name__ for cls in MODEL_KINDS.values()}
 
 
 def parse(path):
@@ -22,6 +29,11 @@ def imported_modules(tree):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             yield from ([node.module] if node.module else [alias.name for alias in node.names])
+
+
+def others(owner):
+    """Parametrize over every module except ``owner``."""
+    return pytest.mark.parametrize("path", [p for p in MODULES if p.name != owner], ids=lambda p: p.name)
 
 
 def names_used(tree):
@@ -39,12 +51,44 @@ def test_optimize_imports_nothing_from_analysis():
     assert not modules & {"analysis", "typsgd.analysis"}, modules
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "analysis.py"], ids=lambda p: p.name)
+@others("analysis.py")
 def test_oracle_engine_stays_inside_analysis(path):
     assert not set(names_used(parse(path))) & ORACLE_ENGINE
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "_csvio.py"], ids=lambda p: p.name)
+@others("_csvio.py")
 def test_only_csvio_reads_raw_rows(path):
     # every artifact is read back through _csvio.read_table, which checks widths and cells
     assert "read_rows" not in set(names_used(parse(path)))
+
+
+@others("_csvio.py")
+def test_only_csvio_formats_cells(path):
+    # writers pass raw values; write_rows decides each cell's text
+    assert "format_number" not in set(names_used(parse(path)))
+
+
+def target_column_picks(tree):
+    """Subscripts ``<expr>.targets[rows, columns]``: a choice of target columns (row selection keeps them all)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute):
+            if node.value.attr == "targets" and isinstance(node.slice, ast.Tuple):
+                yield node.lineno
+
+
+@others("models.py")
+def test_only_models_picks_target_columns(path):
+    # each model class declares its target_columns, and models._targets_for reads them
+    assert not list(target_column_picks(parse(path)))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_isinstance_on_a_model_class(path):
+    # per-model behaviour lives on the model class, not in a ladder at its callers
+    calls = [
+        node.lineno
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+        and set(names_used(node.args[1])) & MODEL_CLASSES
+    ]
+    assert not calls

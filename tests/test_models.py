@@ -11,6 +11,7 @@ from typsgd.models import (
     LogisticModel,
     ModelSpec,
     QuadraticModel,
+    _targets_for,
     estimate_growth_bounds,
     full_gradient,
     load_theta,
@@ -52,6 +53,14 @@ def test_logistic_at_origin():
     for i, y_signed in ((0, 1.0), (1, -1.0)):
         assert losses[i] == pytest.approx(math.log(2.0))
         assert np.allclose(grads[i], -0.5 * y_signed * ds.features[i])
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_targets_for_reads_the_declared_columns(kind, rng):
+    targets = rng.normal(0.0, 1.0, (5, 3))
+    read = _targets_for(MODEL_KINDS[kind](), Dataset(features=rng.normal(0.0, 1.0, (5, 4)), targets=targets))
+    # the conv model regresses every target column; the others read the first as a vector
+    np.testing.assert_array_equal(read, targets if kind == "conv" else targets[:, 0])
 
 
 # every registered model, so none skips the oracle; the conv model regresses a 3-vector

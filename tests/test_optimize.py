@@ -25,7 +25,7 @@ from typsgd.optimize import (
     Adam,
     Sgd,
     adam_step,
-    load_trace_rows,
+    load_trace,
     save_trace,
     sgd_step,
     train,
@@ -397,10 +397,10 @@ def test_trace_round_trip(tmp_path, small_quadratic):
                   eval_every=4, model_spec=spec)
     path = tmp_path / "trace.csv"
     save_trace(path, trace, config_digest="abc123")
-    rows = load_trace_rows(path)
-    assert [r["iteration"] for r in rows] == [rec.iteration for rec in trace.records]
-    assert rows[0]["train_loss"] == trace.records[0].train_loss  # exact repr round-trip
-    assert rows[0]["sampler"] == "srs" and rows[0]["seed"] == 4
+    loaded = load_trace(path)
+    assert loaded.records == trace.records  # exact repr round-trip of every cell
+    assert loaded.sampler_kind == "srs" and loaded.seed == 4
+    assert loaded.iterations_to_threshold(0.5) == trace.iterations_to_threshold(0.5)
     first_line = path.read_text().splitlines()[0]
     assert first_line.startswith("#") and "config=abc123" in first_line
 
