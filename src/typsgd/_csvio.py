@@ -5,9 +5,10 @@ row's width and parses each cell with its column's parser.
 
 All files written by this package start with a single comment line of the
 form ``# typsgd v<version> config=<hash> seed=<seed>`` so outputs are
-traceable to the run that produced them. :func:`write_rows` owns the text
-of every cell: a float (numpy float64 included) is written with ``repr``,
-which round-trips float64 exactly, and None as an empty cell.
+traceable to the run that produced them; :func:`read_provenance` reads it
+back. :func:`write_rows` owns the text of every cell: a float (numpy
+float64 included) is written with ``repr``, which round-trips float64
+exactly, and None as an empty cell.
 """
 
 from __future__ import annotations
@@ -31,6 +32,15 @@ def config_hash(text: str) -> str:
 def provenance_line(config_digest: str = "none", seed: int | None = None) -> str:
     seed_part = "none" if seed is None else str(seed)
     return f"{COMMENT_PREFIX} typsgd v{__version__} config={config_digest} seed={seed_part}"
+
+
+def read_provenance(path) -> dict[str, str]:
+    """The ``key=value`` fields (``config``, ``seed``) of the provenance line that starts ``path``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+    if not first.startswith(f"{COMMENT_PREFIX} typsgd v"):
+        raise CsvFormatError(f"{path}: the first line is not a typsgd provenance line", row=0, column=0)
+    return dict(field.partition("=")[::2] for field in first.split()[3:])
 
 
 def format_number(x) -> str:

@@ -6,11 +6,10 @@ under stratified typicality sampling. Each closed form is paired with an
 exhaustive enumeration oracle (every possible batch, exact probabilities)
 and a Monte-Carlo estimator for populations too large to enumerate. The
 exact error, the enumeration and the Monte-Carlo estimate are each written
-once over a scheme's strata; SRS is the one-stratum case. Every batch mean
-comes from ``enumerated_means`` or ``drawn_means``, and ``oracle_path``
-alone decides which: enumeration when the batch space fits a budget,
-Monte-Carlo otherwise. The descent recursion check, which takes those
-batch means at every state of an SGD path, sits beside ``oracle_path``.
+once over a scheme's strata; SRS is the one-stratum case. Every oracle
+batch mean comes from ``enumerated_means`` or ``drawn_means``, and
+``oracle_path`` alone decides which. The closed forms, the descent
+recursion check among them, read ``batch_mean_moments`` and need no batch.
 
 Two stratified formulas are provided deliberately. The published identity
 (`typicality_error_formula_published`) measures H-stratum dispersion about the
@@ -36,7 +35,7 @@ from . import optimize
 from .data import Dataset
 from .density import Partition
 from .errors import CapabilityError, InvalidArgumentError
-from .models import GradientFamily, _targets_for, gradient_family, mean_loss
+from .models import GradientFamily, QuadraticModel, _targets_for, gradient_family, mean_loss
 from .sampling import (
     BatchPlan,
     SrsScheme,
@@ -99,26 +98,33 @@ def dispersion_about_mean(rows: np.ndarray) -> float:
     return float(np.sum(centered * centered)) / (rows.shape[0] - 1)
 
 
-def exact_error(grads: GradientFamily, scheme) -> float:
-    """Exact E||batch mean - reference||^2 of a scheme: bias^2 + variance.
+def batch_mean_moments(rows: np.ndarray, strata, metric: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """E[batch mean] and tr(M Cov[batch mean]) of resolved strata, M = ``metric`` or the identity.
 
-    With n_h draws from stratum h of size N_h and m = sum n_h, the batch
-    mean has expectation (1/m) sum_h (n_h/N_h) sum_{i in h} g_i and variance
-    sum_h n_h (1 - n_h/N_h) S_h^2 / m^2, S_h^2 the dispersion of stratum h
-    about its own mean (Cochran 1977, ch. 5). Agrees with enumeration for
-    every gradient family and reference. A fully drawn stratum (n_h = N_h)
-    adds no variance, so a one-member stratum needs no dispersion.
+    With n_h draws from stratum h of size N_h and m = sum n_h, E = (1/m) sum_h (n_h/N_h) sum_{i in h} g_i
+    and Cov = sum_h n_h (1 - n_h/N_h) S_h / m^2, S_h stratum h's dispersion matrix about its own mean
+    (Cochran 1977, ch. 5). A fully drawn stratum adds no variance, so a one-member stratum needs none.
     """
-    rows = grads.per_sample
-    strata = resolve_strata(scheme, rows.shape[0])
     m = sum(draws for _, draws in strata)
-    expectation = sum(draws / members.shape[0] * rows[members].sum(axis=0) for members, draws in strata) / m
-    var = sum(
-        draws * (1.0 - draws / members.shape[0]) * dispersion_about_mean(rows[members])
-        for members, draws in strata
-        if draws < members.shape[0]
-    ) / m**2
-    return _sq_norm(expectation - grads.reference) + var
+    expectation, variance = 0, 0
+    for members, draws in strata:
+        size, part = members.shape[0], rows[members]
+        total = part.sum(axis=0)
+        expectation = expectation + draws / size * total
+        if draws < size:
+            centered = part - total / size
+            weighted = centered if metric is None else centered @ metric
+            variance = variance + draws * (1.0 - draws / size) * (float(np.sum(weighted * centered)) / (size - 1))
+    return expectation / m, variance / m**2
+
+
+def exact_error(grads: GradientFamily, scheme) -> float:
+    """Exact E||batch mean - reference||^2 of a scheme: bias^2 + variance (:func:`batch_mean_moments`).
+
+    Agrees with enumeration for every gradient family and reference.
+    """
+    expectation, variance = batch_mean_moments(grads.per_sample, resolve_strata(scheme, grads.n_samples))
+    return _sq_norm(expectation - grads.reference) + variance
 
 
 def srs_error_formula(grads: GradientFamily, m: int) -> float:
@@ -246,7 +252,6 @@ class RecursionStep:
     iteration: int
     lhs: float
     rhs: float
-    standard_error: float
     holds: bool
 
 
@@ -254,31 +259,22 @@ class RecursionStep:
 class RecursionReport:
     steps: tuple[RecursionStep, ...]
     holds_all: bool
-    exact: bool
 
 
 def descent_recursion_check(
-    model,
     dataset: Dataset,
     scheme,
     model_spec,
     k_steps: int,
-    mc_batches: int,
     seed: int,
-    eta: float | None = None,
     theta0: np.ndarray | None = None,
 ) -> RecursionReport:
-    """Check the one-step descent bound along a training path.
+    """Check the one-step descent bound of least squares along an SGD path, in closed form at any N.
 
-    At each visited state the expected next-step optimality gap (lhs) is
-    compared with (1 - mu/L) * gap + E||e||^2 / (2L) (rhs). Expectations are
-    exact enumerations over all batches when :func:`oracle_path` with budget
-    ``mc_batches`` picks enumeration (the batch space has at most
-    ``mc_batches`` members), otherwise Monte-Carlo over ``mc_batches`` drawn
-    batches with a 3-standard-error allowance on the paired difference,
-    which needs at least 2 batches. ``exact`` on the report names the path.
-    The path advances by ``optimize.sgd_step``, looked up at call time so
-    that a wrapper bound to that name sees every step.
+    At each state theta, with eta = 1/L, batch-mean gradient g and H = X^T X / N, f is quadratic, so the
+    expected next-step gap is exactly lhs = f(theta - eta E[g]) - f* + (eta^2 / 2) tr(H Cov[g]); it is
+    compared with rhs = (1 - mu/L) (f(theta) - f*) + :func:`exact_error` / (2L). The path advances by
+    ``optimize.sgd_step``, looked up at call time so that a wrapper bound to that name sees every step.
     """
     if model_spec.lipschitz_L is None or model_spec.strong_convexity_mu is None:
         raise InvalidArgumentError("recursion check needs exact L and mu")
@@ -286,42 +282,27 @@ def descent_recursion_check(
         raise InvalidArgumentError("recursion check needs the exact optimum value")
     big_l, optimum = model_spec.lipschitz_L, model_spec.exact_optimum_value
     contraction = 1.0 - model_spec.strong_convexity_mu / big_l
-    eta = 1.0 / big_l if eta is None else eta
+    eta = 1.0 / big_l
+    model = QuadraticModel()
     n = dataset.n_samples
     strata = resolve_strata(scheme, n)
     features, targets = dataset.features, _targets_for(model, dataset)
+    hessian = features.T @ features / n
     rng = np.random.default_rng(seed)
     theta = np.array(theta0, dtype=np.float64) if theta0 is not None else model.init_theta(dataset, seed)
-    exact = oracle_path(scheme, n, mc_batches)[0] == "enumeration"
-    if not exact and mc_batches < 2:
-        # one draw has no standard error, and none has no mean
-        raise InvalidArgumentError(f"the Monte-Carlo recursion check needs at least 2 batches; got {mc_batches}")
 
     steps = []
     for k in range(k_steps):
         gap = mean_loss(model, dataset, theta) - optimum
         family = gradient_family(model, dataset, theta)
-        grads, full_grad = family.per_sample, family.reference
-        if exact:
-            means = np.concatenate(list(enumerated_means(grads, strata)))
-        else:
-            means = drawn_means(grads, strata, mc_batches, rng)
-        next_gaps = np.array([mean_loss(model, dataset, theta - eta * g) for g in means]) - optimum
-        err_sqs = np.array([err @ err for err in means - full_grad])
-        lhs = float(np.mean(next_gaps))
-        rhs = contraction * gap + float(np.mean(err_sqs)) / (2.0 * big_l)
-        if exact:
-            se = 0.0
-        else:
-            paired = next_gaps - contraction * gap - err_sqs / (2.0 * big_l)
-            se = float(np.std(paired, ddof=1) / math.sqrt(mc_batches))
-        steps.append(
-            RecursionStep(iteration=k, lhs=lhs, rhs=rhs, standard_error=se, holds=lhs <= rhs + 3.0 * se)
-        )
+        expectation, noise = batch_mean_moments(family.per_sample, strata, metric=hessian)
+        lhs = mean_loss(model, dataset, theta - eta * expectation) - optimum + eta**2 / 2.0 * noise
+        rhs = contraction * gap + exact_error(family, scheme) / (2.0 * big_l)
+        steps.append(RecursionStep(iteration=k, lhs=lhs, rhs=rhs, holds=lhs <= rhs))
         # advance the path by one real stochastic step
         idx = draw_indices(strata, rng)
         theta = optimize.sgd_step(model, theta, features[idx], targets[idx], eta, k)
-    return RecursionReport(steps=tuple(steps), holds_all=all(s.holds for s in steps), exact=exact)
+    return RecursionReport(steps=tuple(steps), holds_all=all(s.holds for s in steps))
 
 
 def enumerate_error(grads: GradientFamily, scheme, budget: int = ENUMERATION_BUDGET) -> float:

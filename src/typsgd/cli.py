@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._csvio import write_rows, write_text
+from ._csvio import read_provenance, write_rows, write_text
 from ._parallel import map_processes
 from .analysis import formula_alpha
 from .config import RunConfig
@@ -279,11 +279,14 @@ def cmd_train(config: RunConfig, out_dir: str, workers: int | None = None) -> in
 TRACE_NAME = re.compile(r"trace_(?P<sampler>.+)_(?P<optimizer>[^_]+)_seed(?P<seed>\d+)\.csv")
 
 
-def _load_named_trace(path):
-    """(sampler, optimizer, trace) of a file named by TRACE_NAME; its rows must name the same sampler and seed."""
+def _load_named_trace(path, digest: str):
+    """(sampler, optimizer, trace) of a TRACE_NAME file whose rows name the same run, written under ``digest``."""
     name = TRACE_NAME.fullmatch(Path(path).name)
     if name is None:
         raise CsvFormatError(f"{path}: a trace file must be named trace_<sampler>_<optimizer>_seed<n>.csv")
+    written = read_provenance(path).get("config")
+    if written != digest:
+        raise InvalidArgumentError(f"{path} was written under config {written}, not the current config {digest}")
     trace = load_trace(path)
     named, recorded = (name["sampler"], int(name["seed"])), (trace.sampler_kind, trace.seed)
     if named != recorded:
@@ -299,7 +302,7 @@ def _write_comparison(config: RunConfig, out_dir: str, trace_paths) -> None:
     measured: set[tuple[str, str]] = set()  # cells whose traces record subopt
     curves: dict[tuple[str, str], tuple[int, list]] = {}
     for path in sorted(trace_paths):
-        sampler, optimizer, trace = _load_named_trace(path)
+        sampler, optimizer, trace = _load_named_trace(path, config.digest)
         reached = trace.iterations_to_threshold(threshold)
         final = trace.records[-1]
         rows.append([sampler, optimizer, trace.seed, reached, final.train_loss, final.val_loss, final.subopt])

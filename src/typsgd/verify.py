@@ -229,16 +229,13 @@ def check_recursion(rng, scheme) -> CheckResult:
     """The descent recursion along 30 steps of ``scheme`` on an 8-sample quadratic."""
     dataset, spec = quadratic_instance(rng, n=8, d=2)
     theta0 = spec.exact_minimizer + rng.normal(0.0, 2.0, 2)
-    report = descent_recursion_check(
-        QuadraticModel(), dataset, scheme, spec, k_steps=30, mc_batches=100, seed=7, theta0=theta0
-    )
+    report = descent_recursion_check(dataset, scheme, spec, k_steps=30, seed=7, theta0=theta0)
     margin = min(s.rhs - s.lhs for s in report.steps)
     return CheckResult(
         f"descent_recursion_{scheme.kind}",
         "ASSERTED",
-        report.holds_all and report.exact,
-        f"{len(report.steps)} {'enumerated' if report.exact else 'Monte-Carlo'} steps, "
-        f"min slack rhs - lhs = {margin:.3e}",
+        report.holds_all,
+        f"{len(report.steps)} closed-form steps, min slack rhs - lhs = {margin:.3e}",
     )
 
 

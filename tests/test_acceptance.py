@@ -7,11 +7,13 @@ analysis.
 """
 
 import hashlib
+import math
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from test_optimize import reference_descent_recursion_check
 
 from typsgd.analysis import (
     enumerate_error,
@@ -110,16 +112,22 @@ def test_criterion_4_descent_recursion():
     rng = np.random.default_rng(404)
     dataset, spec = quadratic_instance(rng, n=8, d=2)
     theta0 = spec.exact_minimizer + rng.normal(0.0, 2.0, 2)
-    report = descent_recursion_check(
-        QuadraticModel(), dataset, SrsScheme(m=2), spec, k_steps=30, mc_batches=28, seed=1, theta0=theta0,
-    )
+    args = (dataset, SrsScheme(m=2), spec)
+    kwargs = dict(k_steps=30, seed=1, theta0=theta0)
+    report = descent_recursion_check(*args, **kwargs)
     elapsed = time.perf_counter() - start
+    # the closed form must be the exhaustive enumeration over all C(8, 2) batches at every step
+    enumerated = reference_descent_recursion_check(*args, **kwargs)
+    exact = len(report.steps) == len(enumerated.steps) == 30 and all(
+        math.isclose(step.lhs, ref.lhs, rel_tol=1e-9) and math.isclose(step.rhs, ref.rhs, rel_tol=1e-9)
+        for step, ref in zip(report.steps, enumerated.steps)
+    )
     strict = all(step.lhs <= step.rhs for step in report.steps)
     margin = min(step.rhs - step.lhs for step in report.steps)
     verdict(
         4,
-        report.exact and strict and elapsed < 30.0,
-        f"30 exhaustively enumerated steps, lhs <= rhs at every step "
+        exact and strict and elapsed < 30.0,
+        f"30 closed-form steps equal to exhaustive enumeration to 1e-9, lhs <= rhs at every step "
         f"(min slack {margin:.2e}) in {elapsed:.1f}s",
     )
 

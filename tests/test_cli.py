@@ -408,6 +408,21 @@ def test_trace_named_for_another_run_is_io_error(workspace, capsys, copy, messag
     assert str(out / copy) in err and message in err
 
 
+def test_report_refuses_traces_of_another_config(workspace, capsys):
+    # seeds 0 and 1 trained, then seed 0 retrained under another adam_eta: the seed-1 traces are stale
+    config, out = workspace
+    for cmd in ("gen", "partition", "train"):
+        assert main([cmd, "--config", str(config)]) == 0
+    first = RunConfig.from_file(config).digest
+    config.write_text(config.read_text().replace("adam_eta = 0.05", "adam_eta = 0.5").replace("seeds = 0,1", "seeds = 0"))
+    assert main(["train", "--config", str(config)]) == 0
+    second = RunConfig.from_file(config).digest
+    capsys.readouterr()
+    assert main(["report", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert str(out / "trace_srs_adam_seed1.csv") in err and first in err and second in err
+
+
 def test_embed_reads_the_dataset_once(workspace, monkeypatch):
     config, out = workspace
     assert main(["gen", "--config", str(config)]) == 0

@@ -56,6 +56,13 @@ def test_oracle_engine_stays_inside_analysis(path):
     assert not set(names_used(parse(path))) & ORACLE_ENGINE
 
 
+def test_recursion_check_takes_no_batch_means():
+    # the descent recursion check is closed-form at any N; it neither enumerates nor draws batches
+    tree = parse(SRC / "analysis.py")
+    (check,) = [node for node in tree.body if getattr(node, "name", None) == "descent_recursion_check"]
+    assert not set(names_used(check)) & {"enumerated_means", "drawn_means"}
+
+
 @others("_csvio.py")
 def test_only_csvio_reads_raw_rows(path):
     # every artifact is read back through _csvio.read_table, which checks widths and cells

@@ -39,6 +39,7 @@ from typsgd.sampling import (
     resolve_strata,
     save_batch_log,
 )
+from typsgd.verify import leading_scheme, quadratic_instance
 
 
 def half_partition(n):
@@ -223,53 +224,27 @@ class TestTrain:
 class TestRecursionCheck:
     def test_full_batch_zero_noise(self, small_quadratic):
         ds, spec = small_quadratic
-        report = descent_recursion_check(
-            QuadraticModel(), ds, SrsScheme(m=ds.n_samples), spec, k_steps=10, mc_batches=10, seed=0,
-        )
-        assert report.exact and report.holds_all
-        contraction = 1.0 - spec.strong_convexity_mu / spec.lipschitz_L
+        report = descent_recursion_check(ds, SrsScheme(m=ds.n_samples), spec, k_steps=10, seed=0)
+        assert report.holds_all
         for step in report.steps:
             # e_k = 0: the rhs reduces to the pure contraction term
             assert step.lhs <= step.rhs
-            assert step.standard_error == 0.0
 
     def test_enumerated_srs_holds_every_step(self, small_quadratic):
         ds, spec = small_quadratic
-        report = descent_recursion_check(
-            QuadraticModel(), ds, SrsScheme(m=2), spec, k_steps=30, mc_batches=28, seed=5,
-        )
-        assert report.exact
+        report = descent_recursion_check(ds, SrsScheme(m=2), spec, k_steps=30, seed=5)
         assert all(s.lhs <= s.rhs for s in report.steps)
 
     def test_enumerated_typicality_holds(self, small_quadratic):
         ds, spec = small_quadratic
         part = half_partition(8)
         scheme = StratifiedScheme(part, make_plan(2, 1, part))
-        report = descent_recursion_check(QuadraticModel(), ds, scheme, spec, k_steps=30, mc_batches=16, seed=6)
-        assert report.exact and report.holds_all
-
-    def test_monte_carlo_mode(self, small_quadratic):
-        ds, spec = small_quadratic
-        report = descent_recursion_check(
-            QuadraticModel(), ds, SrsScheme(m=4), spec, k_steps=5, mc_batches=50, seed=2,
-        )
-        assert not report.exact
-        assert all(s.standard_error > 0.0 for s in report.steps)
+        report = descent_recursion_check(ds, scheme, spec, k_steps=30, seed=6)
         assert report.holds_all
 
-    @pytest.mark.parametrize("mc_batches", [0, 1])
-    def test_monte_carlo_needs_two_batches(self, small_quadratic, mc_batches):
-        # 70 batches of 4 from 8 exceed the budget, so the check would draw, and
-        # 0 or 1 draws give no standard error
-        ds, spec = small_quadratic
-        with pytest.raises(InvalidArgumentError, match="at least 2 batches"):
-            descent_recursion_check(
-                QuadraticModel(), ds, SrsScheme(m=4), spec, k_steps=5, mc_batches=mc_batches, seed=2,
-            )
 
-
-# The recursion check as it was when it enumerated and drew its own batches,
-# kept as the oracle for the batch-mean engine it now shares with analysis.
+# The recursion check as it was when it enumerated every batch at every state:
+# the oracle the closed form is held to.
 
 
 def reference_enumerate_batches(scheme, n_total: int):
@@ -280,47 +255,35 @@ def reference_enumerate_batches(scheme, n_total: int):
 
 
 def reference_descent_recursion_check(
-    model,
     dataset: Dataset,
     scheme,
     model_spec,
     k_steps: int,
-    mc_batches: int,
     seed: int,
-    eta: float | None = None,
     theta0: np.ndarray | None = None,
 ) -> RecursionReport:
-    """Check the one-step descent bound along a training path.
+    """Check the one-step descent bound along a least-squares SGD path by enumeration.
 
-    At each visited state the expected next-step optimality gap (lhs) is
-    compared with (1 - mu/L) * gap + E||e||^2 / (2L) (rhs). Expectations are
-    exact enumerations over all batches when the batch space has at most
-    ``mc_batches`` members, otherwise Monte-Carlo with a 3-standard-error
-    allowance on the paired difference.
+    At each visited state the mean next-step optimality gap over every batch
+    (lhs) is compared with (1 - mu/L) * gap + mean ||e||^2 / (2L) (rhs), at
+    eta = 1/L.
     """
-    if model_spec.lipschitz_L is None or model_spec.strong_convexity_mu is None:
-        raise InvalidArgumentError("recursion check needs exact L and mu")
-    if model_spec.exact_optimum_value is None:
-        raise InvalidArgumentError("recursion check needs the exact optimum value")
+    model = QuadraticModel()
     big_l = model_spec.lipschitz_L
     contraction = 1.0 - model_spec.strong_convexity_mu / big_l
-    eta = 1.0 / big_l if eta is None else eta
+    eta = 1.0 / big_l
     n = dataset.n_samples
     strata = resolve_strata(scheme, n)
     features, targets = dataset.features, _targets_for(model, dataset)
     rng = np.random.default_rng(seed)
     theta = np.array(theta0, dtype=np.float64) if theta0 is not None else model.init_theta(dataset, seed)
-    exact = batch_space_size(scheme, n) <= mc_batches
 
     steps = []
     for k in range(k_steps):
         gap = mean_loss(model, dataset, theta) - model_spec.exact_optimum_value
         grads = per_sample_gradients(model, dataset, theta)
         full_grad = np.sum(grads, axis=0) / n
-        if exact:
-            index_sets = list(reference_enumerate_batches(scheme, n))
-        else:
-            index_sets = [draw_indices(strata, rng) for _ in range(mc_batches)]
+        index_sets = list(reference_enumerate_batches(scheme, n))
         next_gaps = np.empty(len(index_sets))
         err_sqs = np.empty(len(index_sets))
         for b, idx in enumerate(index_sets):
@@ -330,18 +293,22 @@ def reference_descent_recursion_check(
             err_sqs[b] = err @ err
         lhs = float(np.mean(next_gaps))
         rhs = contraction * gap + float(np.mean(err_sqs)) / (2.0 * big_l)
-        if exact:
-            se = 0.0
-        else:
-            paired = next_gaps - contraction * gap - err_sqs / (2.0 * big_l)
-            se = float(np.std(paired, ddof=1) / math.sqrt(len(index_sets)))
-        steps.append(
-            RecursionStep(iteration=k, lhs=lhs, rhs=rhs, standard_error=se, holds=lhs <= rhs + 3.0 * se)
-        )
+        steps.append(RecursionStep(iteration=k, lhs=lhs, rhs=rhs, holds=lhs <= rhs))
         # advance the path by one real stochastic step
         idx = draw_indices(strata, rng)
         theta = sgd_step(model, theta, features[idx], targets[idx], eta, k)
-    return RecursionReport(steps=tuple(steps), holds_all=all(s.holds for s in steps), exact=exact)
+    return RecursionReport(steps=tuple(steps), holds_all=all(s.holds for s in steps))
+
+
+def assert_matches_enumeration(report, reference, rel=1e-9):
+    """Every step's lhs and rhs equal the enumerated ones to ``rel``, with the same verdict."""
+    assert len(report.steps) == len(reference.steps)
+    for step, ref in zip(report.steps, reference.steps):
+        assert step.iteration == ref.iteration
+        assert step.lhs == pytest.approx(ref.lhs, rel=rel)
+        assert step.rhs == pytest.approx(ref.rhs, rel=rel)
+        assert step.holds == ref.holds
+    assert report.holds_all == reference.holds_all
 
 
 def stratified_half(m, n1):
@@ -349,46 +316,65 @@ def stratified_half(m, n1):
     return StratifiedScheme(part, make_plan(m, n1, part))
 
 
+def scheme_id(scheme):
+    return scheme.kind + "-" + "+".join(f"{draws}of{members.shape[0]}" for members, draws in scheme.strata(8))
+
+
 class TestRecursionMatchesReference:
-    # (scheme, mc_batches, expect exact): SRS and H/L with n1 = 2 and n2 = 1 at a budget equal
-    # to their batch space (exact), and Monte-Carlo
-    CASES = [
-        (SrsScheme(m=2), 28, True),
-        (stratified_half(3, 2), 24, True),
-        (SrsScheme(m=4), 50, False),
-        (stratified_half(3, 2), 10, False),
-        # one batch past each exact case's budget: C(8, 2) = 28 and C(4, 2) * C(4, 1) = 24
-        (SrsScheme(m=2), 27, False),
-        (stratified_half(3, 2), 23, False),
-    ]
+    # on the 8-sample fixture: SRS and H/L plans with C(8, 2) = 28, C(4, 2) * C(4, 1) = 24
+    # and C(8, 4) = 70 batches
+    CASES = [SrsScheme(m=2), stratified_half(3, 2), SrsScheme(m=4)]
 
     @staticmethod
-    def both(small_quadratic, scheme, mc_batches, seed):
+    def both(small_quadratic, scheme, seed):
         ds, spec = small_quadratic
         theta0 = spec.exact_minimizer + np.random.default_rng(seed).normal(0.0, 2.0, 2)
-        args = (QuadraticModel(), ds, scheme, spec)
-        kwargs = dict(k_steps=12, mc_batches=mc_batches, seed=seed, theta0=theta0)
+        args = (ds, scheme, spec)
+        kwargs = dict(k_steps=12, seed=seed, theta0=theta0)
         return descent_recursion_check(*args, **kwargs), reference_descent_recursion_check(*args, **kwargs)
 
     @pytest.mark.parametrize("seed", [0, 3])
-    @pytest.mark.parametrize("scheme, mc_batches, exact", CASES)
-    def test_bit_identical(self, small_quadratic, scheme, mc_batches, exact, seed):
-        report, reference = self.both(small_quadratic, scheme, mc_batches, seed)
-        assert report.exact is exact
-        assert report == reference  # every RecursionStep field, compared with ==
+    @pytest.mark.parametrize("scheme", CASES, ids=scheme_id)
+    def test_matches_enumeration(self, small_quadratic, scheme, seed):
+        assert_matches_enumeration(*self.both(small_quadratic, scheme, seed))
+
+    @pytest.mark.parametrize(
+        "scheme", [SrsScheme(m=3), leading_scheme(4, 8, m=2, n1=1), leading_scheme(3, 8, m=4, n1=2)], ids=scheme_id
+    )
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_instances_match_enumeration(self, scheme, seed):
+        rng = np.random.default_rng(seed)
+        ds, spec = quadratic_instance(rng, n=8, d=2)
+        args = (ds, scheme, spec)
+        kwargs = dict(k_steps=12, seed=seed, theta0=spec.exact_minimizer + rng.normal(0.0, 2.0, 2))
+        assert_matches_enumeration(descent_recursion_check(*args, **kwargs),
+                                   reference_descent_recursion_check(*args, **kwargs))
 
     def test_last_stratum_drawn_twice(self, small_quadratic):
-        # the engine adds the last stratum's combination sum first, so a batch mean
-        # (h0 + h1 + l0 + l1) / m is summed in another order than the reference's
-        # concatenated ids and may differ from it in the last bits
-        report, reference = self.both(small_quadratic, stratified_half(4, 2), 36, seed=1)
-        assert report.exact and reference.exact
-        assert len(report.steps) == len(reference.steps)
-        for step, ref in zip(report.steps, reference.steps):
-            assert step.iteration == ref.iteration and step.standard_error == ref.standard_error == 0.0
-            assert step.lhs == pytest.approx(ref.lhs, rel=1e-12)
-            assert step.rhs == pytest.approx(ref.rhs, rel=1e-12)
-            assert step.holds == ref.holds
+        # two draws from each stratum, C(4, 2) * C(4, 2) = 36 batches
+        assert_matches_enumeration(*self.both(small_quadratic, stratified_half(4, 2), seed=1), rel=1e-12)
+
+
+def test_recursion_check_at_paper_size():
+    # 2000 samples and m = 50: C(2000, 50) batches, far past any enumeration; the closed-form
+    # lhs at step 0 must agree with a mean over 20 000 drawn batches
+    rng = np.random.default_rng(2000)
+    ds, spec = quadratic_instance(rng, n=2000, d=2)
+    theta0 = spec.exact_minimizer + rng.normal(0.0, 2.0, 2)
+    eta = 1.0 / spec.lipschitz_L
+    model = QuadraticModel()
+    grads = per_sample_gradients(model, ds, theta0)
+    for scheme in (SrsScheme(m=50), leading_scheme(600, 2000, m=50, n1=40)):
+        report = descent_recursion_check(ds, scheme, spec, k_steps=30, seed=1, theta0=theta0)
+        assert len(report.steps) == 30 and report.holds_all
+        strata = resolve_strata(scheme, ds.n_samples)
+        draw_rng = np.random.default_rng(3)
+        next_gaps = np.empty(20_000)
+        for b in range(next_gaps.shape[0]):
+            idx = draw_indices(strata, draw_rng)
+            next_gaps[b] = mean_loss(model, ds, theta0 - eta * grads[idx].mean(axis=0)) - spec.exact_optimum_value
+        se = np.std(next_gaps, ddof=1) / math.sqrt(next_gaps.shape[0])
+        assert abs(report.steps[0].lhs - np.mean(next_gaps)) <= 4.0 * se, scheme.kind
 
 
 def test_trace_round_trip(tmp_path, small_quadratic):
@@ -742,7 +728,7 @@ class TestRepeatsRejectedBeforeTheFirstDraw:
     def test_recursion_check(self, small_quadratic, no_draws):
         ds, spec = small_quadratic
         with pytest.raises(InvalidArgumentError):
-            descent_recursion_check(QuadraticModel(), ds, OverlappingScheme(), spec, k_steps=2, mc_batches=1, seed=0)
+            descent_recursion_check(ds, OverlappingScheme(), spec, k_steps=2, seed=0)
 
 
 def test_one_step_call_per_iteration(small_quadratic, monkeypatch):
@@ -777,5 +763,5 @@ def test_one_step_call_per_iteration(small_quadratic, monkeypatch):
     assert calls == {"sgd_step": 17, "adam_step": 0, "grads_inside": 17}
     train(QuadraticModel(), ds, SrsScheme(m=3), Adam(eta=0.05), 11, seed=0, eval_every=5)
     assert calls == {"sgd_step": 17, "adam_step": 11, "grads_inside": 28}
-    descent_recursion_check(QuadraticModel(), ds, SrsScheme(m=2), spec, k_steps=4, mc_batches=28, seed=0)
+    descent_recursion_check(ds, SrsScheme(m=2), spec, k_steps=4, seed=0)
     assert calls["sgd_step"] == 21 and calls["grads_inside"] == 32

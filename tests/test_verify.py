@@ -1,7 +1,5 @@
 import numpy as np
-import pytest
 
-from typsgd import verify
 from typsgd.models import QuadraticModel
 from typsgd.sampling import SrsScheme, srs_batch, validate_plan
 from typsgd.verify import (
@@ -66,15 +64,7 @@ def test_inclusion_check_catches_a_biased_sampler():
     assert not unsplit.passed
 
 
-@pytest.mark.parametrize("mc_batches, words", [(None, "30 enumerated steps"), (20, "30 Monte-Carlo steps")])
-def test_recursion_check_names_its_path(monkeypatch, mc_batches, words):
-    # 8 samples give at most C(8, 4) = 70 batches, under the check's own budget of
-    # 100; a budget of 20 sends it down the Monte-Carlo path, which it does not accept
-    if mc_batches is not None:
-        check = verify.descent_recursion_check
-        monkeypatch.setattr(
-            verify, "descent_recursion_check", lambda *a, **k: check(*a, **{**k, "mc_batches": mc_batches})
-        )
+def test_recursion_check_names_its_path():
     result = check_recursion(np.random.default_rng(0), SrsScheme(m=2))
-    assert result.detail.startswith(words + ", min slack rhs - lhs = ")
-    assert result.passed is (mc_batches is None)
+    assert result.detail.startswith("30 closed-form steps, min slack rhs - lhs = ")
+    assert result.passed is True
