@@ -1,4 +1,4 @@
-"""The usable-CPU count, and one way to run independent calls on worker processes."""
+"""The one pool-size rule, and one way to run independent calls on worker processes."""
 
 from __future__ import annotations
 
@@ -14,23 +14,27 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def map_processes(fn, tasks, workers: int) -> list:
-    """``[fn(*task) for task in tasks]``, on up to ``workers`` processes; results in task order.
+def pool_size(tasks: int) -> int:
+    """Workers for ``tasks`` independent tasks: one per usable CPU, at most one per task, at least one."""
+    return max(1, min(usable_cpus(), tasks))
 
-    With one worker or at most one task the calls run inline and no process
-    is started. Otherwise the pool has min(workers, len(tasks)) processes and
-    one submission per task, so a free worker always takes the next task.
+
+def map_processes(fn, tasks) -> list:
+    """``[fn(*task) for task in tasks]`` on :func:`pool_size` processes; results in task order.
+
+    With one worker (one usable CPU, or at most one task) the calls run
+    inline and no process is started. Otherwise the pool makes one
+    submission per task, so a free worker always takes the next task.
     ``fn`` and the tasks must pickle: ``fn`` a module-level function. On the
     first error the pending tasks are cancelled, the running ones finish,
     the workers are joined and the error is raised; no worker outlives the
     call.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1; got {workers}")
     tasks = list(tasks)
-    if workers == 1 or len(tasks) <= 1:
+    workers = pool_size(len(tasks))
+    if workers == 1:
         return [fn(*task) for task in tasks]
-    with ProcessPoolExecutor(min(workers, len(tasks))) as pool:
+    with ProcessPoolExecutor(workers) as pool:
         futures = [pool.submit(fn, *task) for task in tasks]
         try:
             for future in as_completed(futures):

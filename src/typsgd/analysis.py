@@ -236,15 +236,15 @@ def drawn_means(rows: np.ndarray, strata, draws: int, rng: np.random.Generator) 
     return means
 
 
-def oracle_path(scheme, n_total: int, budget: int) -> tuple[str, int]:
+def oracle_path(scheme, n_total: int) -> tuple[str, int]:
     """The one enumerate-or-sample rule: (path, batch space size) of ``scheme`` over ``n_total`` samples.
 
-    The path is "enumeration" when the scheme has at most ``budget`` distinct
-    batches and "monte_carlo" otherwise. Every oracle that chooses between
-    :func:`enumerated_means` and :func:`drawn_means` reads its choice here.
+    The path is "enumeration" when the scheme has at most ENUMERATION_BUDGET
+    (read at call time) distinct batches and "monte_carlo" otherwise. Every oracle
+    that chooses between :func:`enumerated_means` and :func:`drawn_means` reads it here.
     """
     count = batch_space_size(scheme, n_total)
-    return ("enumeration" if count <= budget else "monte_carlo"), count
+    return ("enumeration" if count <= ENUMERATION_BUDGET else "monte_carlo"), count
 
 
 @dataclass(frozen=True)
@@ -305,17 +305,17 @@ def descent_recursion_check(
     return RecursionReport(steps=tuple(steps), holds_all=all(s.holds for s in steps))
 
 
-def enumerate_error(grads: GradientFamily, scheme, budget: int = ENUMERATION_BUDGET) -> float:
+def enumerate_error(grads: GradientFamily, scheme) -> float:
     """Exact E||batch mean - reference||^2 over every possible batch.
 
     The ground-truth oracle for all formula checks. Raises CapabilityError
-    when :func:`oracle_path` does not choose enumeration under ``budget``;
-    use :func:`monte_carlo_error` in that case.
+    when :func:`oracle_path` does not choose enumeration; use
+    :func:`monte_carlo_error` in that case.
     """
     rows = grads.per_sample
-    path, count = oracle_path(scheme, rows.shape[0], budget)
+    path, count = oracle_path(scheme, rows.shape[0])
     if path != "enumeration":
-        raise CapabilityError(f"{count} batches exceed the enumeration budget {budget}; use monte_carlo_error")
+        raise CapabilityError(f"{count} batches exceed the enumeration budget {ENUMERATION_BUDGET}; use monte_carlo_error")
     total = 0.0
     for means in enumerated_means(rows, resolve_strata(scheme, rows.shape[0])):
         diffs = means - grads.reference
@@ -364,14 +364,13 @@ def compare_error_expectations(
     grads: GradientFamily,
     partition: Partition,
     plan: BatchPlan,
-    budget: int = ENUMERATION_BUDGET,
     mc_draws: int = 100_000,
     seed: int = 0,
 ) -> ErrorComparison:
     """Compare stratified vs SRS expected squared error on one instance.
 
-    Each expectation takes the path :func:`oracle_path` picks under
-    ``budget``: :func:`enumerate_error` when the scheme's batch space fits,
+    Each expectation takes the path :func:`oracle_path` picks:
+    :func:`enumerate_error` when the scheme's batch space fits,
     else the mean of :func:`monte_carlo_error` over ``mc_draws`` batches
     drawn with ``seed``. ``paths`` names the (SRS, stratified) paths taken.
     The inequality is reported, never asserted: instances violating the
@@ -380,9 +379,9 @@ def compare_error_expectations(
     """
 
     def expected(scheme):
-        path, _ = oracle_path(scheme, grads.n_samples, budget)
+        path, _ = oracle_path(scheme, grads.n_samples)
         if path == "enumeration":
-            return path, enumerate_error(grads, scheme, budget=budget)
+            return path, enumerate_error(grads, scheme)
         return path, monte_carlo_error(grads, scheme, draws=mc_draws, seed=seed)[0]
 
     srs_path, mse_srs = expected(SrsScheme(m=plan.m))
@@ -428,7 +427,7 @@ def build_error_report(
     stratified = StratifiedScheme(partition=partition, plan=plan)
     mc = monte_carlo_error(grads, stratified, draws=mc_draws, seed=seed) if mc_draws else None
     draws = {"mc_draws": mc_draws} if mc_draws else {}  # else the comparison's default
-    compare = compare_error_expectations(grads, partition, plan, budget=ENUMERATION_BUDGET, seed=seed, **draws)
+    compare = compare_error_expectations(grads, partition, plan, seed=seed, **draws)
     return ErrorReport(
         mse_srs_formula=srs_error_formula(grads, plan.m),
         mse_strat_published=published,

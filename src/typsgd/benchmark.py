@@ -110,9 +110,9 @@ def run_comparison(
     """Paired-seed SGD and Adam runs; iterations to the loss threshold.
 
     Runs that never reach the threshold within the budget enter the median
-    as infinity. Each run is independent of the others, so they go to a
-    process pool with one worker per usable CPU, inline on one CPU; the
-    result is the same bit for bit.
+    as infinity. Each run is independent of the others, so they go to
+    ``_parallel.map_processes``, one worker per usable CPU; the result is
+    the same bit for bit.
     """
     model = QuadraticModel()
     spec = setup.model_spec
@@ -127,7 +127,6 @@ def run_comparison(
         _reach,
         [(model, setup.dataset, schemes[name], *budgets[kind], seed, eval_every, spec, threshold)
          for seed, name, kind in runs],
-        _parallel.usable_cpus(),
     )
     table = {kind: {name: [] for name in schemes} for kind in budgets}
     for (_, name, kind), reach in zip(runs, reaches):

@@ -113,12 +113,13 @@ def cmd_partition(config: RunConfig, out_dir: str) -> int:
     csv_path = os.path.join(out_dir, "partition.csv")
     svg_path = os.path.join(out_dir, "partition.svg")
     try:
-        emb_path = os.path.join(out_dir, "embedding.csv")
-        if not os.path.exists(emb_path):
-            cmd_embed(config, out_dir)
-        points = load_embedding_points(emb_path)
         bandwidth = config.parse("partition", "bandwidth", _number_or("scott"), "scott")
         gamma = config.get_float("partition", "gamma", 0.3)
+        emb_path = os.path.join(out_dir, "embedding.csv")
+        current = {"config": config.digest, "seed": str(config.get_int("embedding", "seed", 0))}
+        if not os.path.exists(emb_path) or read_provenance(emb_path) != current:
+            cmd_embed(config, out_dir)
+        points = load_embedding_points(emb_path)
         densities = kde_densities(points, bandwidth)
         partition = build_partition(densities, gamma)
         save_partition(csv_path, partition, densities, config_digest=config.digest)
@@ -151,7 +152,7 @@ def _model_from_config(config: RunConfig):
 
 
 class TrainSetup(NamedTuple):
-    """Everything the training cells of one `typsgd train` share, built once."""
+    """Everything the training cells of one `typsgd train` share: built once, pickled with each cell's task."""
 
     train_data: Dataset
     val_data: Dataset | None
@@ -253,12 +254,8 @@ def _run_cell(setup: TrainSetup, out_dir: str, sampler: str, optimizer: str, see
     return stem
 
 
-def cmd_train(config: RunConfig, out_dir: str, workers: int | None = None) -> int:
-    """``workers`` (the ``--workers`` flag) sizes the training pool; without it ``[output] workers`` does, else 1."""
-    source = "--workers" if workers is not None else "[output] workers"
-    workers = workers if workers is not None else config.get_int("output", "workers", 1)
-    if workers < 1:
-        raise InvalidArgumentError(f"{source} must be >= 1; got {workers}")
+def cmd_train(config: RunConfig, out_dir: str) -> int:
+    """Every (sampler, optimizer, seed) cell, on ``map_processes``; the files are the same at any pool size."""
     setup = _train_setup(config, out_dir)
     seeds = config.get_ints("train", "seeds", [0])
     cells = [
@@ -270,7 +267,7 @@ def cmd_train(config: RunConfig, out_dir: str, workers: int | None = None) -> in
     alpha_cell = next(
         ((s, o, sd) for (s, o, sd) in cells if s == "typicality" and o == "sgd"), None
     )
-    stems = map_processes(_run_cell, [(setup, out_dir, *cell, cell == alpha_cell) for cell in cells], workers)
+    stems = map_processes(_run_cell, [(setup, out_dir, *cell, cell == alpha_cell) for cell in cells])
     _write_comparison(config, out_dir, [os.path.join(out_dir, f"trace_{stem}.csv") for stem in stems])
     print(f"train: {len(cells)} runs -> {out_dir}")
     return EXIT_OK
@@ -342,7 +339,10 @@ def _write_comparison(config: RunConfig, out_dir: str, trace_paths) -> None:
 
 
 def cmd_report(config: RunConfig, out_dir: str) -> int:
-    _write_comparison(config, out_dir, glob(os.path.join(out_dir, "trace_*.csv")))
+    traces = glob(os.path.join(out_dir, "trace_*.csv"))
+    if not traces:
+        raise FileNotFoundError(f"no trace_*.csv in {out_dir} to report on")
+    _write_comparison(config, out_dir, traces)
     print(f"report: comparison rebuilt from traces in {out_dir}")
     return EXIT_OK
 
@@ -372,14 +372,13 @@ class Subcommand(NamedTuple):
 
     help: str
     seed_key: tuple[str, str] | None  # the config key --seed replaces; None: no --seed
-    workers: bool = False  # takes --workers
 
 
 SUBCOMMANDS = {
     "gen": Subcommand("generate a dataset and write dataset.csv", ("data", "seed")),
     "embed": Subcommand("embed dataset.csv to 2-D and write embedding.csv", ("embedding", "seed")),
     "partition": Subcommand("density-partition the embedding into strata H and L", ("embedding", "seed")),
-    "train": Subcommand("run paired sampler/optimizer training cells", ("train", "seeds"), workers=True),
+    "train": Subcommand("run paired sampler/optimizer training cells", ("train", "seeds")),
     "verify": Subcommand("run the oracle verification suite", ("verify", "seed")),
     "report": Subcommand("rebuild the comparison report from existing traces", None),
 }
@@ -398,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mkdir", action="store_true", help="create the output dir if missing")
         if command.seed_key is not None:
             p.add_argument("--seed", type=int, default=None, help="override [{}] {}".format(*command.seed_key))
-        if command.workers:
-            p.add_argument("--workers", type=int, default=None, help="training processes (>= 1; capped at the cell count)")
     return parser
 
 
@@ -420,8 +417,7 @@ def main(argv=None) -> int:
                 raise OSError(f"output directory {out_dir!r} does not exist (use --mkdir)")
         if command.seed_key is not None and args.seed is not None:
             config.set(*command.seed_key, args.seed)
-        handler = globals()[f"cmd_{args.command}"]
-        return handler(config, out_dir, args.workers) if command.workers else handler(config, out_dir)
+        return globals()[f"cmd_{args.command}"](config, out_dir)
     except (OSError, CsvFormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

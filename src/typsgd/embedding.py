@@ -130,16 +130,16 @@ class _RowBlocks:
 
     numpy releases the GIL inside its ufunc and BLAS loops, so threads that
     fill disjoint row blocks, or sum disjoint leaves of a pairwise tree, work
-    in parallel. With one block or one usable CPU the tasks run inline and no
-    thread is started. Each worker runs every ``workers``-th task, so a pass
-    costs one submission per worker. The pool is shut down when the ``with``
-    block exits, on error too.
+    in parallel. ``_parallel.pool_size`` sizes the pool; with one worker the
+    tasks run inline and no thread is started. Each worker runs every
+    ``workers``-th task, so a pass costs one submission per worker. The pool
+    is shut down when the ``with`` block exits, on error too.
     """
 
     def __init__(self, n: int):
         rows = max(1, BLOCK_BYTES // (8 * max(n, 1)))
         self.bounds = [(s, min(s + rows, n)) for s in range(0, n, rows)]
-        self.workers = max(1, min(len(self.bounds), _parallel.usable_cpus()))
+        self.workers = _parallel.pool_size(len(self.bounds))
         self._pool = ThreadPoolExecutor(self.workers) if self.workers > 1 else None
 
     def __enter__(self):

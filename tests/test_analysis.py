@@ -133,10 +133,11 @@ class TestEnumeration:
                 brute_force_expectation(grads, scheme), abs=1e-12
             )
 
-    def test_budget_guard(self, rng):
+    def test_budget_guard(self, rng, monkeypatch):
+        monkeypatch.setattr(analysis, "ENUMERATION_BUDGET", 1000)
         grads = GradientFamily(per_sample=rng.normal(size=(40, 1)), reference=np.zeros(1))
         with pytest.raises(CapabilityError, match="monte_carlo"):
-            enumerate_error(grads, SrsScheme(m=20), budget=1000)
+            enumerate_error(grads, SrsScheme(m=20))
 
     def test_stratified_full_draw(self, rng):
         grads, part = two_strata_family(rng.normal(size=(3, 2)), rng.normal(size=(4, 2)), rng.normal(size=2))
@@ -362,22 +363,24 @@ def boundary_instance():
     return grads, part, make_plan(4, 2, part)
 
 
-def expected_by_path(grads, scheme, path, budget, mc_draws, seed):
+def expected_by_path(grads, scheme, path, mc_draws, seed):
     if path == "enumeration":
-        return enumerate_error(grads, scheme, budget=budget)
+        return enumerate_error(grads, scheme)
     return monte_carlo_error(grads, scheme, draws=mc_draws, seed=seed)[0]
 
 
 class TestOraclePath:
     @pytest.mark.parametrize("stratified, space", [(False, SRS_SPACE), (True, STRAT_SPACE)])
-    def test_enumerates_up_to_the_budget_and_samples_beyond(self, stratified, space):
+    def test_enumerates_up_to_the_budget_and_samples_beyond(self, monkeypatch, stratified, space):
         grads, part, plan = boundary_instance()
         scheme = StratifiedScheme(part, plan) if stratified else SrsScheme(m=plan.m)
-        assert oracle_path(scheme, grads.n_samples, space) == ("enumeration", space)
-        assert oracle_path(scheme, grads.n_samples, space - 1) == ("monte_carlo", space)
-        assert enumerate_error(grads, scheme, budget=space) == pytest.approx(brute_force_expectation(grads, scheme))
+        monkeypatch.setattr(analysis, "ENUMERATION_BUDGET", space)
+        assert oracle_path(scheme, grads.n_samples) == ("enumeration", space)
+        assert enumerate_error(grads, scheme) == pytest.approx(brute_force_expectation(grads, scheme))
+        monkeypatch.setattr(analysis, "ENUMERATION_BUDGET", space - 1)
+        assert oracle_path(scheme, grads.n_samples) == ("monte_carlo", space)
         with pytest.raises(CapabilityError, match=f"{space} batches exceed the enumeration budget {space - 1}"):
-            enumerate_error(grads, scheme, budget=space - 1)
+            enumerate_error(grads, scheme)
 
     @pytest.mark.parametrize(
         "budget, paths",
@@ -388,15 +391,16 @@ class TestOraclePath:
             (STRAT_SPACE - 1, ("monte_carlo", "monte_carlo")),
         ],
     )
-    def test_comparison_names_the_path_of_each_value(self, budget, paths):
+    def test_comparison_names_the_path_of_each_value(self, monkeypatch, budget, paths):
         grads, part, plan = boundary_instance()
-        result = compare_error_expectations(grads, part, plan, budget=budget, mc_draws=300, seed=5)
+        monkeypatch.setattr(analysis, "ENUMERATION_BUDGET", budget)
+        result = compare_error_expectations(grads, part, plan, mc_draws=300, seed=5)
         assert result.paths == paths
         srs_path, strat_path = paths
         # each value is exactly what its named oracle gives: a Monte-Carlo value
         # is the mean of mc_draws batches drawn with the comparison's seed
-        assert result.mse_srs == expected_by_path(grads, SrsScheme(m=plan.m), srs_path, budget, 300, 5)
-        assert result.mse_strat == expected_by_path(grads, StratifiedScheme(part, plan), strat_path, budget, 300, 5)
+        assert result.mse_srs == expected_by_path(grads, SrsScheme(m=plan.m), srs_path, 300, 5)
+        assert result.mse_strat == expected_by_path(grads, StratifiedScheme(part, plan), strat_path, 300, 5)
         assert result.alpha == result.mse_strat / result.mse_srs
         assert result.holds == (result.mse_strat <= result.mse_srs)
 
@@ -444,10 +448,12 @@ class TestOraclePath:
         for name in calls:
             monkeypatch.setattr(analysis, name, counting(name))
         grads, part, plan = boundary_instance()
-        assert compare_error_expectations(grads, part, plan, budget=SRS_SPACE - 1, mc_draws=300).paths == (
+        monkeypatch.setattr(analysis, "ENUMERATION_BUDGET", SRS_SPACE - 1)
+        assert compare_error_expectations(grads, part, plan, mc_draws=300).paths == (
             "monte_carlo",
             "enumeration",
         )
         assert calls == {"enumerate_error": [None], "monte_carlo_error": [300]}
-        compare_error_expectations(grads, part, plan, budget=STRAT_SPACE - 1, mc_draws=300)
+        monkeypatch.setattr(analysis, "ENUMERATION_BUDGET", STRAT_SPACE - 1)
+        compare_error_expectations(grads, part, plan, mc_draws=300)
         assert calls == {"enumerate_error": [None], "monte_carlo_error": [300, 300, 300]}

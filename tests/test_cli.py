@@ -58,7 +58,6 @@ instances = 8
 
 [output]
 dir = {out}
-workers = 1
 """
 
 
@@ -146,34 +145,21 @@ def test_train_compares_only_the_cells_it_trained(workspace):
     assert sorted(row[2] for row in rows) == ["0"] * 4 + ["1"] * 4 + ["5"] * 4 + ["median"] * 4
 
 
-def test_train_with_worker_pool(workspace):
+def test_train_with_worker_pool(workspace, monkeypatch):
     config, out = workspace
     assert main(["gen", "--config", str(config)]) == 0
     assert main(["partition", "--config", str(config)]) == 0
     before = {p.name for p in out.iterdir()}
-    assert main(["train", "--config", str(config)]) == 0
-    written = sorted(p for p in out.iterdir() if p.name not in before)
-    serial = {p.name: sha(p) for p in written}
-    for p in written:
-        p.unlink()
-    assert main(["train", "--config", str(config), "--workers", "2"]) == 0
-    assert {p.name: sha(p) for p in out.iterdir() if p.name not in before} == serial
+    written = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(_parallel, "usable_cpus", lambda: cpus)
+        assert main(["train", "--config", str(config)]) == 0
+        files = sorted(p for p in out.iterdir() if p.name not in before)
+        written.append({p.name: sha(p) for p in files})
+        for p in files:
+            p.unlink()
+    assert written[0] and written[1] == written[0] and written[2] == written[0]
     assert not multiprocessing.active_children()
-
-
-@pytest.mark.parametrize(
-    "flag, ini, source",
-    [(["--workers", "0"], "2", "--workers"), (["--workers", "-1"], "2", "--workers"),
-     ([], "0", "[output] workers"), ([], "-2", "[output] workers")],
-)
-def test_workers_below_one_is_usage_error(workspace, capsys, flag, ini, source):
-    config, out = workspace
-    config.write_text(config.read_text().replace("workers = 1", f"workers = {ini}"))
-    for cmd in ("gen", "partition"):
-        assert main([cmd, "--config", str(config)]) == 0
-    assert main(["train", "--config", str(config), *flag]) == 2
-    assert f"{source} must be >= 1" in capsys.readouterr().err
-    assert not list(out.glob("trace_*.csv"))
 
 
 def test_train_pool_is_capped_at_the_cell_count(workspace, monkeypatch):
@@ -181,9 +167,10 @@ def test_train_pool_is_capped_at_the_cell_count(workspace, monkeypatch):
     for cmd in ("gen", "partition"):
         assert main([cmd, "--config", str(config)]) == 0
     sizes = []
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 1000)
     monkeypatch.setattr(_parallel, "ProcessPoolExecutor", recording_pool(sizes))
     with pytest.raises(PoolRefused):
-        main(["train", "--config", str(config), "--workers", "1000"])
+        main(["train", "--config", str(config)])
     assert sizes == [8]  # 2 samplers x 2 optimizers x 2 seeds
 
 
@@ -197,13 +184,14 @@ def test_negative_adam_learning_rate_is_usage_error(workspace, capsys):
     assert not list(out.glob("trace_*.csv"))
 
 
-def test_failing_cell_stops_the_pool(workspace, capsys):
+def test_failing_cell_stops_the_pool(workspace, capsys, monkeypatch):
     config, out = workspace
     # a huge SGD step overflows theta: the SGD cells raise NumericError in the workers
     config.write_text(config.read_text().replace("eta = auto", "eta = 1e300"))
     for cmd in ("gen", "partition"):
         assert main([cmd, "--config", str(config)]) == 0
-    assert main(["train", "--config", str(config), "--workers", "2"]) == 2
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
+    assert main(["train", "--config", str(config)]) == 2
     assert "non-finite update" in capsys.readouterr().err
     assert not multiprocessing.active_children()
     assert not (out / "comparison.csv").exists()
@@ -423,6 +411,54 @@ def test_report_refuses_traces_of_another_config(workspace, capsys):
     assert str(out / "trace_srs_adam_seed1.csv") in err and first in err and second in err
 
 
+def test_report_without_traces_is_io_error(workspace, capsys):
+    config, out = workspace
+    (out / "comparison.csv").write_text("an earlier comparison\n")
+    assert main(["report", "--config", str(config)]) == 3
+    assert str(out) in capsys.readouterr().err
+    assert (out / "comparison.csv").read_text() == "an earlier comparison\n"
+    assert sorted(p.name for p in out.iterdir()) == ["comparison.csv"]
+
+
+def fresh_partition(tmp_path, config, *flags):
+    """The partition files that gen and partition write into an empty directory."""
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    for cmd in ("gen", "partition"):
+        assert main([cmd, "--config", str(config), "--out", str(fresh), *(flags if cmd == "partition" else ())]) == 0
+    return {name: sha(fresh / name) for name in ("embedding.csv", "partition.csv", "partition.svg")}
+
+
+def test_partition_re_embeds_an_embedding_of_another_config(workspace, tmp_path):
+    config, out = workspace
+    for cmd in ("gen", "embed", "partition"):
+        assert main([cmd, "--config", str(config)]) == 0
+    config.write_text(config.read_text().replace("seed = 5", "seed = 6"))
+    for cmd in ("gen", "partition"):
+        assert main([cmd, "--config", str(config)]) == 0
+    assert {name: sha(out / name) for name in ("embedding.csv", "partition.csv", "partition.svg")} == (
+        fresh_partition(tmp_path, config)
+    )
+
+
+def test_partition_seed_flag_re_embeds(workspace, tmp_path):
+    config, out = workspace
+    for cmd in ("gen", "embed", "partition"):
+        assert main([cmd, "--config", str(config)]) == 0
+    before = sha(out / "partition.csv")
+    assert main(["partition", "--config", str(config), "--seed", "9"]) == 0
+    fresh = fresh_partition(tmp_path, config, "--seed", "9")
+    assert {name: sha(out / name) for name in fresh} == fresh and fresh["partition.csv"] != before
+
+
+def test_partition_reuses_an_embedding_of_the_same_config_and_seed(workspace, monkeypatch):
+    config, out = workspace
+    for cmd in ("gen", "embed"):
+        assert main([cmd, "--config", str(config)]) == 0
+    monkeypatch.setattr(cli, "tsne_embed", lambda *a, **kw: pytest.fail("re-embedded a current embedding"))
+    assert main(["partition", "--config", str(config)]) == 0
+
+
 def test_embed_reads_the_dataset_once(workspace, monkeypatch):
     config, out = workspace
     assert main(["gen", "--config", str(config)]) == 0
@@ -472,7 +508,9 @@ def test_seed_flag_replaces_the_config_key_its_command_names(workspace):
     assert flagged[0].endswith("seed=9")
 
 
-@pytest.mark.parametrize("argv", [["report", "--seed", "9", "--workers", "0"], ["verify", "--workers", "0"]])
+@pytest.mark.parametrize(
+    "argv", [["report", "--seed", "9", "--workers", "0"], ["verify", "--workers", "0"], ["train", "--workers", "2"]]
+)
 def test_flag_outside_its_subcommand_is_usage_error(workspace, argv):
     config, _ = workspace
     with pytest.raises(SystemExit) as err:

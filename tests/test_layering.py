@@ -1,7 +1,8 @@
 """Module layering, read from the source.
 
 Training does not depend on the oracle engine, and each rule has one owner:
-_csvio the text of every cell, models the target columns every loss reads.
+_csvio the text of every cell, models the target columns every loss reads,
+_parallel the size of every worker pool.
 """
 
 import ast
@@ -73,6 +74,12 @@ def test_only_csvio_reads_raw_rows(path):
 def test_only_csvio_formats_cells(path):
     # writers pass raw values; write_rows decides each cell's text
     assert "format_number" not in set(names_used(parse(path)))
+
+
+@others("_parallel.py")
+def test_only_parallel_counts_the_cpus(path):
+    # every pool is sized by _parallel.pool_size, which alone reads the usable-CPU count
+    assert "usable_cpus" not in set(names_used(parse(path)))
 
 
 def target_column_picks(tree):

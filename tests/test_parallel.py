@@ -29,37 +29,36 @@ def mark(path, fail):
     path.write_text("ran")
 
 
-def test_results_come_back_in_task_order():
+def test_results_come_back_in_task_order(monkeypatch):
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
     tasks = [(n, 3) for n in range(10)]
-    assert map_processes(divmod, tasks, 2) == [divmod(n, 3) for n in range(10)]
+    assert map_processes(divmod, tasks) == [divmod(n, 3) for n in range(10)]
     assert not multiprocessing.active_children()
 
 
-@pytest.mark.parametrize("workers, tasks", [(1, [(7, 2), (9, 4)]), (4, [(7, 2)]), (4, [])])
-def test_one_worker_or_one_task_runs_inline(monkeypatch, workers, tasks):
+@pytest.mark.parametrize("cpus, tasks", [(1, [(7, 2), (9, 4)]), (4, [(7, 2)]), (4, [])])
+def test_one_worker_or_one_task_runs_inline(monkeypatch, cpus, tasks):
     sizes = []
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(_parallel, "ProcessPoolExecutor", recording_pool(sizes))
-    assert map_processes(divmod, tasks, workers) == [divmod(*t) for t in tasks]
+    assert map_processes(divmod, tasks) == [divmod(*t) for t in tasks]
     assert sizes == []
 
 
-def test_pool_is_capped_at_the_task_count(monkeypatch):
+@pytest.mark.parametrize("cpus, size", [(2, 2), (5, 5), (1000, 5)])
+def test_pool_is_capped_at_the_task_count(monkeypatch, cpus, size):
     sizes = []
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(_parallel, "ProcessPoolExecutor", recording_pool(sizes))
     with pytest.raises(PoolRefused):
-        map_processes(divmod, [(n, 3) for n in range(5)], 1000)
-    assert sizes == [5]
+        map_processes(divmod, [(n, 3) for n in range(5)])
+    assert sizes == [size]
 
 
-@pytest.mark.parametrize("workers", [0, -2])
-def test_fewer_than_one_worker_is_rejected(workers):
-    with pytest.raises(ValueError, match="workers"):
-        map_processes(divmod, [(7, 2)], workers)
-
-
-def test_first_error_cancels_the_pending_tasks(tmp_path):
+def test_first_error_cancels_the_pending_tasks(monkeypatch, tmp_path):
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
     tasks = [(tmp_path / f"task{k}", k == 0) for k in range(12)]
     with pytest.raises(ValueError, match="injected"):
-        map_processes(mark, tasks, 2)
+        map_processes(mark, tasks)
     assert not multiprocessing.active_children()
     assert len(list(tmp_path.iterdir())) < 11
