@@ -26,8 +26,9 @@ from .analysis import formula_alpha
 from .data import Dataset, generate_clustered
 from .density import Partition, build_partition, kde_densities
 from .embedding import tsne_embed
+from .errors import InvalidArgumentError
 from .models import ModelSpec, QuadraticModel, quadratic_constants
-from .optimize import Adam, Sgd, median_reach, train
+from .optimize import Adam, Sgd, check_threshold, evaluations, first_reach, median_reach
 from .sampling import SrsScheme, StratifiedScheme, make_plan
 
 
@@ -92,9 +93,16 @@ def build_benchmark(
 
 
 def _reach(model, dataset, scheme, optimizer, iterations, seed, eval_every, spec, threshold):
-    """One paired-seed run's iterations to the loss threshold, None if it never gets there."""
-    trace = train(model, dataset, scheme, optimizer, iterations, seed=seed, eval_every=eval_every, model_spec=spec)
-    return trace.iterations_to_threshold(threshold)
+    """One paired-seed run's iterations to the loss threshold, None if it never gets there.
+
+    The run stops at its reach: ``first_reach`` pulls no evaluation point of
+    the lazy loop after the first one under the threshold, so no later step
+    is taken, and a ``NumericError`` that such a step would raise is not
+    seen. Only a run that never reaches the threshold takes its whole
+    ``iterations`` budget.
+    """
+    points = evaluations(model, dataset, scheme, optimizer, iterations, seed, eval_every, model_spec=spec)
+    return first_reach((record for record, _ in points), threshold)
 
 
 def run_comparison(
@@ -109,11 +117,21 @@ def run_comparison(
 ) -> ComparisonResult:
     """Paired-seed SGD and Adam runs; iterations to the loss threshold.
 
-    Runs that never reach the threshold within the budget enter the median
-    as infinity. Each run is independent of the others, so they go to
+    Each run stops at its first evaluation at or under the threshold, so a
+    budget only bounds the runs that never reach it; those enter the median
+    as infinity. The reach is the one a full run's trace gives, but a
+    ``NumericError`` that a step after the reach would have raised is not
+    seen. Each run is independent of the others, so they go to
     ``_parallel.map_processes``, one worker per usable CPU; the result is
     the same bit for bit.
+
+    ``seeds`` is read once, as a tuple; an empty one, or a NaN or infinite
+    ``threshold``, is refused before any run starts.
     """
+    seeds = tuple(seeds)
+    if not seeds:
+        raise InvalidArgumentError("run_comparison needs at least one seed")
+    check_threshold(threshold)
     model = QuadraticModel()
     spec = setup.model_spec
     plan = make_plan(m, n1, setup.partition)
@@ -140,5 +158,5 @@ def run_comparison(
         medians_sgd={k: median_reach(v) for k, v in sgd_iters.items()},
         medians_adam={k: median_reach(v) for k, v in adam_iters.items()},
         alpha_at_start=alpha,
-        seeds=tuple(seeds),
+        seeds=seeds,
     )

@@ -28,7 +28,7 @@ from .density import build_partition, kde_densities, load_partition, save_partit
 from .embedding import load_embedding_points, save_embedding, tsne_embed
 from .errors import CapabilityError, CsvFormatError, InvalidArgumentError, NumericError
 from .models import MODEL_KINDS, ModelSpec, quadratic_constants, save_theta
-from .optimize import Adam, Sgd, load_trace, median_reach, save_trace, train
+from .optimize import Adam, Sgd, check_threshold, load_trace, median_reach, save_trace, train
 from .sampling import SrsScheme, StratifiedScheme, default_plan, make_plan, save_batch_log
 from .svg import line_chart, scatter_chart
 from .verify import all_asserted_pass, run_verification
@@ -74,6 +74,11 @@ def _dataset_from_config(config: RunConfig, seed: int) -> Dataset:
 def _number_or(word: str, number=float):
     """A config value parser: ``word`` as itself, anything else as a number."""
     return lambda raw: raw if raw == word else number(raw)
+
+
+def _threshold(config: RunConfig) -> float:
+    """``[train] threshold``, checked before anything is trained or read back; a refused value names the key."""
+    return config.parse("train", "threshold", lambda raw: check_threshold(float(raw)), 1e-3)
 
 
 def _split_for_training(config: RunConfig, dataset: Dataset):
@@ -256,6 +261,7 @@ def _run_cell(setup: TrainSetup, out_dir: str, sampler: str, optimizer: str, see
 
 def cmd_train(config: RunConfig, out_dir: str) -> int:
     """Every (sampler, optimizer, seed) cell, on ``map_processes``; the files are the same at any pool size."""
+    threshold = _threshold(config)
     setup = _train_setup(config, out_dir)
     seeds = config.get_ints("train", "seeds", [0])
     cells = [
@@ -268,7 +274,7 @@ def cmd_train(config: RunConfig, out_dir: str) -> int:
         ((s, o, sd) for (s, o, sd) in cells if s == "typicality" and o == "sgd"), None
     )
     stems = map_processes(_run_cell, [(setup, out_dir, *cell, cell == alpha_cell) for cell in cells])
-    _write_comparison(config, out_dir, [os.path.join(out_dir, f"trace_{stem}.csv") for stem in stems])
+    _write_comparison(config, out_dir, [os.path.join(out_dir, f"trace_{stem}.csv") for stem in stems], threshold)
     print(f"train: {len(cells)} runs -> {out_dir}")
     return EXIT_OK
 
@@ -291,9 +297,8 @@ def _load_named_trace(path, digest: str):
     return name["sampler"], name["optimizer"], trace
 
 
-def _write_comparison(config: RunConfig, out_dir: str, trace_paths) -> None:
+def _write_comparison(config: RunConfig, out_dir: str, trace_paths, threshold: float) -> None:
     """comparison.csv and the loss charts from the given trace files."""
-    threshold = config.get_float("train", "threshold", 1e-3)
     rows = []
     by_cell: dict[tuple[str, str], list] = {}
     measured: set[tuple[str, str]] = set()  # cells whose traces record subopt
@@ -339,10 +344,11 @@ def _write_comparison(config: RunConfig, out_dir: str, trace_paths) -> None:
 
 
 def cmd_report(config: RunConfig, out_dir: str) -> int:
+    threshold = _threshold(config)
     traces = glob(os.path.join(out_dir, "trace_*.csv"))
     if not traces:
         raise FileNotFoundError(f"no trace_*.csv in {out_dir} to report on")
-    _write_comparison(config, out_dir, traces)
+    _write_comparison(config, out_dir, traces, threshold)
     print(f"report: comparison rebuilt from traces in {out_dir}")
     return EXIT_OK
 

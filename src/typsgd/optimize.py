@@ -8,7 +8,8 @@ run observes (losses, suboptimality and, on request, the parameters and
 batch ids); quantities along the path, such as the error ratio alpha, are
 derived from the recorded parameters afterwards. A trace on disk reads
 back through :func:`load_trace` as the same :class:`TrainTrace`, so the
-iterations-to-threshold rule has one home.
+iterations-to-threshold rule has one home: :func:`first_reach`, which reads
+a trace's records or pulls them from the lazy loop :func:`evaluations`.
 """
 
 from __future__ import annotations
@@ -93,7 +94,26 @@ class TrainTrace:
 
     def iterations_to_threshold(self, threshold: float):
         """First recorded iteration whose suboptimality is <= threshold, else None."""
-        return next((r.iteration for r in self.records if r.subopt is not None and r.subopt <= threshold), None)
+        return first_reach(self.records, threshold)
+
+
+def check_threshold(threshold: float) -> float:
+    """``threshold`` as a float; NaN is refused (no run reaches it) and so is an infinite one."""
+    threshold = float(threshold)
+    if not np.isfinite(threshold):
+        raise InvalidArgumentError(f"threshold must be finite, got {threshold}")
+    return threshold
+
+
+def first_reach(records, threshold: float):
+    """Iteration of the first record whose suboptimality is <= threshold, else None.
+
+    The one iterations-to-threshold rule. ``records`` may be lazy: no record
+    after the first hit is pulled, so a run fed from :func:`evaluations`
+    takes no step after its reach.
+    """
+    threshold = check_threshold(threshold)
+    return next((r.iteration for r in records if r.subopt is not None and r.subopt <= threshold), None)
 
 
 def median_reach(reaches) -> float:
@@ -127,6 +147,62 @@ def adam_step(model, theta, x, y, eta: float, iteration: int, m, v):
     return _check_finite(theta - eta * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON), iteration), m, v
 
 
+def evaluations(
+    model,
+    dataset: Dataset,
+    scheme,
+    optimizer,
+    iterations: int,
+    seed: int,
+    eval_every: int = 10,
+    val_data: Dataset | None = None,
+    model_spec=None,
+    theta0: np.ndarray | None = None,
+    batch_log: list | None = None,
+):
+    """The training loop, lazily: yields ``(TraceRecord, theta)`` at each evaluation point.
+
+    The point at iteration k (k = 0, eval_every, 2 * eval_every, ...) is
+    yielded before step k runs, and one more after the last step, so a
+    consumer that stops pulling stops the run at that point. Suboptimality
+    is recorded whenever ``model_spec`` provides the exact optimum value.
+    With a ``batch_log`` list, every step's (iteration, ids) pair is
+    appended to it.
+
+    The arguments are checked and the strata resolved once, when the first
+    point is pulled; each step then only draws the batch ids, gathers their
+    rows and updates.
+    """
+    if iterations < 1:
+        raise InvalidArgumentError("iterations must be >= 1")
+    if eval_every < 1:
+        raise InvalidArgumentError("eval_every must be >= 1")
+    n = dataset.n_samples
+    strata = resolve_strata(scheme, n)
+    features, targets = dataset.features, _targets_for(model, dataset)
+    rng = np.random.default_rng(seed)
+    theta = np.array(theta0, dtype=np.float64) if theta0 is not None else model.init_theta(dataset, seed)
+    state = optimizer.init_state(theta)
+
+    def evaluate(iteration, theta):
+        loss = mean_loss(model, dataset, theta)
+        val = mean_loss(model, val_data, theta) if val_data is not None else None
+        subopt = None
+        if model_spec is not None and model_spec.exact_optimum_value is not None:
+            subopt = loss - model_spec.exact_optimum_value
+        return TraceRecord(iteration=iteration, train_loss=loss, val_loss=val, subopt=subopt), theta
+
+    step = optimizer.step
+    for k in range(iterations):
+        if k % eval_every == 0:
+            yield evaluate(k, theta)
+        idx = draw_indices(strata, rng)
+        if batch_log is not None:
+            batch_log.append((k, idx))
+        theta, state = step(model, theta, features[idx], targets[idx], k, state)
+    yield evaluate(iterations, theta)
+
+
 def train(
     model,
     dataset: Dataset,
@@ -141,48 +217,22 @@ def train(
     record_thetas: bool = False,
     log_batches: bool = False,
 ) -> TrainTrace:
-    """Run a full training loop and record its trace.
+    """Run the whole of :func:`evaluations` and record its trace.
 
-    Suboptimality is recorded whenever ``model_spec`` provides the exact
-    optimum value. With ``record_thetas`` the parameters at every evaluation
-    point are kept on ``trace.thetas``; with ``log_batches`` every step's
-    (iteration, ids) pair is kept on ``trace.batches`` for
-    :func:`save_batch_log`.
-
-    The strata are resolved and checked once, before the first step; each
-    step then only draws the batch ids, gathers their rows and updates.
+    Every evaluation point becomes a record. With ``record_thetas`` the
+    parameters at every evaluation point are kept on ``trace.thetas``; with
+    ``log_batches`` every step's (iteration, ids) pair is kept on
+    ``trace.batches`` for :func:`save_batch_log`.
     """
-    if iterations < 1:
-        raise InvalidArgumentError("iterations must be >= 1")
-    if eval_every < 1:
-        raise InvalidArgumentError("eval_every must be >= 1")
-    n = dataset.n_samples
-    strata = resolve_strata(scheme, n)
-    features, targets = dataset.features, _targets_for(model, dataset)
-    rng = np.random.default_rng(seed)
-    theta = np.array(theta0, dtype=np.float64) if theta0 is not None else model.init_theta(dataset, seed)
-    state = optimizer.init_state(theta)
     trace = TrainTrace(records=[], sampler_kind=scheme.kind, seed=seed)
-
-    def evaluate(iteration, theta):
-        loss = mean_loss(model, dataset, theta)
-        val = mean_loss(model, val_data, theta) if val_data is not None else None
-        subopt = None
-        if model_spec is not None and model_spec.exact_optimum_value is not None:
-            subopt = loss - model_spec.exact_optimum_value
-        trace.records.append(TraceRecord(iteration=iteration, train_loss=loss, val_loss=val, subopt=subopt))
+    points = evaluations(
+        model, dataset, scheme, optimizer, iterations, seed, eval_every, val_data, model_spec, theta0,
+        batch_log=trace.batches if log_batches else None,
+    )
+    for record, theta in points:
+        trace.records.append(record)
         if record_thetas:
-            trace.thetas.append((iteration, theta.copy()))
-
-    step = optimizer.step
-    for k in range(iterations):
-        if k % eval_every == 0:
-            evaluate(k, theta)
-        idx = draw_indices(strata, rng)
-        if log_batches:
-            trace.batches.append((k, idx))
-        theta, state = step(model, theta, features[idx], targets[idx], k, state)
-    evaluate(iterations, theta)
+            trace.thetas.append((record.iteration, theta.copy()))
     return trace
 
 

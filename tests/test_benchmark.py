@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from typsgd import _parallel, benchmark
+from typsgd import _parallel, benchmark, optimize
 from typsgd.analysis import formula_alpha
 from typsgd.benchmark import BenchmarkSetup, ComparisonResult, run_comparison
 from typsgd.data import Dataset, generate_clustered
@@ -19,6 +19,9 @@ from typsgd.sampling import SrsScheme, StratifiedScheme, make_plan
 
 # short budgets on which some runs reach the threshold and others never do
 SMALL = dict(seeds=(0, 1, 2), m=10, n1=8, threshold=1e-3, iterations=200, eval_every=10, adam_iterations=200)
+# above every run's starting suboptimality on small_setup: every reach is 0
+ABOVE_EVERY_START = 1e6
+THRESHOLDS = (SMALL["threshold"], ABOVE_EVERY_START)
 
 
 def reference_run_comparison(
@@ -84,20 +87,83 @@ def refuse_pool(*args, **kwargs):
 
 
 @pytest.fixture(scope="module")
-def reference(small_setup):
-    return reference_run_comparison(small_setup, **SMALL)
+def references(small_setup):
+    """The serial loop's result at each of THRESHOLDS."""
+    return {t: reference_run_comparison(small_setup, **{**SMALL, "threshold": t}) for t in THRESHOLDS}
+
+
+@pytest.fixture(scope="module")
+def reference(references):
+    return references[SMALL["threshold"]]
+
+
+def all_reaches(result):
+    return [r for table in (result.sgd_iterations, result.adam_iterations) for v in table.values() for r in v]
 
 
 def test_small_setup_mixes_reached_and_missed_runs(reference):
-    reaches = [r for table in (reference.sgd_iterations, reference.adam_iterations) for v in table.values() for r in v]
+    reaches = all_reaches(reference)
     assert None in reaches and any(r is not None for r in reaches)
 
 
+def test_a_threshold_above_every_start_is_reached_at_zero(references):
+    assert set(all_reaches(references[ABOVE_EVERY_START])) == {0}
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS)
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_matches_the_serial_loop_bit_for_bit(small_setup, reference, cpus):
+def test_matches_the_serial_loop_bit_for_bit(small_setup, references, cpus, threshold):
     with mock.patch.object(_parallel, "usable_cpus", lambda: cpus):
-        assert run_comparison(small_setup, **SMALL) == reference
+        assert run_comparison(small_setup, **{**SMALL, "threshold": threshold}) == references[threshold]
     assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS)
+def test_each_run_stops_at_its_reach(small_setup, references, threshold, monkeypatch):
+    # a run takes one step per iteration up to its reach; only a run that never reaches takes its whole budget
+    steps = {"sgd": 0, "adam": 0}
+    for kind in steps:
+        original = getattr(optimize, f"{kind}_step")
+
+        def counting(*args, kind=kind, original=original):
+            steps[kind] += 1
+            return original(*args)
+
+        monkeypatch.setattr(optimize, f"{kind}_step", counting)
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 1)
+    reference = references[threshold]
+    assert run_comparison(small_setup, **{**SMALL, "threshold": threshold}) == reference
+    runs = {
+        "sgd": (reference.sgd_iterations, SMALL["iterations"]),
+        "adam": (reference.adam_iterations, SMALL["adam_iterations"]),
+    }
+    assert steps == {
+        kind: sum(budget if r is None else r for reaches in table.values() for r in reaches)
+        for kind, (table, budget) in runs.items()
+    }
+
+
+def refuse_training(*args, **kwargs):
+    raise AssertionError("a run was started")
+
+
+def test_empty_seeds_are_refused_before_any_run(small_setup, monkeypatch):
+    monkeypatch.setattr(_parallel, "map_processes", refuse_training)
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        run_comparison(small_setup, **{**SMALL, "seeds": ()})
+
+
+def test_seeds_are_read_once(small_setup, reference, monkeypatch):
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 1)
+    result = run_comparison(small_setup, **{**SMALL, "seeds": iter(SMALL["seeds"])})
+    assert result == reference and result.seeds == SMALL["seeds"]
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_threshold_is_refused_before_the_pool(small_setup, threshold, monkeypatch):
+    monkeypatch.setattr(_parallel, "map_processes", refuse_training)
+    with pytest.raises(InvalidArgumentError, match="threshold"):
+        run_comparison(small_setup, **{**SMALL, "threshold": threshold})
 
 
 def test_one_cpu_starts_no_process(small_setup, reference):

@@ -197,6 +197,18 @@ def test_failing_cell_stops_the_pool(workspace, capsys, monkeypatch):
     assert not (out / "comparison.csv").exists()
 
 
+def test_non_finite_threshold_is_refused_before_training(workspace, capsys):
+    config, out = workspace
+    config.write_text(config.read_text().replace("threshold = 1e-3", "threshold = nan"))
+    for cmd in ("gen", "partition"):
+        assert main([cmd, "--config", str(config)]) == 0
+    capsys.readouterr()
+    for cmd in ("train", "report"):
+        assert main([cmd, "--config", str(config)]) == 2
+        assert "[train] threshold" in capsys.readouterr().err
+    assert not list(out.glob("trace_*.csv")) and not (out / "comparison.csv").exists()
+
+
 def test_comparison_without_suboptimality_reads_not_measured(workspace):
     # the logistic model has no exact optimum, so no trace records subopt
     config, out = workspace

@@ -24,7 +24,10 @@ from typsgd.models import (
 from typsgd.optimize import (
     Adam,
     Sgd,
+    TraceRecord,
     adam_step,
+    evaluations,
+    first_reach,
     load_trace,
     save_trace,
     sgd_step,
@@ -389,6 +392,40 @@ def test_trace_round_trip(tmp_path, small_quadratic):
     assert loaded.iterations_to_threshold(0.5) == trace.iterations_to_threshold(0.5)
     first_line = path.read_text().splitlines()[0]
     assert first_line.startswith("#") and "config=abc123" in first_line
+
+
+def test_first_reach_pulls_nothing_after_its_hit():
+    pulled = []
+
+    def records():
+        for k, subopt in enumerate([3.0, None, 0.5, 0.1]):
+            pulled.append(k)
+            yield TraceRecord(iteration=k, train_loss=1.0, val_loss=None, subopt=subopt)
+
+    assert first_reach(records(), 0.5) == 2
+    assert pulled == [0, 1, 2]
+    assert first_reach(records(), 0.01) is None
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_threshold_is_refused(small_quadratic, threshold):
+    ds, spec = small_quadratic
+    trace = train(QuadraticModel(), ds, SrsScheme(m=2), Sgd(eta=0.05), 4, seed=0, eval_every=2, model_spec=spec)
+    with pytest.raises(InvalidArgumentError, match="threshold"):
+        trace.iterations_to_threshold(threshold)
+
+
+def test_train_folds_the_lazy_loop(small_quadratic):
+    ds, spec = small_quadratic
+    args = (QuadraticModel(), ds, SrsScheme(m=2), Adam(eta=0.05), 9, 3, 4)
+    trace = train(*args, model_spec=spec, record_thetas=True, log_batches=True)
+    log = []
+    points = list(evaluations(*args, model_spec=spec, batch_log=log))
+    assert [record for record, _ in points] == trace.records
+    assert [r.iteration for r in trace.records] == [0, 4, 8, 9]
+    assert all(k == r.iteration and np.array_equal(t, theta) for (k, t), (r, theta) in zip(trace.thetas, points))
+    assert [k for k, _ in log] == list(range(9))
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(log, trace.batches))
 
 
 # -- the training loop and Monte-Carlo oracle as they were before the lean loop,
