@@ -45,5 +45,5 @@ for label, scheme in (("srs", SrsScheme(m=50)), ("typicality", StratifiedScheme(
     )
     series.append((label, [r.iteration for r in trace.records], [r.subopt for r in trace.records]))
 path = os.path.join(OUT, "loss_comparison.svg")
-line_chart(path, series, "suboptimality by batch selection (seed 0)", y_label="suboptimality", log_y=True)
+line_chart(path, series, "suboptimality by batch selection (seed 0)", y_label="suboptimality")
 print(f"Wrote {path}")

@@ -35,7 +35,7 @@ from . import optimize
 from .data import Dataset
 from .density import Partition
 from .errors import CapabilityError, InvalidArgumentError
-from .models import GradientFamily, QuadraticModel, _targets_for, gradient_family, mean_loss
+from .models import GradientFamily, QuadraticModel, gradient_family, mean_loss
 from .sampling import (
     BatchPlan,
     SrsScheme,
@@ -273,8 +273,9 @@ def descent_recursion_check(
 
     At each state theta, with eta = 1/L, batch-mean gradient g and H = X^T X / N, f is quadratic, so the
     expected next-step gap is exactly lhs = f(theta - eta E[g]) - f* + (eta^2 / 2) tr(H Cov[g]); it is
-    compared with rhs = (1 - mu/L) (f(theta) - f*) + :func:`exact_error` / (2L). The path advances by
-    ``optimize.sgd_step``, looked up at call time so that a wrapper bound to that name sees every step.
+    compared with rhs = (1 - mu/L) (f(theta) - f*) + :func:`exact_error` / (2L). The states are the first
+    ``k_steps`` points of :func:`optimize.evaluations` with ``Sgd(eta)``, so the check takes k_steps - 1
+    real stochastic steps; a ``k_steps`` below 1 is refused there.
     """
     if model_spec.lipschitz_L is None or model_spec.strong_convexity_mu is None:
         raise InvalidArgumentError("recursion check needs exact L and mu")
@@ -284,24 +285,21 @@ def descent_recursion_check(
     contraction = 1.0 - model_spec.strong_convexity_mu / big_l
     eta = 1.0 / big_l
     model = QuadraticModel()
-    n = dataset.n_samples
-    strata = resolve_strata(scheme, n)
-    features, targets = dataset.features, _targets_for(model, dataset)
-    hessian = features.T @ features / n
-    rng = np.random.default_rng(seed)
-    theta = np.array(theta0, dtype=np.float64) if theta0 is not None else model.init_theta(dataset, seed)
+    strata = resolve_strata(scheme, dataset.n_samples)
+    hessian = dataset.features.T @ dataset.features / dataset.n_samples
+    points = optimize.evaluations(
+        model, dataset, scheme, optimize.Sgd(eta=eta), k_steps, seed, eval_every=1, model_spec=model_spec, theta0=theta0
+    )
 
     steps = []
-    for k in range(k_steps):
-        gap = mean_loss(model, dataset, theta) - optimum
+    for record, theta in points:
         family = gradient_family(model, dataset, theta)
         expectation, noise = batch_mean_moments(family.per_sample, strata, metric=hessian)
         lhs = mean_loss(model, dataset, theta - eta * expectation) - optimum + eta**2 / 2.0 * noise
-        rhs = contraction * gap + exact_error(family, scheme) / (2.0 * big_l)
-        steps.append(RecursionStep(iteration=k, lhs=lhs, rhs=rhs, holds=lhs <= rhs))
-        # advance the path by one real stochastic step
-        idx = draw_indices(strata, rng)
-        theta = optimize.sgd_step(model, theta, features[idx], targets[idx], eta, k)
+        rhs = contraction * record.subopt + exact_error(family, scheme) / (2.0 * big_l)
+        steps.append(RecursionStep(iteration=record.iteration, lhs=lhs, rhs=rhs, holds=lhs <= rhs))
+        if len(steps) == k_steps:
+            break  # the step after the last checked state is never taken
     return RecursionReport(steps=tuple(steps), holds_all=all(s.holds for s in steps))
 
 

@@ -125,12 +125,15 @@ def run_comparison(
     ``_parallel.map_processes``, one worker per usable CPU; the result is
     the same bit for bit.
 
-    ``seeds`` is read once, as a tuple; an empty one, or a NaN or infinite
+    ``seeds`` is read once, as a tuple; an empty one, one that repeats a
+    seed (its runs would count twice in the medians), or a NaN or infinite
     ``threshold``, is refused before any run starts.
     """
     seeds = tuple(seeds)
     if not seeds:
         raise InvalidArgumentError("run_comparison needs at least one seed")
+    if len(set(seeds)) < len(seeds):
+        raise InvalidArgumentError(f"run_comparison seeds repeat a seed: {seeds}")
     check_threshold(threshold)
     model = QuadraticModel()
     spec = setup.model_spec

@@ -76,6 +76,18 @@ def _number_or(word: str, number=float):
     return lambda raw: raw if raw == word else number(raw)
 
 
+def _distinct(convert=str):
+    """A config value parser for one axis of the training cells: a comma list, not empty and with no repeat."""
+
+    def parse(raw):
+        values = [convert(v.strip()) for v in raw.split(",") if v.strip()]
+        if not values or len(set(values)) < len(values):
+            raise ValueError("must name at least one value, and none twice")
+        return values
+
+    return parse
+
+
 def _threshold(config: RunConfig) -> float:
     """``[train] threshold``, checked before anything is trained or read back; a refused value names the key."""
     return config.parse("train", "threshold", lambda raw: check_threshold(float(raw)), 1e-3)
@@ -182,7 +194,7 @@ def _train_setup(config: RunConfig, out_dir: str) -> TrainSetup:
         eta = 1.0 / spec.lipschitz_L if eta == "auto" else eta
     elif eta == "auto":
         raise InvalidArgumentError("eta=auto needs the quadratic model; give a number")
-    samplers = config.get_list("train", "samplers", ("srs", "typicality"))
+    samplers = config.parse("train", "samplers", _distinct(), ["srs", "typicality"])
     m = config.get_int("train", "m", required=True)
     schemes = {}
     for name in samplers:
@@ -198,7 +210,7 @@ def _train_setup(config: RunConfig, out_dir: str) -> TrainSetup:
         else:
             raise InvalidArgumentError(f"unknown sampler {name!r}")
     optimizers = {}
-    for name in config.get_list("train", "optimizers", ("sgd",)):
+    for name in config.parse("train", "optimizers", _distinct(), ["sgd"]):
         if name == "sgd":
             optimizers[name] = Sgd(eta=eta)
         elif name == "adam":
@@ -262,8 +274,8 @@ def _run_cell(setup: TrainSetup, out_dir: str, sampler: str, optimizer: str, see
 def cmd_train(config: RunConfig, out_dir: str) -> int:
     """Every (sampler, optimizer, seed) cell, on ``map_processes``; the files are the same at any pool size."""
     threshold = _threshold(config)
+    seeds = config.parse("train", "seeds", _distinct(int), [0])
     setup = _train_setup(config, out_dir)
-    seeds = config.get_ints("train", "seeds", [0])
     cells = [
         (sampler, optimizer, seed)
         for sampler in setup.schemes
@@ -338,7 +350,6 @@ def _write_comparison(config: RunConfig, out_dir: str, trace_paths, threshold: f
                 os.path.join(out_dir, f"losses_{optimizer}.svg"),
                 series,
                 f"training loss ({optimizer}, first seed)",
-                log_y=True,
                 config_digest=config.digest,
             )
 

@@ -71,9 +71,6 @@ class RunConfig:
     def get_ints(self, section: str, key: str, fallback=None):
         return self.parse(section, key, lambda raw: [int(v) for v in raw.split(",") if v.strip()], fallback)
 
-    def get_list(self, section: str, key: str, fallback=()):
-        return self.parse(section, key, lambda raw: [v.strip() for v in raw.split(",") if v.strip()], list(fallback))
-
     def get_matrix(self, section: str, key: str, required: bool = False):
         """Rows separated by '|', entries by ','."""
         return self.parse(

@@ -226,7 +226,7 @@ def check_published_divergence() -> CheckResult:
 
 
 def check_recursion(rng, scheme) -> CheckResult:
-    """The descent recursion along 30 steps of ``scheme`` on an 8-sample quadratic."""
+    """The descent recursion at the first 30 states of an SGD path of ``scheme`` on an 8-sample quadratic."""
     dataset, spec = quadratic_instance(rng, n=8, d=2)
     theta0 = spec.exact_minimizer + rng.normal(0.0, 2.0, 2)
     report = descent_recursion_check(dataset, scheme, spec, k_steps=30, seed=7, theta0=theta0)

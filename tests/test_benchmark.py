@@ -153,6 +153,13 @@ def test_empty_seeds_are_refused_before_any_run(small_setup, monkeypatch):
         run_comparison(small_setup, **{**SMALL, "seeds": ()})
 
 
+def test_repeated_seeds_are_refused_before_any_run(small_setup, monkeypatch):
+    # a repeated seed's runs would count twice in every median
+    monkeypatch.setattr(_parallel, "map_processes", refuse_training)
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        run_comparison(small_setup, **{**SMALL, "seeds": (0, 1, 0)})
+
+
 def test_seeds_are_read_once(small_setup, reference, monkeypatch):
     monkeypatch.setattr(_parallel, "usable_cpus", lambda: 1)
     result = run_comparison(small_setup, **{**SMALL, "seeds": iter(SMALL["seeds"])})

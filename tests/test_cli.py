@@ -209,6 +209,37 @@ def test_non_finite_threshold_is_refused_before_training(workspace, capsys):
     assert not list(out.glob("trace_*.csv")) and not (out / "comparison.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("seeds = 0,0,1", "seeds"),
+        ("seeds =", "seeds"),
+        ("samplers =", "samplers"),
+        ("samplers = srs,typicality,srs", "samplers"),
+        ("optimizers = sgd,adam,sgd", "optimizers"),
+        ("optimizers =", "optimizers"),
+    ],
+)
+def test_train_refuses_an_empty_or_repeated_cell_axis(workspace, capsys, monkeypatch, line, key):
+    # a repeated seed would count its runs twice in the medians; an empty axis would train nothing
+    config, out = workspace
+    for cmd in ("gen", "partition", "train"):
+        assert main([cmd, "--config", str(config)]) == 0
+    comparison = sha(out / "comparison.csv")
+    text = config.read_text()
+    original = next(row for row in text.splitlines() if row.startswith(f"{key} ="))
+    config.write_text(text.replace(original, line))
+    monkeypatch.setattr(cli, "map_processes", refuse_cells)
+    capsys.readouterr()
+    assert main(["train", "--config", str(config)]) == 2
+    assert f"[train] {key}" in capsys.readouterr().err
+    assert sha(out / "comparison.csv") == comparison
+
+
+def refuse_cells(*args, **kwargs):
+    raise AssertionError("a training cell was started")
+
+
 def test_comparison_without_suboptimality_reads_not_measured(workspace):
     # the logistic model has no exact optimum, so no trace records subopt
     config, out = workspace

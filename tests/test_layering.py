@@ -2,7 +2,7 @@
 
 Training does not depend on the oracle engine, and each rule has one owner:
 _csvio the text of every cell, models the target columns every loss reads,
-_parallel the size of every worker pool.
+_parallel the size of every worker pool, optimize the SGD and Adam steps.
 """
 
 import ast
@@ -62,6 +62,12 @@ def test_recursion_check_takes_no_batch_means():
     tree = parse(SRC / "analysis.py")
     (check,) = [node for node in tree.body if getattr(node, "name", None) == "descent_recursion_check"]
     assert not set(names_used(check)) & {"enumerated_means", "drawn_means"}
+
+
+@others("optimize.py")
+def test_only_optimize_names_the_step_functions(path):
+    # an SGD or Adam path is walked through optimize.evaluations, never step by step elsewhere
+    assert not set(names_used(parse(path))) & {"sgd_step", "adam_step"}
 
 
 @others("_csvio.py")

@@ -245,6 +245,13 @@ class TestRecursionCheck:
         report = descent_recursion_check(ds, scheme, spec, k_steps=30, seed=6)
         assert report.holds_all
 
+    @pytest.mark.parametrize("k_steps", [0, -1])
+    def test_refuses_an_empty_path(self, small_quadratic, k_steps):
+        # a report of no steps would hold vacuously
+        ds, spec = small_quadratic
+        with pytest.raises(InvalidArgumentError):
+            descent_recursion_check(ds, SrsScheme(m=2), spec, k_steps=k_steps, seed=0)
+
 
 # The recursion check as it was when it enumerated every batch at every state:
 # the oracle the closed form is held to.
@@ -800,5 +807,6 @@ def test_one_step_call_per_iteration(small_quadratic, monkeypatch):
     assert calls == {"sgd_step": 17, "adam_step": 0, "grads_inside": 17}
     train(QuadraticModel(), ds, SrsScheme(m=3), Adam(eta=0.05), 11, seed=0, eval_every=5)
     assert calls == {"sgd_step": 17, "adam_step": 11, "grads_inside": 28}
+    # the recursion check reads 4 states of an Sgd path, so it takes the 3 steps between them
     descent_recursion_check(ds, SrsScheme(m=2), spec, k_steps=4, seed=0)
-    assert calls["sgd_step"] == 21 and calls["grads_inside"] == 32
+    assert calls["sgd_step"] == 20 and calls["grads_inside"] == 31
