@@ -41,7 +41,8 @@ from .sampling import (
     SrsScheme,
     StratifiedScheme,
     batch_space_size,
-    draw_indices,
+    block_size,
+    draw_batches,
     plan_beta,
     resolve_strata,
     validate_plan,
@@ -227,12 +228,19 @@ def enumerated_means(rows: np.ndarray, strata):
 
 
 def drawn_means(rows: np.ndarray, strata, draws: int, rng: np.random.Generator) -> np.ndarray:
-    """The batch-mean rows of ``draws`` batches drawn by :func:`draw_indices` on resolved strata."""
+    """The batch-mean rows of ``draws`` batches drawn by :func:`draw_batches` on resolved strata.
+
+    Batches are drawn and summed a block at a time, the block's (batches, m, d)
+    row gather counted in its :func:`block_size`; each mean is the m rows
+    summed in batch order and divided by m, bit for bit the mean of one batch
+    drawn and summed on its own.
+    """
     m = sum(draws_h for _, draws_h in strata)
     means = np.empty((draws, rows.shape[1]))
-    for t in range(draws):
-        # the sum over m rows divided by m is what mean() computes, without its per-call overhead
-        means[t] = rows[draw_indices(strata, rng)].sum(axis=0) / m
+    step = block_size(strata, 8 * m * rows.shape[1])
+    for start in range(0, draws, step):
+        batches = draw_batches(strata, rng, min(step, draws - start))
+        means[start : start + batches.shape[0]] = rows[batches].sum(axis=1) / m
     return means
 
 
@@ -328,7 +336,8 @@ def monte_carlo_error(grads: GradientFamily, scheme, draws: int, seed: int) -> t
     rows = grads.per_sample
     strata = resolve_strata(scheme, rows.shape[0])
     diffs = drawn_means(rows, strata, draws, np.random.default_rng(seed)) - grads.reference
-    sq_errors = np.array([diff @ diff for diff in diffs])
+    # one (1, d) @ (d, 1) product per batch is diff @ diff bit for bit; einsum and a row sum are not
+    sq_errors = np.matmul(diffs[:, None, :], diffs[:, :, None])[:, 0, 0]
     se = float(np.std(sq_errors, ddof=1) / math.sqrt(draws))
     return float(np.mean(sq_errors)), se
 

@@ -23,7 +23,7 @@ from ._csvio import read_table, write_rows
 from .data import Dataset
 from .errors import CsvFormatError, InvalidArgumentError, NumericError
 from .models import _targets_for, mean_loss
-from .sampling import draw_indices, resolve_strata
+from .sampling import block_size, draw_batches, resolve_strata
 
 
 # Adam's moment decays and denominator guard, read by adam_step at call time
@@ -170,8 +170,11 @@ def evaluations(
     appended to it.
 
     The arguments are checked and the strata resolved once, when the first
-    point is pulled; each step then only draws the batch ids, gathers their
-    rows and updates.
+    point is pulled. Batches are drawn ahead, ``block_size(strata)`` at a
+    time, by one :func:`draw_batches` call on the run's own generator, so
+    they are the batches a per-step draw would give; each step then takes
+    its row of ids, gathers their rows and updates. Logged ids are rows of
+    a block that is never refilled.
     """
     if iterations < 1:
         raise InvalidArgumentError("iterations must be >= 1")
@@ -193,10 +196,13 @@ def evaluations(
         return TraceRecord(iteration=iteration, train_loss=loss, val_loss=val, subopt=subopt), theta
 
     step = optimizer.step
+    block = block_size(strata)
     for k in range(iterations):
         if k % eval_every == 0:
             yield evaluate(k, theta)
-        idx = draw_indices(strata, rng)
+        if k % block == 0:
+            batches = draw_batches(strata, rng, min(block, iterations - k))
+        idx = batches[k % block]
         if batch_log is not None:
             batch_log.append((k, idx))
         theta, state = step(model, theta, features[idx], targets[idx], k, state)

@@ -3,12 +3,13 @@
 Both schemes are stratified sampling: ``strata(n_total)`` returns
 (members, draws) pairs, one pair for SRS (the whole population, m draws)
 and two for typicality sampling ((H, n1), (L, n2)). Every batch is drawn
-by one routine, :func:`draw_indices`, as an int64 id array; counting
-batches is written once over the same pairs and ``analysis`` enumerates
-them. Ids are distinct by construction, checked once where the strata are
-made: by ``Partition``, :func:`validate_plan` and ``SrsScheme.strata`` for
-the built-in schemes, and by :func:`resolve_strata` for any scheme handed
-to a loop or an oracle. No drawn batch is checked again.
+by one routine, :func:`draw_batches`, a block of batches at a time as rows
+of int64 ids; counting batches is written once over the same pairs and
+``analysis`` enumerates them. Ids are distinct by construction, checked
+once where the strata are made: by ``Partition``, :func:`validate_plan`
+and ``SrsScheme.strata`` for the built-in schemes, and by
+:func:`resolve_strata` for any scheme handed to a loop or an oracle. No
+drawn batch is checked again.
 
 A :class:`BatchPlan` fixes how a batch of size m is split across the
 high-representative stratum H (n1 draws) and the remainder L (n2 draws).
@@ -30,6 +31,12 @@ import numpy as np
 from ._csvio import read_table, write_rows
 from .density import Partition
 from .errors import InvalidArgumentError
+
+# bytes of the temporaries of one block of batches in draw_batches
+DRAW_BLOCK_BYTES = 1 << 20
+# numpy's choice(N, n, replace=False) shuffles the tail of arange(N) when N > 10 000 and n > N // 50
+TAIL_SHUFFLE_SIZE = 10_000
+TAIL_SHUFFLE_CUTOFF = 50
 
 
 @dataclass(frozen=True)
@@ -142,7 +149,7 @@ def resolve_strata(scheme, n_total: int) -> tuple:
     """``scheme.strata(n_total)``, checked once for repeated draws of the same id.
 
     The strata must be disjoint, hold ids in 0..n_total-1 only, and none may
-    be drawn more often than it has members. Then :func:`draw_indices`, which
+    be drawn more often than it has members. Then :func:`draw_batches`, which
     draws without replacement within each stratum, can never repeat an id,
     so loops that draw many batches from the result need no per-batch check.
     """
@@ -158,24 +165,104 @@ def resolve_strata(scheme, n_total: int) -> tuple:
     return strata
 
 
-def draw_indices(strata, rng: np.random.Generator) -> np.ndarray:
-    """Independent SRS draws without replacement within each resolved stratum, concatenated.
+def draw_batches(strata, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` batches of the resolved strata as a (count, m) int64 array, one batch per row.
 
-    A member of a stratum of size N_h drawn n_h times is included with
-    probability n_h/N_h.
+    Each batch is an independent SRS draw without replacement within each
+    stratum, the strata concatenated in order, so a member of a stratum of
+    size N_h drawn n_h times is included with probability n_h/N_h. Row t
+    equals, bit for bit, the t-th of ``count`` successive per-batch draws
+    ``members[rng.choice(N_h, n_h, replace=False)]`` stratum by stratum, and
+    ``rng`` ends in the same state, so drawing a stream in blocks of any size
+    gives the same batches.
+
+    ``choice`` (numpy's code, not its API) makes bounded integer draws only:
+    Floyd's algorithm followed by a Fisher-Yates shuffle of the n_h picks, or,
+    for N_h > 10 000 and n_h > N_h // 50, a tail shuffle of all N_h ids.
+    ``rng.integers`` makes the same draws for a whole block of batches in one
+    call, and both algorithms then run as O(n_h) numpy passes over the block.
+    Blocks are sized by :func:`block_size`.
     """
-    parts = [members[rng.choice(members.shape[0], size=draws, replace=False)] for members, draws in strata]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    bounds = [_choice_bounds(members.shape[0], draws) for members, draws in strata]
+    flat = np.concatenate(bounds)
+    out = np.empty((count, sum(draws for _, draws in strata)), dtype=np.int64)
+    step = block_size(strata)
+    for start in range(0, count, step):
+        rows = min(step, count - start)
+        # the block's draws in stream order, then one column per batch
+        values = np.reshape(rng.integers(0, np.tile(flat, (rows, 1)), endpoint=True), (rows, flat.shape[0])).T
+        col = 0
+        for (members, draws), b in zip(strata, bounds):
+            picks = _choice_picks(members.shape[0], draws, values[: b.shape[0]])
+            out[start : start + rows, col : col + draws] = members[picks.T]
+            values = values[b.shape[0] :]
+            col += draws
+    return out
+
+
+def block_size(strata, row_bytes: int = 0) -> int:
+    """Batches per block: their draw temporaries, plus ``row_bytes`` per batch, fit in DRAW_BLOCK_BYTES."""
+    per_batch = row_bytes
+    for members, draws in strata:
+        # the draws and their bounds, then the tail shuffle's ids or Floyd's flags and picks
+        size = members.shape[0]
+        per_batch += 8 * (size + 3 * draws) if _tail_shuffled(size, draws) else size + 64 * draws
+    return max(1, DRAW_BLOCK_BYTES // max(per_batch, 1))
+
+
+def _tail_shuffled(size: int, draws: int) -> bool:
+    """Whether ``choice(size, draws, replace=False)`` shuffles the tail of arange(size) instead of using Floyd."""
+    return size > TAIL_SHUFFLE_SIZE and draws > size // TAIL_SHUFFLE_CUTOFF
+
+
+def _choice_bounds(size: int, draws: int) -> np.ndarray:
+    """The inclusive upper bounds of the integers ``choice(size, draws, replace=False)`` draws, in order."""
+    if _tail_shuffled(size, draws):
+        return np.arange(size - 1, max(size - draws, 1) - 1, -1)
+    # Floyd draws from 0..j for j = size - draws .. size - 1; the shuffle of its picks from 0..i, i = draws - 1 .. 1
+    return np.concatenate([np.arange(size - draws, size), np.arange(draws - 1, 0, -1)])
+
+
+def _choice_picks(size: int, draws: int, values: np.ndarray) -> np.ndarray:
+    """The (draws, batches) ids ``choice`` picks from ``values``, the draws of :func:`_choice_bounds` per column."""
+    batches = values.shape[1]
+    if _tail_shuffled(size, draws):
+        ids = np.repeat(np.arange(size), batches).reshape(size, batches)
+        _shuffle(ids, values, max(size - draws, 1))
+        return ids[size - draws :].copy()  # frees the (size, batches) ids before the next block
+    # Floyd over one row of `size` flags per batch, addressed by flat offsets:
+    # a value already picked is replaced by j, which no earlier step could pick
+    offset = np.arange(batches) * size
+    drawn = values[:draws] + offset
+    fallback = np.arange(size - draws, size)[:, None] + offset
+    taken = np.zeros(batches * size, dtype=bool)
+    picks = np.empty((draws, batches), dtype=np.int64)
+    for t in range(draws):
+        picks[t] = np.where(taken[drawn[t]], fallback[t], drawn[t])
+        taken[picks[t]] = True
+    picks -= offset
+    _shuffle(picks, values[draws:], 1)
+    return picks
+
+
+def _shuffle(ids: np.ndarray, values: np.ndarray, first: int) -> None:
+    """Fisher-Yates in place down each column: row i swaps with row ``values[k]``, i = last .. first in turn."""
+    flat = ids.reshape(-1)
+    at = values * ids.shape[1] + np.arange(ids.shape[1])
+    for k, i in enumerate(range(ids.shape[0] - 1, first - 1, -1)):
+        held = flat[at[k]]
+        flat[at[k]] = ids[i]
+        ids[i] = held
 
 
 def srs_batch(n_total: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform m-subset of {0..n_total-1} without replacement, as int64 ids."""
-    return draw_indices(SrsScheme(m=m).strata(n_total), rng)
+    return draw_batches(SrsScheme(m=m).strata(n_total), rng, 1)[0]
 
 
 def typicality_batch(partition: Partition, plan: BatchPlan, rng: np.random.Generator) -> np.ndarray:
     """n1 members of H, then n2 members of L, drawn without replacement, as int64 ids."""
-    return draw_indices(StratifiedScheme(partition=partition, plan=plan).strata(partition.n_total), rng)
+    return draw_batches(StratifiedScheme(partition=partition, plan=plan).strata(partition.n_total), rng, 1)[0]
 
 
 def batch_space_size(scheme, n_total: int) -> int:

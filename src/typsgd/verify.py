@@ -12,6 +12,7 @@ asserted check fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -49,10 +50,9 @@ from .sampling import (
     BatchPlan,
     SrsScheme,
     StratifiedScheme,
+    draw_batches,
     make_plan,
     resolve_strata,
-    srs_batch,
-    typicality_batch,
 )
 
 FORMULA_TOL = 1e-9
@@ -429,16 +429,16 @@ def check_growth_bound(rng) -> CheckResult:
 
 
 def check_inclusion(scheme, n_total: int, draw, seed: int) -> CheckResult:
-    """Each member of stratum h turns up in ``draw(rng)`` batches at rate n_h/N_h, within 3 sigma.
+    """Each member of stratum h turns up in ``draw(rng, count)`` batches at rate n_h/N_h, within 3 sigma.
 
     The strata come from ``resolve_strata(scheme, n_total)``; SRS is the
     one-stratum case with rate m/N. ``draw`` is the sampler under test; it
-    returns the batch's ids.
+    returns ``count`` batches as a (count, m) array of ids, one batch per row.
+    It is called once, for INCLUSION_DRAWS batches, and the ids are counted
+    with ``np.bincount``.
     """
     rng = np.random.default_rng(seed)
-    counts = np.zeros(n_total)
-    for _ in range(INCLUSION_DRAWS):
-        counts[draw(rng)] += 1
+    counts = np.bincount(draw(rng, INCLUSION_DRAWS).ravel(), minlength=n_total)
     freq = counts / INCLUSION_DRAWS
     ok = True
     detail = []
@@ -529,9 +529,9 @@ def run_verification(seed: int = 0, instances: int = 100):
     results.append(check_gradients(rng))
     results.append(check_convexity_probes(rng))
     results.append(check_growth_bound(rng))
-    results.append(check_inclusion(SrsScheme(m=2), 4, lambda r: srs_batch(4, 2, r), seed=11))
-    hl = leading_scheme(3, 9, m=3, n1=2)
-    results.append(check_inclusion(hl, 9, lambda r: typicality_batch(hl.partition, hl.plan, r), seed=13))
+    for scheme, n_total, draw_seed in ((SrsScheme(m=2), 4, 11), (leading_scheme(3, 9, m=3, n1=2), 9, 13)):
+        strata = resolve_strata(scheme, n_total)
+        results.append(check_inclusion(scheme, n_total, partial(draw_batches, strata), seed=draw_seed))
     results.append(check_kde_normalization())
     results.append(check_tsne_perplexity())
     results.append(check_density_majority())

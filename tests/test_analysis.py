@@ -22,9 +22,10 @@ from typsgd.analysis import (
     typicality_error_corrected,
     typicality_error_formula_published,
 )
+from typsgd.density import Partition
 from typsgd.errors import CapabilityError, InvalidArgumentError
 from typsgd.models import GradientFamily, ModelSpec
-from typsgd.sampling import SrsScheme, StratifiedScheme, make_plan, plan_beta
+from typsgd.sampling import SrsScheme, StratifiedScheme, make_plan, plan_beta, resolve_strata
 from typsgd.verify import (
     random_gradient_family,
     random_partition,
@@ -266,6 +267,59 @@ class TestMonteCarlo:
         a = monte_carlo_error(grads, SrsScheme(m=2), draws=300, seed=7)
         b = monte_carlo_error(grads, SrsScheme(m=2), draws=300, seed=7)
         assert a == b
+
+
+def choice_means(rows, strata, draws, rng):
+    """The per-batch loop that draws and sums in blocks replace: one ``rng.choice`` per stratum and batch."""
+    m = sum(draws_h for _, draws_h in strata)
+    means = np.empty((draws, rows.shape[1]))
+    for t in range(draws):
+        idx = np.concatenate([members[rng.choice(members.shape[0], size=k, replace=False)] for members, k in strata])
+        means[t] = rows[idx].sum(axis=0) / m
+    return means
+
+
+def choice_monte_carlo_error(grads, scheme, draws, seed):
+    """monte_carlo_error as a per-batch loop: each squared error is ``diff @ diff``."""
+    rows = grads.per_sample
+    diffs = choice_means(rows, resolve_strata(scheme, rows.shape[0]), draws, np.random.default_rng(seed))
+    sq_errors = np.array([diff @ diff for diff in diffs - grads.reference])
+    return float(np.mean(sq_errors)), float(np.std(sq_errors, ddof=1) / math.sqrt(draws))
+
+
+class TestDrawnInBlocks:
+    # m below and above numpy's 8-wide unrolled sum; 101 draws fill no block of 7 or 12 exactly
+    @pytest.fixture(params=[7, 12, None], ids=["7_per_block", "12_per_block", "default_blocks"])
+    def rows_per_block(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(analysis, "block_size", lambda strata, row_bytes: request.param)
+
+    @staticmethod
+    def instance(d, m):
+        rows = order_sensitive_rows(30, d, seed=d * 100 + m)
+        h = np.arange(0, 30, 3)
+        part = Partition(h_indices=h, l_indices=np.setdiff1d(np.arange(30), h), gamma=1 / 3)
+        stratified = StratifiedScheme(part, make_plan(m, min(max(1, 2 * m // 3), 10), part))
+        return rows, (SrsScheme(m=m), stratified)
+
+    @pytest.mark.parametrize("m", [2, 7, 9, 20])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_drawn_means_are_the_per_batch_loops(self, rows_per_block, d, m):
+        rows, schemes = self.instance(d, m)
+        for scheme in schemes:
+            strata = resolve_strata(scheme, 30)
+            got_rng, want_rng = np.random.default_rng(m), np.random.default_rng(m)
+            got = analysis.drawn_means(rows, strata, 101, got_rng)
+            assert np.array_equal(got, choice_means(rows, strata, 101, want_rng)), scheme.kind
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("m", [2, 7, 9, 20])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_monte_carlo_error_is_the_per_batch_loops(self, rows_per_block, d, m):
+        rows, schemes = self.instance(d, m)
+        grads = GradientFamily(per_sample=rows, reference=rows[:3].mean(axis=0))
+        for scheme in schemes:
+            assert monte_carlo_error(grads, scheme, 101, seed=d) == choice_monte_carlo_error(grads, scheme, 101, d)
 
 
 class TestRateFactor:

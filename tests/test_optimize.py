@@ -37,7 +37,6 @@ from typsgd.sampling import (
     SrsScheme,
     StratifiedScheme,
     batch_space_size,
-    draw_indices,
     make_plan,
     resolve_strata,
     save_batch_log,
@@ -51,6 +50,12 @@ def half_partition(n):
 
 def full_rows(ds):
     return ds.features, ds.targets[:, 0]
+
+
+def reference_draw_indices(strata, rng: np.random.Generator) -> np.ndarray:
+    """One batch as the loops drew it before draw_batches: one ``rng.choice`` per stratum, concatenated."""
+    parts = [members[rng.choice(members.shape[0], size=draws, replace=False)] for members, draws in strata]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class TestSgdStep:
@@ -305,7 +310,7 @@ def reference_descent_recursion_check(
         rhs = contraction * gap + float(np.mean(err_sqs)) / (2.0 * big_l)
         steps.append(RecursionStep(iteration=k, lhs=lhs, rhs=rhs, holds=lhs <= rhs))
         # advance the path by one real stochastic step
-        idx = draw_indices(strata, rng)
+        idx = reference_draw_indices(strata, rng)
         theta = sgd_step(model, theta, features[idx], targets[idx], eta, k)
     return RecursionReport(steps=tuple(steps), holds_all=all(s.holds for s in steps))
 
@@ -381,7 +386,7 @@ def test_recursion_check_at_paper_size():
         draw_rng = np.random.default_rng(3)
         next_gaps = np.empty(20_000)
         for b in range(next_gaps.shape[0]):
-            idx = draw_indices(strata, draw_rng)
+            idx = reference_draw_indices(strata, draw_rng)
             next_gaps[b] = mean_loss(model, ds, theta0 - eta * grads[idx].mean(axis=0)) - spec.exact_optimum_value
         se = np.std(next_gaps, ddof=1) / math.sqrt(next_gaps.shape[0])
         assert abs(report.steps[0].lhs - np.mean(next_gaps)) <= 4.0 * se, scheme.kind
@@ -455,7 +460,7 @@ class ReferenceBatch:
 
 def reference_draw_batch(scheme, n_total: int, rng: np.random.Generator) -> ReferenceBatch:
     """One batch of the scheme, checked for distinct ids by :class:`ReferenceBatch`."""
-    return ReferenceBatch(indices=draw_indices(scheme.strata(n_total), rng))
+    return ReferenceBatch(indices=reference_draw_indices(scheme.strata(n_total), rng))
 
 
 @dataclass(frozen=True)
@@ -703,6 +708,46 @@ class TestMatchesReferenceLoop:
             )
 
 
+class TestEvaluationsDrawBlocksAhead:
+    # evaluations draws ROWS batches at a time; 53 steps and a reach at step 45 end inside a block
+    ROWS = 7
+
+    @pytest.fixture(params=["srs", "typicality"])
+    def case(self, request, monkeypatch):
+        monkeypatch.setattr(optimize, "block_size", lambda strata: self.ROWS)
+        model, ds, val, spec = quadratic_case()
+        part = half_partition(ds.n_samples)
+        scheme = SrsScheme(m=6) if request.param == "srs" else StratifiedScheme(part, make_plan(6, 4, part))
+        return model, ds, val, spec, scheme
+
+    def test_points_and_log_are_the_per_batch_loops(self, case, tmp_path):
+        # the log is compared after the last block is drawn: an id array that a later block
+        # overwrote would differ here
+        model, ds, val, spec, scheme = case
+        kwargs = dict(eval_every=5, val_data=val, model_spec=spec, record_thetas=True)
+        assert 53 % self.ROWS
+        run = train(model, ds, scheme, Sgd(eta=0.02), 53, seed=9, log_batches=True, **kwargs)
+        save_batch_log(tmp_path / "new.csv", run.batches, seed=9)
+        ref = reference_train(model, ds, scheme, Sgd(eta=0.02), 53, seed=9, batch_log_path=tmp_path / "ref.csv", **kwargs)
+        assert_same_run(run, ref, tmp_path / "new.csv", tmp_path / "ref.csv")
+
+    def test_a_run_stopped_at_its_reach_takes_and_logs_only_its_steps(self, case):
+        model, ds, val, spec, scheme = case
+        ref = reference_train(model, ds, scheme, Sgd(eta=0.02), 200, seed=9, eval_every=5, model_spec=spec)
+        reach = first_reach(ref.records, 0.5)
+        assert reach == 45 and reach % self.ROWS
+        log, pulled = [], []
+        points = evaluations(model, ds, scheme, Sgd(eta=0.02), 200, 9, 5, model_spec=spec, batch_log=log)
+        assert first_reach((pulled.append(record) or record for record, _ in points), 0.5) == reach
+        assert [(r.iteration, r.train_loss, r.subopt) for r in pulled] == [
+            (r.iteration, r.train_loss, r.subopt) for r in ref.records[: len(pulled)]
+        ]
+        rng = np.random.default_rng(9)
+        strata = resolve_strata(scheme, ds.n_samples)
+        assert [k for k, _ in log] == list(range(reach))
+        assert all(np.array_equal(ids, reference_draw_indices(strata, rng)) for _, ids in log)
+
+
 class OverlappingScheme:
     """A duck-typed scheme whose two strata share sample 3."""
 
@@ -739,8 +784,8 @@ class TestRepeatsRejectedBeforeTheFirstDraw:
         def forbidden(*args, **kwargs):
             raise AssertionError("a batch was drawn")
 
-        monkeypatch.setattr(optimize, "draw_indices", forbidden)
-        monkeypatch.setattr(analysis, "draw_indices", forbidden)
+        monkeypatch.setattr(optimize, "draw_batches", forbidden)
+        monkeypatch.setattr(analysis, "draw_batches", forbidden)
 
     @pytest.mark.parametrize("scheme", REPEATING_SCHEMES)
     def test_train(self, small_quadratic, scheme, no_draws):

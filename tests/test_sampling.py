@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from typsgd import sampling
 from typsgd.analysis import enumerated_means
 from typsgd.density import Partition
 from typsgd.errors import InvalidArgumentError
@@ -13,8 +15,9 @@ from typsgd.sampling import (
     SrsScheme,
     StratifiedScheme,
     batch_space_size,
+    block_size,
     default_plan,
-    draw_indices,
+    draw_batches,
     load_batch_log,
     make_plan,
     plan_beta,
@@ -43,11 +46,10 @@ class TestSrs:
         # every C(4,2) pair should appear with frequency 1/6 +- 3 sigma
         rng = np.random.default_rng(99)
         draws = 60_000
-        counts = dict.fromkeys(itertools.combinations(range(4), 2), 0)
-        for _ in range(draws):
-            counts[tuple(sorted(srs_batch(4, 2, rng).tolist()))] += 1
+        batches = np.sort(draw_batches(resolve_strata(SrsScheme(m=2), 4), rng, draws), axis=1)
         sigma = np.sqrt((1 / 6) * (5 / 6) / draws)
-        for pair, count in counts.items():
+        for pair in itertools.combinations(range(4), 2):
+            count = np.all(batches == pair, axis=1).sum()
             assert abs(count / draws - 1 / 6) <= 3 * sigma, pair
 
     def test_deterministic_sequence(self):
@@ -111,10 +113,8 @@ class TestTypicality:
         plan = make_plan(3, 2, part)
         rng = np.random.default_rng(17)
         draws = 90_000
-        counts = np.zeros(9)
-        for _ in range(draws):
-            counts[typicality_batch(part, plan, rng)] += 1
-        freq = counts / draws
+        batches = draw_batches(resolve_strata(StratifiedScheme(part, plan), 9), rng, draws)
+        freq = np.bincount(batches.ravel(), minlength=9) / draws
         for target, members in ((2 / 3, part.h_indices), (1 / 6, part.l_indices)):
             sigma = np.sqrt(target * (1 - target) / draws)
             assert np.all(np.abs(freq[members] - target) <= 3 * sigma)
@@ -183,8 +183,8 @@ def test_batch_log_round_trip(tmp_path, rng):
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
-def test_samplers_are_draw_indices_on_resolved_strata(data):
-    # the inclusion checks call the samplers; training draws through draw_indices
+def test_samplers_are_one_row_of_draw_batches(data):
+    # the inclusion checks and training draw through draw_batches; the samplers are its one-row case
     n1_pop = data.draw(st.integers(1, 6))
     n2_pop = data.draw(st.integers(n1_pop, 8))
     part = partition_of(n1_pop, n2_pop, scatter_seed=data.draw(st.integers(0, 99)))
@@ -198,10 +198,113 @@ def test_samplers_are_draw_indices_on_resolved_strata(data):
     seed = data.draw(st.integers(0, 2**32))
     m = data.draw(st.integers(1, n))
     got = srs_batch(n, m, np.random.default_rng(seed))
-    want = draw_indices(resolve_strata(SrsScheme(m=m), n), np.random.default_rng(seed))
+    want = draw_batches(resolve_strata(SrsScheme(m=m), n), np.random.default_rng(seed), 1)[0]
     assert got.dtype == np.int64 and np.array_equal(got, want)
     m, k = data.draw(st.sampled_from(feasible))  # m = 2, k = 1 always fits, as N2 >= N1
     plan = make_plan(m, k, part)
     got = typicality_batch(part, plan, np.random.default_rng(seed))
-    want = draw_indices(resolve_strata(StratifiedScheme(part, plan), n), np.random.default_rng(seed))
+    want = draw_batches(resolve_strata(StratifiedScheme(part, plan), n), np.random.default_rng(seed), 1)[0]
     assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+# -- draw_batches against numpy's own per-batch draws -------------------------
+
+
+def choice_batches(strata, rng, count):
+    """The per-batch loop that draw_batches replaces: one ``rng.choice`` per stratum and batch."""
+    rows = [
+        np.concatenate([members[rng.choice(members.shape[0], size=draws, replace=False)] for members, draws in strata])
+        for _ in range(count)
+    ]
+    return np.array(rows, dtype=np.int64).reshape(count, sum(draws for _, draws in strata))
+
+
+def assert_same_stream(strata, count, rng_at):
+    """draw_batches and the per-batch loop give equal batches and leave equal generators."""
+    got_rng, want_rng = rng_at(), rng_at()
+    got = draw_batches(strata, got_rng, count)
+    want = choice_batches(strata, want_rng, count)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def seeded(seed, half_used=False):
+    """A generator factory; ``half_used`` leaves half of a 64-bit output buffered for the next 32-bit draw."""
+
+    def make():
+        rng = np.random.default_rng(seed)
+        if half_used:
+            rng.integers(0, 7)
+        return rng
+
+    return make
+
+
+class TestDrawBatchesIsNumpysChoice:
+    # the rule is numpy's code, not its API: if a release changes it, this fails
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_one_and_two_strata(self, data):
+        sizes = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=2))
+        if sum(sizes) == 0:
+            sizes = [1]
+        ids = np.random.default_rng(data.draw(st.integers(0, 99))).permutation(sum(sizes) + 5)
+        cuts = np.cumsum([0] + sizes)
+        strata = tuple(
+            (ids[cuts[h] : cuts[h + 1]], data.draw(st.integers(0, sizes[h]))) for h in range(len(sizes))
+        )
+        seed = data.draw(st.integers(0, 2**32))
+        assert_same_stream(strata, data.draw(st.integers(0, 30)), seeded(seed, data.draw(st.booleans())))
+
+    @pytest.mark.parametrize(
+        "size, draws",
+        [
+            (10_001, 200),  # draws = size // 50: Floyd
+            (10_001, 201),  # tail shuffle
+            (10_000, 5_000),  # size not above 10 000: Floyd
+            (12_000, 1),
+            (12_000, 11_999),
+            (12_000, 12_000),  # the tail shuffle stops at column 1, not 0
+            (12_000, 0),
+        ],
+    )
+    def test_both_branches_and_their_boundary(self, size, draws):
+        assert sampling._tail_shuffled(size, draws) == (size > 10_000 and draws > size // 50)
+        assert_same_stream(((np.arange(size), draws),), 3, seeded(size + draws))
+        assert_same_stream(((np.arange(size)[::-1], draws), (np.arange(size, size + 9), 4)), 2, seeded(draws, True))
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3, 7])
+    @pytest.mark.parametrize("count", [1, 20, 22])
+    def test_a_count_split_across_blocks(self, monkeypatch, rows_per_block, count):
+        strata = ((np.arange(4, 13), 5), (np.array([1, 0, 3]), 2))
+        monkeypatch.setattr(sampling, "block_size", lambda strata, row_bytes=0: rows_per_block)
+        assert_same_stream(strata, count, seeded(count, True))
+        # and one block at a time, as the training loop draws them
+        got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
+        got = np.concatenate([draw_batches(strata, got_rng, rows) for rows in (rows_per_block, 2, 5)])
+        assert np.array_equal(got, choice_batches(strata, want_rng, rows_per_block + 7))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_empty_strata_and_no_batches(self):
+        assert_same_stream(((np.arange(0), 0), (np.arange(5), 5)), 4, seeded(3))
+        assert_same_stream(((np.arange(6), 0),), 4, seeded(3))
+        assert_same_stream(((np.arange(6), 3),), 0, seeded(3))
+
+
+@pytest.mark.parametrize(
+    "strata",
+    [((np.arange(2000), 50),), ((np.arange(600), 40), (np.arange(600, 2000), 10)), ((np.arange(12_000), 300),)],
+    ids=["floyd", "two_strata", "tail_shuffle"],
+)
+def test_blocks_bound_the_draw_temporaries(strata):
+    # beyond the returned array, one block's temporaries stay near DRAW_BLOCK_BYTES however many batches are drawn
+    count = 30 * block_size(strata)
+    tracemalloc.start()
+    try:
+        out = draw_batches(strata, np.random.default_rng(0), count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 1.25 * sampling.DRAW_BLOCK_BYTES

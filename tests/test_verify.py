@@ -1,7 +1,9 @@
+from functools import partial
+
 import numpy as np
 
 from typsgd.models import QuadraticModel
-from typsgd.sampling import SrsScheme, srs_batch, validate_plan
+from typsgd.sampling import SrsScheme, draw_batches, resolve_strata, validate_plan
 from typsgd.verify import (
     check_gradients,
     check_inclusion,
@@ -56,11 +58,11 @@ def test_gradient_check_reads_the_batched_gradient(monkeypatch):
 
 
 def test_inclusion_check_catches_a_biased_sampler():
-    fixed = check_inclusion(SrsScheme(m=2), 4, lambda r: np.array([0, 1]), seed=11)
+    fixed = check_inclusion(SrsScheme(m=2), 4, lambda r, count: np.tile([0, 1], (count, 1)), seed=11)
     assert not fixed.passed
     hl = leading_scheme(3, 9, m=3, n1=2)
     # three uniform draws from all nine ids include H members at 1/3, not n1/N1 = 2/3
-    unsplit = check_inclusion(hl, 9, lambda r: srs_batch(9, 3, r), seed=13)
+    unsplit = check_inclusion(hl, 9, partial(draw_batches, resolve_strata(SrsScheme(m=3), 9)), seed=13)
     assert not unsplit.passed
 
 
