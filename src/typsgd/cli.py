@@ -24,11 +24,11 @@ from ._parallel import map_processes
 from .analysis import formula_alpha
 from .config import RunConfig
 from .data import Dataset, generate_clustered, generate_pwl_curves, load_csv, load_dataset_file, save_csv, split_dataset
-from .density import build_partition, kde_densities, load_partition, save_partition
+from .density import build_partition, check_bandwidth, kde_densities, load_partition, save_partition
 from .embedding import load_embedding_points, save_embedding, tsne_embed
 from .errors import CapabilityError, CsvFormatError, InvalidArgumentError, NumericError
 from .models import MODEL_KINDS, ModelSpec, quadratic_constants, save_theta
-from .optimize import Adam, Sgd, check_threshold, load_trace, median_reach, save_trace, train
+from .optimize import Adam, Sgd, check_learning_rate, check_threshold, load_trace, median_reach, save_trace, train
 from .sampling import SrsScheme, StratifiedScheme, default_plan, make_plan, save_batch_log
 from .svg import line_chart, scatter_chart
 from .verify import all_asserted_pass, run_verification
@@ -130,7 +130,7 @@ def cmd_partition(config: RunConfig, out_dir: str) -> int:
     csv_path = os.path.join(out_dir, "partition.csv")
     svg_path = os.path.join(out_dir, "partition.svg")
     try:
-        bandwidth = config.parse("partition", "bandwidth", _number_or("scott"), "scott")
+        bandwidth = config.parse("partition", "bandwidth", lambda raw: check_bandwidth(_number_or("scott")(raw)), "scott")
         gamma = config.get_float("partition", "gamma", 0.3)
         emb_path = os.path.join(out_dir, "embedding.csv")
         current = {"config": config.digest, "seed": str(config.get_int("embedding", "seed", 0))}
@@ -188,7 +188,7 @@ def _train_setup(config: RunConfig, out_dir: str) -> TrainSetup:
     train_data, val_data = _split_for_training(config, dataset)
     model = _model_from_config(config)
     spec = None
-    eta = config.parse("train", "eta", _number_or("auto"), "auto")
+    eta = config.parse("train", "eta", _number_or("auto", check_learning_rate), "auto")
     if model.kind == "quadratic":
         spec = quadratic_constants(train_data)
         eta = 1.0 / spec.lipschitz_L if eta == "auto" else eta
@@ -214,7 +214,7 @@ def _train_setup(config: RunConfig, out_dir: str) -> TrainSetup:
         if name == "sgd":
             optimizers[name] = Sgd(eta=eta)
         elif name == "adam":
-            optimizers[name] = Adam(eta=config.get_float("train", "adam_eta", eta))
+            optimizers[name] = Adam(eta=config.parse("train", "adam_eta", check_learning_rate, eta))
         else:
             raise InvalidArgumentError(f"unknown optimizer {name!r}")
     return TrainSetup(

@@ -17,7 +17,7 @@ from ._csvio import read_table, write_rows
 from .errors import InvalidArgumentError
 
 FALLBACK_BANDWIDTH = 1e-3
-# bytes of one (queries, points, d) float64 block in kde_evaluate; 2-3 such
+# bytes of one (queries, points) float64 block in kde_evaluate; two such
 # temporaries are alive at once
 KDE_BLOCK_BYTES = 1 << 20
 
@@ -77,6 +77,16 @@ class Partition:
         return self.n1 + self.n2
 
 
+def check_bandwidth(bandwidth_rule):
+    """``bandwidth_rule`` if it is 'scott' or a positive finite number; anything else is refused."""
+    if isinstance(bandwidth_rule, (int, float)):
+        if not (math.isfinite(bandwidth_rule) and bandwidth_rule > 0):
+            raise InvalidArgumentError(f"fixed bandwidth must be positive and finite; got {bandwidth_rule}")
+    elif bandwidth_rule != "scott":
+        raise InvalidArgumentError(f"unknown bandwidth rule {bandwidth_rule!r}")
+    return bandwidth_rule
+
+
 def _kernel_covariance(points: np.ndarray, bandwidth_rule) -> np.ndarray:
     """Resolve a bandwidth rule to a diagonal 2x2 kernel covariance matrix.
 
@@ -84,12 +94,8 @@ def _kernel_covariance(points: np.ndarray, bandwidth_rule) -> np.ndarray:
     isotropic kernel with that standard deviation.
     """
     n, d = points.shape
-    if isinstance(bandwidth_rule, (int, float)):
-        if bandwidth_rule <= 0:
-            raise InvalidArgumentError("fixed bandwidth must be positive")
+    if check_bandwidth(bandwidth_rule) != "scott":
         return float(bandwidth_rule) ** 2 * np.eye(d)
-    if bandwidth_rule != "scott":
-        raise InvalidArgumentError(f"unknown bandwidth rule {bandwidth_rule!r}")
     sigma = np.std(points, axis=0, ddof=1)
     if np.any(sigma <= 0):
         warnings.warn(
@@ -104,25 +110,39 @@ def _kernel_covariance(points: np.ndarray, bandwidth_rule) -> np.ndarray:
 def kde_evaluate(points: np.ndarray, queries: np.ndarray, covariance: np.ndarray) -> np.ndarray:
     """Gaussian KDE of ``points`` evaluated at ``queries`` (diagonal kernel).
 
-    Queries are taken in blocks so that one (q, n, d) difference array
-    holds at most KDE_BLOCK_BYTES; each query's density does not depend on
-    the block it falls in.
+    The covariance must be diagonal with a positive finite diagonal, and the
+    point set must not be empty. Queries are taken in blocks so that one
+    (q, n) array holds at most KDE_BLOCK_BYTES; each query's density does
+    not depend on the block it falls in. The scaled squared distance is
+    summed over the coordinates left to right, one (q, n) pass each, which
+    for d <= 7 gives the same bits as ``((q - p) ** 2 / var).sum(axis=-1)``
+    on the whole difference array (numpy sums 8 or more terms pairwise).
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     n, d = points.shape
+    if points.size == 0:
+        raise InvalidArgumentError("kernel density needs at least one point")
     if queries.shape[1] != d:
         raise InvalidArgumentError(f"queries have {queries.shape[1]} coordinates, points have {d}")
-    if np.shape(covariance) != (d, d):
-        raise InvalidArgumentError(f"kernel covariance must be {d} x {d}; got shape {np.shape(covariance)}")
+    covariance = np.asarray(covariance, dtype=np.float64)
+    if covariance.shape != (d, d):
+        raise InvalidArgumentError(f"kernel covariance must be {d} x {d}; got shape {covariance.shape}")
     var = np.diag(covariance)
+    if np.any(covariance != np.diag(var)) or not np.all(np.isfinite(var) & (var > 0)):
+        raise InvalidArgumentError("kernel covariance must be diagonal with a positive finite diagonal")
     norm = 1.0 / ((2.0 * np.pi) ** (d / 2.0) * np.sqrt(np.prod(var)))
     out = np.empty(queries.shape[0])
-    step = max(1, KDE_BLOCK_BYTES // (8 * max(n * d, 1)))
+    step = max(1, KDE_BLOCK_BYTES // (8 * n))
     for start in range(0, queries.shape[0], step):
         q = queries[start : start + step]
-        sq = ((q[:, None, :] - points[None, :, :]) ** 2 / var).sum(axis=2)
-        out[start : start + step] = norm * np.exp(-0.5 * sq).mean(axis=1)
+        for k in range(d):
+            t = q[:, k, None] - points[:, k]
+            np.square(t, out=t)
+            t /= var[k]
+            sq = t if k == 0 else np.add(sq, t, out=sq)
+        sq *= -0.5
+        out[start : start + step] = norm * np.exp(sq, out=sq).mean(axis=1)
     return out
 
 

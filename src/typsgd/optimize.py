@@ -46,8 +46,7 @@ class Sgd:
     kind: ClassVar[str] = "sgd"
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise InvalidArgumentError("learning rate must be >= 0")
+        check_learning_rate(self.eta)
 
     def init_state(self, theta):
         return None
@@ -64,8 +63,7 @@ class Adam:
     kind: ClassVar[str] = "adam"
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise InvalidArgumentError("learning rate must be >= 0")
+        check_learning_rate(self.eta)
 
     def init_state(self, theta):
         """First and second moments, zero before the first step."""
@@ -95,6 +93,14 @@ class TrainTrace:
     def iterations_to_threshold(self, threshold: float):
         """First recorded iteration whose suboptimality is <= threshold, else None."""
         return first_reach(self.records, threshold)
+
+
+def check_learning_rate(eta: float) -> float:
+    """``eta`` as a float; a negative, NaN or infinite learning rate is refused."""
+    eta = float(eta)
+    if not (np.isfinite(eta) and eta >= 0):
+        raise InvalidArgumentError(f"learning rate must be >= 0 and finite, got {eta}")
+    return eta
 
 
 def check_threshold(threshold: float) -> float:

@@ -16,6 +16,7 @@ from functools import partial
 
 import numpy as np
 
+from ._parallel import map_processes
 from .analysis import (
     build_error_report,
     enumerate_error,
@@ -501,10 +502,8 @@ def check_density_majority() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def run_verification(seed: int = 0, instances: int = 100):
-    """Run every check; returns (results, error-report JSON lines)."""
-    if instances < 1:
-        raise InvalidArgumentError(f"instances must be >= 1; got {instances}")
+def _seeded_checks(seed: int, instances: int) -> list[CheckResult]:
+    """Every check that draws from ``default_rng(seed)``, in report order, with the fixed-input checks between them."""
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
     results.append(check_formula(
@@ -529,24 +528,58 @@ def run_verification(seed: int = 0, instances: int = 100):
     results.append(check_gradients(rng))
     results.append(check_convexity_probes(rng))
     results.append(check_growth_bound(rng))
-    for scheme, n_total, draw_seed in ((SrsScheme(m=2), 4, 11), (leading_scheme(3, 9, m=3, n1=2), 9, 13)):
-        strata = resolve_strata(scheme, n_total)
-        results.append(check_inclusion(scheme, n_total, partial(draw_batches, strata), seed=draw_seed))
-    results.append(check_kde_normalization())
-    results.append(check_tsne_perplexity())
-    results.append(check_density_majority())
+    return results
 
-    report_rng = np.random.default_rng(seed + 1)
+
+def _error_reports(seed: int) -> list[str]:
+    """The JSON lines of five error reports on random stratified instances drawn from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
     json_lines = []
     for i in range(5):
-        grads = random_gradient_family(report_rng, min_n=6)
-        partition = random_partition(report_rng, grads.n_samples)
-        plan = random_plan(report_rng, partition)
+        grads = random_gradient_family(rng, min_n=6)
+        partition = random_partition(rng, grads.n_samples)
+        plan = random_plan(rng, partition)
         report = build_error_report(grads, partition, plan)
         json_lines.append(
             report.to_json(instance=i, scheme="stratified", m=plan.m, n1=plan.n1, n2=plan.n2)
         )
-    return results, json_lines
+    return json_lines
+
+
+# The suite's independent parts, in report order. No two share a generator,
+# so each can run on its own worker and the report does not depend on the
+# pool size. The last part gives the error reports' JSON lines.
+SUITE_PARTS = ("seeded", "inclusion", "kde_normalization", "tsne_perplexity", "density_majority", "error_reports")
+
+
+def _run_part(part: str, seed: int, instances: int) -> list:
+    """The results of one of SUITE_PARTS, named so that the task pickles.
+
+    Each check is looked up by its module attribute when the part runs, so
+    a wrapper set on that attribute sees the call.
+    """
+    if part == "seeded":
+        return _seeded_checks(seed, instances)
+    if part == "inclusion":
+        return [
+            check_inclusion(scheme, n_total, partial(draw_batches, resolve_strata(scheme, n_total)), seed=draw_seed)
+            for scheme, n_total, draw_seed in ((SrsScheme(m=2), 4, 11), (leading_scheme(3, 9, m=3, n1=2), 9, 13))
+        ]
+    if part == "error_reports":
+        return _error_reports(seed + 1)
+    return [globals()[f"check_{part}"]()]
+
+
+def run_verification(seed: int = 0, instances: int = 100):
+    """Run every check; returns (results, error-report JSON lines).
+
+    The parts in SUITE_PARTS run on :func:`_parallel.map_processes`, and
+    their results are joined in part order.
+    """
+    if instances < 1:
+        raise InvalidArgumentError(f"instances must be >= 1; got {instances}")
+    *checks, json_lines = map_processes(_run_part, [(part, seed, instances) for part in SUITE_PARTS])
+    return [r for part in checks for r in part], json_lines
 
 
 def all_asserted_pass(results) -> bool:

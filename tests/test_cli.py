@@ -541,6 +541,32 @@ def test_bad_config_value_names_its_key(workspace, capsys, old, new, cmd, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+def test_bandwidth_that_is_not_positive_and_finite_is_refused_before_embedding(workspace, capsys, monkeypatch, value):
+    config, out = workspace
+    assert main(["gen", "--config", str(config)]) == 0
+    config.write_text(config.read_text().replace("bandwidth = scott", f"bandwidth = {value}"))
+    monkeypatch.setattr(cli, "tsne_embed", lambda *a, **kw: pytest.fail("embedded before the bandwidth was checked"))
+    assert main(["partition", "--config", str(config)]) == 2
+    assert f"[partition] bandwidth = '{value}'" in capsys.readouterr().err
+    assert not (out / "embedding.csv").exists() and not (out / "partition.csv").exists()
+
+
+@pytest.mark.parametrize("old, new, key", [("eta = auto", "eta = nan", "[train] eta = 'nan'"),
+                                           ("eta = auto", "eta = inf", "[train] eta = 'inf'"),
+                                           ("adam_eta = 0.05", "adam_eta = nan", "[train] adam_eta = 'nan'")])
+def test_learning_rate_that_is_not_finite_is_refused_before_training(workspace, capsys, monkeypatch, old, new, key):
+    config, out = workspace
+    for cmd in ("gen", "partition"):
+        assert main([cmd, "--config", str(config)]) == 0
+    config.write_text(config.read_text().replace(old, new))
+    sizes = []
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", recording_pool(sizes))
+    assert main(["train", "--config", str(config)]) == 2
+    assert key in capsys.readouterr().err
+    assert sizes == [] and not list(out.glob("trace_*.csv"))
+
+
 def test_seed_flag_replaces_the_config_key_its_command_names(workspace):
     config, out = workspace
     assert main(["gen", "--config", str(config), "--seed", "9"]) == 0

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from typsgd import density
 from typsgd.data import generate_clustered
@@ -97,6 +99,11 @@ class TestKde:
             dm = kde_densities(points, "scott")
         assert np.allclose(np.diag(dm.bandwidth), 1e-6)
 
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan"), float("inf"), "silverman"])
+    def test_rejects_a_bandwidth_that_is_not_scott_or_positive_finite(self, bandwidth):
+        with pytest.raises(InvalidArgumentError, match="bandwidth"):
+            kde_densities(np.eye(3, 2), bandwidth)
+
     def test_density_map_validation(self):
         with pytest.raises(InvalidArgumentError):
             DensityMap(densities=np.array([0.0, 1.0]), bandwidth=np.eye(2))
@@ -105,7 +112,7 @@ class TestKde:
 
 
 class TestKdeBlocks:
-    @pytest.mark.parametrize("block_bytes", [1, 8 * 40 * 2 * 7, 1 << 30], ids=["one-query", "ragged", "single"])
+    @pytest.mark.parametrize("block_bytes", [1, 8 * 40 * 7, 1 << 30], ids=["one-query", "ragged", "single"])
     def test_densities_do_not_depend_on_the_block(self, monkeypatch, rng, block_bytes):
         points = rng.normal(size=(40, 2))
         queries = rng.normal(size=(50, 2))  # 7 queries a block leave a ragged last block of 1
@@ -135,6 +142,47 @@ class TestKdeBlocks:
     def test_rejects_covariance_of_another_size(self):
         with pytest.raises(InvalidArgumentError, match="covariance"):
             kde_evaluate(np.zeros((4, 2)), np.zeros((3, 2)), np.eye(1))
+
+    @pytest.mark.parametrize(
+        "covariance",
+        [[[1.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, -2.0]],
+         [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, np.inf]]],
+        ids=["off-diagonal", "zero", "negative", "nan", "inf"],
+    )
+    def test_rejects_a_covariance_that_is_not_a_positive_finite_diagonal(self, covariance):
+        with pytest.raises(InvalidArgumentError, match="diagonal"):
+            kde_evaluate(np.zeros((4, 2)), np.zeros((3, 2)), np.array(covariance))
+
+    def test_rejects_an_empty_point_set(self):
+        with pytest.raises(InvalidArgumentError, match="at least one point"):
+            kde_evaluate(np.zeros((0, 2)), np.zeros((3, 2)), np.eye(2))
+
+
+def whole_array_kde(points, queries, covariance):
+    """The KDE as one (q, n, d) difference array summed over its last axis."""
+    var = np.diag(covariance)
+    norm = 1.0 / ((2.0 * np.pi) ** (points.shape[1] / 2.0) * np.sqrt(np.prod(var)))
+    sq = ((queries[:, None, :] - points[None, :, :]) ** 2 / var).sum(axis=2)
+    return norm * np.exp(-0.5 * sq).mean(axis=1)
+
+
+@given(
+    st.integers(1, 7), st.integers(1, 40), st.integers(1, 60), st.integers(1, 4000), st.integers(0, 2**32 - 1)
+)
+@settings(max_examples=80, deadline=None)
+def test_coordinate_passes_have_the_bits_of_the_whole_array(d, n, q, block_bytes, seed):
+    # blocks from one query up to every query at once, ragged last blocks included
+    gen = np.random.default_rng(seed)
+    points = gen.normal(0.0, gen.uniform(0.1, 10.0), (n, d))
+    queries = gen.normal(0.0, 3.0, (q, d))
+    covariance = np.diag(gen.uniform(0.01, 5.0, d))
+    kept = density.KDE_BLOCK_BYTES
+    density.KDE_BLOCK_BYTES = block_bytes
+    try:
+        got = kde_evaluate(points, queries, covariance)
+    finally:
+        density.KDE_BLOCK_BYTES = kept
+    assert got.tobytes() == whole_array_kde(points, queries, covariance).tobytes()
 
 
 class TestBuildPartition:

@@ -154,6 +154,13 @@ def test_negative_learning_rate_rejected(optimizer):
     assert optimizer(eta=0.0).eta == 0.0
 
 
+@pytest.mark.parametrize("optimizer", [Sgd, Adam])
+@pytest.mark.parametrize("eta", [float("nan"), float("inf")])
+def test_non_finite_learning_rate_rejected(optimizer, eta):
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        optimizer(eta=eta)
+
+
 class TestTrain:
     def test_full_batch_bound_over_200_iterations(self, small_quadratic):
         ds, spec = small_quadratic

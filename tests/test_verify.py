@@ -1,7 +1,12 @@
+import multiprocessing
 from functools import partial
 
 import numpy as np
+import pytest
 
+from typsgd import _parallel, verify
+from typsgd.cli import EXIT_USAGE, main
+from typsgd.errors import NumericError
 from typsgd.models import QuadraticModel
 from typsgd.sampling import SrsScheme, draw_batches, resolve_strata, validate_plan
 from typsgd.verify import (
@@ -13,6 +18,7 @@ from typsgd.verify import (
     random_partition,
     random_plan,
     representative_h_instance,
+    run_verification,
     zero_sum_instance,
 )
 
@@ -70,3 +76,32 @@ def test_recursion_check_names_its_path():
     result = check_recursion(np.random.default_rng(0), SrsScheme(m=2))
     assert result.detail.startswith("30 closed-form steps, min slack rhs - lhs = ")
     assert result.passed is True
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_report_is_the_same_at_any_pool_size(monkeypatch, seed):
+    reports = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(_parallel, "usable_cpus", lambda: cpus)
+        reports.append(run_verification(seed=seed, instances=8))
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    assert not multiprocessing.active_children()
+
+
+def fails(*args):
+    raise NumericError("injected failure")
+
+
+@pytest.mark.parametrize("check", ["check_kde_normalization", "check_growth_bound"])
+def test_a_failing_pooled_check_raises_out_of_the_suite(monkeypatch, tmp_path, capsys, check):
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify, check, fails)
+    with pytest.raises(NumericError, match="injected"):
+        run_verification(seed=0, instances=8)
+    assert not multiprocessing.active_children()
+    config = tmp_path / "verify.ini"
+    config.write_text(f"[verify]\nseed = 0\ninstances = 8\n[output]\ndir = {tmp_path}\n")
+    assert main(["verify", "--config", str(config)]) == EXIT_USAGE
+    assert "injected failure" in capsys.readouterr().err
+    assert not multiprocessing.active_children()
+    assert not (tmp_path / "verify_report.csv").exists()
