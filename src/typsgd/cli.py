@@ -29,7 +29,7 @@ from .embedding import load_embedding_points, save_embedding, tsne_embed
 from .errors import CapabilityError, CsvFormatError, InvalidArgumentError, NumericError
 from .models import MODEL_KINDS, ModelSpec, quadratic_constants, save_theta
 from .optimize import Adam, Sgd, check_learning_rate, check_threshold, load_trace, median_reach, save_trace, train
-from .sampling import SrsScheme, StratifiedScheme, default_plan, make_plan, save_batch_log
+from .sampling import SrsScheme, StratifiedScheme, default_plan, make_plan, resolve_strata, save_batch_log
 from .svg import line_chart, scatter_chart
 from .verify import all_asserted_pass, run_verification
 
@@ -117,7 +117,6 @@ def cmd_embed(config: RunConfig, out_dir: str) -> int:
         train_data,
         perplexity=config.get_float("embedding", "perplexity", 30.0),
         iterations=config.get_int("embedding", "iterations", 1000),
-        learning_rate=config.get_float("embedding", "learning_rate", 200.0),
         seed=config.get_int("embedding", "seed", 0),
     )
     path = os.path.join(out_dir, "embedding.csv")
@@ -163,8 +162,6 @@ def _model_from_config(config: RunConfig):
     kind = config.get("train", "model", "quadratic")
     if kind not in MODEL_KINDS:
         raise InvalidArgumentError(f"unknown model kind {kind!r}")
-    if kind == "mlp":
-        return MODEL_KINDS[kind](hidden=config.get_int("train", "hidden", 16))
     return MODEL_KINDS[kind]()
 
 
@@ -209,6 +206,8 @@ def _train_setup(config: RunConfig, out_dir: str) -> TrainSetup:
             schemes[name] = StratifiedScheme(partition=partition, plan=plan)
         else:
             raise InvalidArgumentError(f"unknown sampler {name!r}")
+        # a batch size or a partition that does not fit the training set is refused before any cell writes a file
+        resolve_strata(schemes[name], train_data.n_samples)
     optimizers = {}
     for name in config.parse("train", "optimizers", _distinct(), ["sgd"]):
         if name == "sgd":

@@ -26,14 +26,13 @@ class RunConfig:
 
     parser: configparser.ConfigParser
     digest: str
-    path: str
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         text = Path(path).read_text(encoding="utf-8")
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         parser.read_string(text, source=str(path))
-        return cls(parser=parser, digest=config_hash(text), path=str(path))
+        return cls(parser=parser, digest=config_hash(text))
 
     def get(self, section: str, key: str, fallback=None, required: bool = False) -> str:
         if not self.parser.has_option(section, key):

@@ -176,12 +176,12 @@ def split_dataset(dataset: Dataset, val_fraction: float, seed: int) -> tuple[Dat
     return take(train_idx), take(val_idx)
 
 
-def save_csv(dataset: Dataset, path, header: bool = True, config_digest: str = "none", seed=None) -> None:
-    """Write a dataset as CSV; feature columns first, then target columns."""
+def save_csv(dataset: Dataset, path, config_digest: str = "none", seed=None) -> None:
+    """Write a dataset as CSV under the header ``f<j>`` ... ``t<j>``: feature columns first, then target columns."""
     d, t = dataset.n_features, 0 if dataset.targets is None else dataset.targets.shape[1]
     names = [f"f{j}" for j in range(d)] + [f"t{j}" for j in range(t)]
     values = np.hstack((dataset.features, dataset.targets)) if t else dataset.features
-    write_rows(path, values.tolist(), header=names if header else None, config_digest=config_digest, seed=seed)
+    write_rows(path, values.tolist(), header=names, config_digest=config_digest, seed=seed)
 
 
 def load_csv(path, has_header: bool = False, target_columns=()) -> Dataset:

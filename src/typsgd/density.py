@@ -34,8 +34,7 @@ class DensityMap:
         b = np.atleast_2d(np.asarray(self.bandwidth, dtype=np.float64))
         if not np.all(np.isfinite(d)) or np.any(d <= 0):
             raise InvalidArgumentError("densities must be positive and finite")
-        if b.shape[0] != b.shape[1] or np.any(np.linalg.eigvalsh(b) <= 0):
-            raise InvalidArgumentError("bandwidth must be symmetric positive-definite")
+        _kernel_variances(b, b.shape[0])
         object.__setattr__(self, "densities", d)
         object.__setattr__(self, "bandwidth", b)
 
@@ -75,6 +74,17 @@ class Partition:
     @property
     def n_total(self) -> int:
         return self.n1 + self.n2
+
+
+def _kernel_variances(covariance, d: int) -> np.ndarray:
+    """The diagonal of a kernel covariance, which must be d x d and diagonal with a positive finite diagonal."""
+    covariance = np.asarray(covariance, dtype=np.float64)
+    if covariance.shape != (d, d):
+        raise InvalidArgumentError(f"kernel covariance must be {d} x {d}; got shape {covariance.shape}")
+    var = np.diag(covariance)
+    if np.any(covariance != np.diag(var)) or not np.all(np.isfinite(var) & (var > 0)):
+        raise InvalidArgumentError("kernel covariance must be diagonal with a positive finite diagonal")
+    return var
 
 
 def check_bandwidth(bandwidth_rule):
@@ -125,12 +135,7 @@ def kde_evaluate(points: np.ndarray, queries: np.ndarray, covariance: np.ndarray
         raise InvalidArgumentError("kernel density needs at least one point")
     if queries.shape[1] != d:
         raise InvalidArgumentError(f"queries have {queries.shape[1]} coordinates, points have {d}")
-    covariance = np.asarray(covariance, dtype=np.float64)
-    if covariance.shape != (d, d):
-        raise InvalidArgumentError(f"kernel covariance must be {d} x {d}; got shape {covariance.shape}")
-    var = np.diag(covariance)
-    if np.any(covariance != np.diag(var)) or not np.all(np.isfinite(var) & (var > 0)):
-        raise InvalidArgumentError("kernel covariance must be diagonal with a positive finite diagonal")
+    var = _kernel_variances(covariance, d)
     norm = 1.0 / ((2.0 * np.pi) ** (d / 2.0) * np.sqrt(np.prod(var)))
     out = np.empty(queries.shape[0])
     step = max(1, KDE_BLOCK_BYTES // (8 * n))

@@ -21,8 +21,10 @@ from .errors import InvalidArgumentError, NumericError
 
 PROB_FLOOR = 1e-12
 # the optimization schedule of van der Maaten & Hinton (2008): P is multiplied
-# by EARLY_EXAGGERATION for the first EXAGGERATION_ITERS iterations, and the
-# momentum steps from MOMENTUM_EARLY to MOMENTUM_LATE at iteration MOMENTUM_SWITCH
+# by EARLY_EXAGGERATION for the first EXAGGERATION_ITERS iterations, the
+# momentum steps from MOMENTUM_EARLY to MOMENTUM_LATE at iteration
+# MOMENTUM_SWITCH, and every step scales the gradient by LEARNING_RATE
+LEARNING_RATE = 200.0
 EARLY_EXAGGERATION = 12.0
 EXAGGERATION_ITERS = 100
 MOMENTUM_EARLY = 0.5
@@ -40,8 +42,6 @@ PAIRWISE_BLOCK = 128
 @dataclass(frozen=True)
 class EmbedConfig:
     perplexity: float = 30.0
-    iterations: int = 1000
-    learning_rate: float = 200.0
     seed: int = 0
 
 
@@ -235,7 +235,6 @@ def tsne_embed(
     data,
     perplexity: float = 30.0,
     iterations: int = 1000,
-    learning_rate: float = 200.0,
     seed: int = 0,
 ) -> Embedding:
     """Embed a dataset into 2 dimensions with exact t-SNE.
@@ -260,13 +259,11 @@ def tsne_embed(
         raise InvalidArgumentError("t-SNE needs at least 4 points")
     if iterations < 1:
         raise InvalidArgumentError("iterations must be >= 1")
-    if learning_rate <= 0:
-        raise InvalidArgumentError("learning rate must be positive")
     if not 3.0 <= perplexity <= (n - 1) / 3.0:
         raise InvalidArgumentError(
             f"perplexity must lie in [3, (N-1)/3] = [3, {(n - 1) / 3:.2f}]; got {perplexity}"
         )
-    config = EmbedConfig(perplexity=perplexity, iterations=iterations, learning_rate=learning_rate, seed=seed)
+    config = EmbedConfig(perplexity=perplexity, seed=seed)
 
     cond, achieved = conditional_affinities(pairwise_sq_distances(x), perplexity)
     p_sym = np.add(cond, cond.T)
@@ -343,7 +340,7 @@ def tsne_embed(
             if not np.all(np.isfinite(grad)):
                 raise NumericError(f"non-finite t-SNE gradient at iteration {it}", iteration=it)
             momentum = MOMENTUM_EARLY if it < MOMENTUM_SWITCH else MOMENTUM_LATE
-            velocity = momentum * velocity - learning_rate * grad
+            velocity = momentum * velocity - LEARNING_RATE * grad
             y = y + velocity
             y = y - y.mean(axis=0)
             kl_trace.append((it, kl))

@@ -286,16 +286,16 @@ def gradient_family(model, dataset: Dataset, theta) -> GradientFamily:
 GROWTH_PROBES = 20  # random probes of estimate_growth_bounds, a third at each of three radii
 
 
-def estimate_growth_bounds(model, dataset: Dataset, center, scale: float = 1.0, seed: int = 0):
+def estimate_growth_bounds(model, dataset: Dataset, center, scale: float = 1.0):
     """Empirical (beta1, beta2) so that |grad_i|^2 <= beta1 + beta2 |grad|^2 at probes.
 
     beta1 is the worst per-sample squared gradient norm at ``center`` (where
     the full gradient is smallest); beta2 covers the growth ratio over
-    GROWTH_PROBES random probes around it, with a 5% safety factor. Returns
-    (beta1, beta2, probes).
+    GROWTH_PROBES random probes around it, drawn from seed 0, with a 5%
+    safety factor. Returns (beta1, beta2, probes).
     """
     center = np.asarray(center, dtype=np.float64)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     probes = [center]
     for r in (0.1 * scale, scale, 3.0 * scale):
         for _ in range(GROWTH_PROBES // 3):

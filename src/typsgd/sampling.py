@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -114,15 +113,7 @@ class SrsScheme:
         """The whole population as one stratum drawn m times."""
         if self.m > n_total:
             raise InvalidArgumentError(f"batch size {self.m} exceeds population {n_total}")
-        return ((_population(n_total), self.m),)
-
-
-@lru_cache(maxsize=4)
-def _population(n_total: int) -> np.ndarray:
-    """The ids 0..n_total-1, built once per size and read-only, since every SRS draw asks for them."""
-    ids = np.arange(n_total)
-    ids.flags.writeable = False
-    return ids
+        return ((np.arange(n_total), self.m),)
 
 
 @dataclass(frozen=True)

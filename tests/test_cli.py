@@ -30,7 +30,6 @@ linear_target_weights = 1.0,-0.5
 [embedding]
 perplexity = 10
 iterations = 120
-learning_rate = 200
 seed = 2
 
 [partition]
@@ -565,6 +564,20 @@ def test_learning_rate_that_is_not_finite_is_refused_before_training(workspace, 
     assert main(["train", "--config", str(config)]) == 2
     assert key in capsys.readouterr().err
     assert sizes == [] and not list(out.glob("trace_*.csv"))
+
+
+def test_train_refuses_a_partition_of_another_training_set_before_any_cell_runs(workspace, capsys, monkeypatch):
+    config, out = workspace
+    for cmd in ("gen", "partition"):
+        assert main([cmd, "--config", str(config)]) == 0
+    # the partition covers the 81 training samples of a 10% holdout; a 20% holdout leaves 72
+    config.write_text(config.read_text().replace("val_fraction = 0.1", "val_fraction = 0.2"))
+    sizes = []
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", recording_pool(sizes))
+    capsys.readouterr()
+    assert main(["train", "--config", str(config)]) == 2
+    assert "partition covers 81 samples, dataset has 72" in capsys.readouterr().err
+    assert sizes == [] and not list(out.glob("trace_*.csv")) and not list(out.glob("theta_*.csv"))
 
 
 def test_seed_flag_replaces_the_config_key_its_command_names(workspace):

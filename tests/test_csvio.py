@@ -34,7 +34,12 @@ BATCHES = [(k, RNG.permutation(9)[:4]) for k in range(3)]
 
 # loader: (write the artifact, read it back, what the reader must return, its data row count)
 LOADERS = {
-    "load_csv": (lambda p: save_csv(DATA, p, header=False), lambda p: load_csv(p, target_columns=[3, 4]), DATA, 5),
+    "load_csv": (
+        lambda p: write_rows(p, np.hstack((DATA.features, DATA.targets)).tolist(), header=None),
+        lambda p: load_csv(p, target_columns=[3, 4]),
+        DATA,
+        5,
+    ),
     "load_dataset_file": (lambda p: save_csv(DATA, p), load_dataset_file, DATA, 5),
     "load_embedding_points": (
         lambda p: save_embedding(p, Embedding(POINTS, (), EmbedConfig())),

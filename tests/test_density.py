@@ -22,6 +22,13 @@ from typsgd.density import (
 from typsgd.errors import CapabilityError, InvalidArgumentError
 from typsgd.models import GradientFamily
 
+# kernel covariances that kde_evaluate and DensityMap both refuse
+NOT_POSITIVE_FINITE_DIAGONAL = [
+    [[1.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, -2.0]],
+    [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, np.inf]], [[np.inf, 0.0], [0.0, 1.0]],
+]
+NOT_POSITIVE_FINITE_DIAGONAL_IDS = ["off-diagonal", "zero", "negative", "nan", "inf", "inf-first"]
+
 
 @dataclass(frozen=True)
 class SubsetSearchResult:
@@ -110,6 +117,11 @@ class TestKde:
         with pytest.raises(InvalidArgumentError):
             DensityMap(densities=np.array([1.0]), bandwidth=-np.eye(2))
 
+    @pytest.mark.parametrize("covariance", NOT_POSITIVE_FINITE_DIAGONAL, ids=NOT_POSITIVE_FINITE_DIAGONAL_IDS)
+    def test_density_map_refuses_a_bandwidth_kde_evaluate_refuses(self, covariance):
+        with pytest.raises(InvalidArgumentError, match="diagonal"):
+            DensityMap(densities=np.ones(3), bandwidth=np.array(covariance))
+
 
 class TestKdeBlocks:
     @pytest.mark.parametrize("block_bytes", [1, 8 * 40 * 7, 1 << 30], ids=["one-query", "ragged", "single"])
@@ -143,12 +155,7 @@ class TestKdeBlocks:
         with pytest.raises(InvalidArgumentError, match="covariance"):
             kde_evaluate(np.zeros((4, 2)), np.zeros((3, 2)), np.eye(1))
 
-    @pytest.mark.parametrize(
-        "covariance",
-        [[[1.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, -2.0]],
-         [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, np.inf]]],
-        ids=["off-diagonal", "zero", "negative", "nan", "inf"],
-    )
+    @pytest.mark.parametrize("covariance", NOT_POSITIVE_FINITE_DIAGONAL, ids=NOT_POSITIVE_FINITE_DIAGONAL_IDS)
     def test_rejects_a_covariance_that_is_not_a_positive_finite_diagonal(self, covariance):
         with pytest.raises(InvalidArgumentError, match="diagonal"):
             kde_evaluate(np.zeros((4, 2)), np.zeros((3, 2)), np.array(covariance))

@@ -370,10 +370,9 @@ class TestTsne:
     @pytest.mark.parametrize("where", ["loop", "worker"])
     def test_error_mid_run_propagates_and_stops_the_workers(self, monkeypatch, where):
         data = generate_clustered(60, 3, [[0.0] * 3, [5.0] * 3], [0.5, 0.5], 0.5, seed=1)
-        learning_rate = 200.0
         if where == "loop":
             # an infinite step makes the coordinates non-finite after the first iteration
-            learning_rate = np.inf
+            monkeypatch.setattr(embedding, "LEARNING_RATE", np.inf)
         else:
             bisect_rows = embedding._bisect_rows
 
@@ -385,7 +384,7 @@ class TestTsne:
             monkeypatch.setattr(embedding, "_bisect_rows", fail_late_block)
         before = threading.active_count()
         with row_blocks(60, 7, 2), np.errstate(all="ignore"), pytest.raises(NumericError):
-            tsne_embed(data, perplexity=8.0, iterations=20, learning_rate=learning_rate, seed=0)
+            tsne_embed(data, perplexity=8.0, iterations=20, seed=0)
         assert threading.active_count() == before
 
     def test_embedding_round_trip(self, tmp_path, rng):

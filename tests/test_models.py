@@ -144,7 +144,7 @@ class TestQuadraticConstants:
     def test_growth_bounds_cover_probes(self, small_quadratic):
         ds, spec = small_quadratic
         model = QuadraticModel()
-        beta1, beta2, probes = estimate_growth_bounds(model, ds, spec.exact_minimizer, seed=5)
+        beta1, beta2, probes = estimate_growth_bounds(model, ds, spec.exact_minimizer)
         assert beta2 >= 1.0
         for theta in probes:
             grads = model.per_sample_grads(theta, ds.features, ds.targets[:, 0])
