@@ -23,13 +23,16 @@ PROB_FLOOR = 1e-12
 # the optimization schedule of van der Maaten & Hinton (2008): P is multiplied
 # by EARLY_EXAGGERATION for the first EXAGGERATION_ITERS iterations, the
 # momentum steps from MOMENTUM_EARLY to MOMENTUM_LATE at iteration
-# MOMENTUM_SWITCH, and every step scales the gradient by LEARNING_RATE
+# MOMENTUM_SWITCH, and every step scales the gradient by LEARNING_RATE. As in
+# van der Maaten's reference code, the KL divergence is taken only every
+# KL_EVERY iterations and at the last one
 LEARNING_RATE = 200.0
 EARLY_EXAGGERATION = 12.0
 EXAGGERATION_ITERS = 100
 MOMENTUM_EARLY = 0.5
 MOMENTUM_LATE = 0.8
 MOMENTUM_SWITCH = 250
+KL_EVERY = 50
 PERPLEXITY_TOL = 1e-5
 BISECTION_STEPS = 50
 # bytes of one row block of an N x N float64 buffer: a pass over a block touches
@@ -47,7 +50,11 @@ class EmbedConfig:
 
 @dataclass(frozen=True)
 class Embedding:
-    """2-D layout plus the KL-divergence trace of its optimization."""
+    """2-D layout plus the KL-divergence trace of its optimization.
+
+    ``kl_trace`` holds (iteration, KL) pairs for the iterations at which the
+    KL was taken, in increasing order; it may skip iterations.
+    """
 
     points: np.ndarray
     kl_trace: tuple[tuple[int, float], ...]
@@ -58,6 +65,11 @@ class Embedding:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise InvalidArgumentError("embedding points must be N x 2")
+        # a trace may skip iterations, so its labels must say which ones it holds
+        labels = [it for it, _ in self.kl_trace]
+        integral = all(isinstance(it, (int, np.integer)) for it in labels)
+        if not integral or any(after <= before for before, after in zip([-1] + labels, labels)):
+            raise InvalidArgumentError("KL trace iterations must be non-negative integers in increasing order")
         kl_values = np.array([kl for _, kl in self.kl_trace])
         if kl_values.size and (not np.all(np.isfinite(kl_values)) or np.any(kl_values < 0)):
             raise InvalidArgumentError("KL trace must be finite and nonnegative")
@@ -242,16 +254,17 @@ def tsne_embed(
     ``data`` is a Dataset or a bare N x D array. Requires N >= 4 and
     3 <= perplexity <= (N - 1) / 3. Points are recentered to zero mean every
     iteration; the KL divergence against the (unexaggerated) affinities is
-    recorded each iteration.
+    recorded every KL_EVERY iterations and at the last one.
 
-    The descent keeps four N x N-sized arrays: P, one work buffer that holds
-    the Gram matrix, then the Student-t kernel, then the gradient's pairwise
-    weights, and P's positive entries with their logs. Row-block passes over
-    the work buffer, and the whole-matrix sums (the kernel's total and the
-    KL, computed from the kernel and its total before the weights overwrite
-    it) as leaves of numpy's pairwise summation tree, run on one thread pool
-    when the buffer spans several blocks. The leaves are added in tree
-    order, so every bit matches a one-call ``.sum()``.
+    The descent keeps two N x N-sized arrays: P, and one work buffer that
+    holds the Gram matrix, then the Student-t kernel, then the gradient's
+    pairwise weights. P is never changed: the weight pass multiplies its
+    rows by EARLY_EXAGGERATION while exaggeration lasts. Row-block passes
+    over the work buffer, and the whole-matrix sums (the kernel's total and
+    the KL, computed from the kernel and its total before the weights
+    overwrite it) as leaves of numpy's pairwise summation tree, run on one
+    thread pool when the buffer spans several blocks. The leaves are added
+    in tree order, so every bit matches a one-call ``.sum()``.
     """
     x = np.atleast_2d(np.asarray(getattr(data, "features", data), dtype=np.float64))
     n = x.shape[0]
@@ -272,20 +285,20 @@ def tsne_embed(
     work = cond
     del cond
     p_flat, num_flat = p_sym.reshape(-1), work.reshape(-1)
-    # KL(P || Q) reads only the entries where P > 0, in row-major order, and
-    # exaggeration keeps them positive. Each leaf of the pairwise tree over
-    # them covers one flat range of P; only the leaves' bounds are kept
+    # KL(P || Q) reads only the entries where P > 0, in row-major order. Each
+    # leaf of the pairwise tree over them covers one flat range of P, whose
+    # bounds come from the rows' counts of positive entries
     leaf_size = BLOCK_BYTES // 8
-    kl_index = np.flatnonzero(p_flat > 0)
-    kl_leaves, kl_fold = _pairwise_tree(kl_index.size, leaf_size)
-    kl_leaves = [(a, b, int(kl_index[a]), int(kl_index[b - 1]) + 1) for a, b in kl_leaves]
-    del kl_index
-    # the P terms of the KL never change; made only now, so they and kl_index are never live together
-    p_pos = p_flat[p_flat > 0]
-    log_p_pos = np.maximum(p_pos, PROB_FLOOR)
-    np.log(log_p_pos, out=log_p_pos)
-    # p_sym holds the exaggerated P until the loop puts P back from p_pos
-    np.multiply(p_sym, EARLY_EXAGGERATION, out=p_sym)
+    positive_ends = np.cumsum(np.count_nonzero(p_sym > 0, axis=1))
+
+    def flat_offset(k):
+        # where P's k-th positive entry lies in p_flat
+        row = int(np.searchsorted(positive_ends, k, side="right"))
+        before = int(positive_ends[row - 1]) if row else 0
+        return row * n + int(np.flatnonzero(p_sym[row] > 0)[k - before])
+
+    kl_leaves, kl_fold = _pairwise_tree(int(positive_ends[-1]), leaf_size)
+    kl_leaves = [(flat_offset(a), flat_offset(b - 1) + 1) for a, b in kl_leaves]
     sum_leaves, sum_fold = _pairwise_tree(n * n, leaf_size)
     row_sums = np.empty(n)
 
@@ -300,21 +313,27 @@ def tsne_embed(
     def sum_leaf(start, stop):
         return num_flat[start:stop].sum()
 
-    def kl_leaf(first, last, lo, hi):
+    def kl_leaf(lo, hi):
         # this leaf's terms P * (log P - log Q), with Q = num / total
-        q = num_flat[lo:hi][p_flat[lo:hi] > 0]
+        positive = p_flat[lo:hi] > 0
+        p, q = p_flat[lo:hi][positive], num_flat[lo:hi][positive]
         np.divide(q, total, out=q)
         np.maximum(q, PROB_FLOOR, out=q)
         np.log(q, out=q)
-        np.subtract(log_p_pos[first:last], q, out=q)
-        np.multiply(p_pos[first:last], q, out=q)
+        log_p = np.maximum(p, PROB_FLOOR)
+        np.log(log_p, out=log_p)
+        np.subtract(log_p, q, out=q)
+        np.multiply(p, q, out=q)
         return q.sum()
 
     def weight_rows(start, stop):
-        # num becomes (P - Q) * num, the gradient's pairwise weights
+        # num becomes (P - Q) * num, the gradient's pairwise weights, with P exaggerated early on
         num_block = work[start:stop]
         q_block = num_block / total
-        np.subtract(p_sym[start:stop], q_block, out=q_block)
+        p_block = p_sym[start:stop]
+        if it < EXAGGERATION_ITERS:
+            p_block = p_block * EARLY_EXAGGERATION
+        np.subtract(p_block, q_block, out=q_block)
         np.multiply(q_block, num_block, out=num_block)
         num_block.sum(axis=1, out=row_sums[start:stop])
 
@@ -322,7 +341,7 @@ def tsne_embed(
     y = rng.normal(0.0, 1e-4, size=(n, 2))
     velocity = np.zeros_like(y)
     kl_trace = []
-    # the passes read sq and total as this loop last bound them
+    # the passes read it, sq and total as this loop last bound them
     with _RowBlocks(n) as blocks:
         for it in range(iterations):
             if not np.all(np.isfinite(y)):
@@ -331,10 +350,9 @@ def tsne_embed(
             np.matmul(y, y.T, out=work)
             blocks.run(kernel_rows)
             total = sum_fold(blocks.run(sum_leaf, sum_leaves))
-            # the KL is taken before the weight pass overwrites num
-            kl = float(kl_fold(blocks.run(kl_leaf, kl_leaves)))
-            if it == EXAGGERATION_ITERS:
-                p_flat[p_flat > 0] = p_pos
+            if it % KL_EVERY == 0 or it == iterations - 1:
+                # the KL is taken before the weight pass overwrites num
+                kl_trace.append((it, float(kl_fold(blocks.run(kl_leaf, kl_leaves)))))
             blocks.run(weight_rows)
             grad = 4.0 * (row_sums[:, None] * y - work @ y)
             if not np.all(np.isfinite(grad)):
@@ -343,7 +361,6 @@ def tsne_embed(
             velocity = momentum * velocity - LEARNING_RATE * grad
             y = y + velocity
             y = y - y.mean(axis=0)
-            kl_trace.append((it, kl))
     return Embedding(points=y, kl_trace=tuple(kl_trace), config=config, achieved_perplexity=achieved)
 
 

@@ -18,8 +18,11 @@ from typsgd import _parallel, embedding
 from typsgd.data import generate_clustered
 from typsgd.embedding import (
     BISECTION_STEPS,
+    KL_EVERY,
     PERPLEXITY_TOL,
     PROB_FLOOR,
+    EmbedConfig,
+    Embedding,
     conditional_affinities,
     load_embedding_points,
     pairwise_sq_distances,
@@ -254,11 +257,13 @@ class TestTsne:
             best_margin = max(best_margin, margin)
         assert best_margin > 0.0
 
-    def test_kl_trace_tail_non_increasing(self):
+    def test_kl_trace_tail_non_increasing(self, monkeypatch):
         # converged-descent property: run long enough for the momentum
-        # transient to die out
+        # transient to die out; the KL is taken at every iteration
+        monkeypatch.setattr(embedding, "KL_EVERY", 1)
         data = generate_clustered(50, 2, [[0.0, 0.0], [4.0, 4.0]], [0.5, 0.5], 0.8, seed=3)
         emb = tsne_embed(data, perplexity=8.0, iterations=800, seed=2)
+        assert [it for it, _ in emb.kl_trace] == list(range(800))
         kls = [kl for _, kl in emb.kl_trace]
         assert all(k >= 0.0 and np.isfinite(k) for k in kls)
         tail = kls[-100:]
@@ -284,6 +289,12 @@ class TestTsne:
                 ("40-8.0-260-switches0", (40, 8.0, 260, {})),
                 ("25-5.0-30-switches1", (25, 5.0, 30, {"exaggeration_iters": 10, "momentum_switch": 20})),
                 ("120-20.0-110-switches2", (120, 20.0, 110, {"exaggeration_iters": 40, "momentum_switch": 90})),
+                # the KL at every iteration, so the whole reference trace is compared
+                ("40-8.0-260-switches0-kl_every1", (40, 8.0, 260, {"kl_every": 1})),
+                ("25-5.0-30-switches1-kl_every1",
+                 (25, 5.0, 30, {"exaggeration_iters": 10, "momentum_switch": 20, "kl_every": 1})),
+                ("120-20.0-110-switches2-kl_every1",
+                 (120, 20.0, 110, {"exaggeration_iters": 40, "momentum_switch": 90, "kl_every": 1})),
             ]
             for rows, workers in [(None, 1), (7, 1), (7, 2), (7, 3)]
         ],
@@ -299,15 +310,33 @@ class TestTsne:
                 stack.enter_context(mock.patch.object(embedding, name.upper(), value))
             stack.enter_context(row_blocks(n, rows, workers))
             emb = tsne_embed(data, perplexity=perplexity, iterations=iterations, seed=3)
-        points, kl_trace = reference_tsne(data.features, perplexity, iterations, seed=3, **switches)
+        kl_every = switches.get("kl_every", KL_EVERY)
+        reference_switches = {name: value for name, value in switches.items() if name != "kl_every"}
+        points, kl_trace = reference_tsne(data.features, perplexity, iterations, seed=3, **reference_switches)
         assert np.array_equal(emb.points, points)
-        assert emb.kl_trace == kl_trace
+        assert emb.kl_trace == tuple((it, kl) for it, kl in kl_trace if it % kl_every == 0 or it == iterations - 1)
+
+    @pytest.mark.parametrize("iterations, recorded", [
+        (1, (0,)), (50, (0, 49)), (51, (0, 50)), (150, (0, 50, 100, 149)),
+    ])
+    def test_kl_taken_every_kl_every_iterations_and_at_the_last(self, rng, iterations, recorded):
+        assert KL_EVERY == 50
+        emb = tsne_embed(rng.normal(size=(20, 3)), perplexity=4.0, iterations=iterations, seed=0)
+        assert tuple(it for it, _ in emb.kl_trace) == recorded
+
+    @pytest.mark.parametrize("labels", [(-1,), (0, 0), (50, 0), (0, 49, 49), (0, 1.5), (0, "50"), (0, np.float64(50))])
+    def test_embedding_refuses_kl_labels_out_of_order_or_not_integers(self, labels):
+        with pytest.raises(InvalidArgumentError, match="KL trace iterations"):
+            Embedding(np.zeros((4, 2)), tuple((it, 1.0) for it in labels), EmbedConfig())
+
+    def test_embedding_takes_an_empty_or_sparse_kl_trace(self):
+        for trace in [(), ((0, 2.0),), ((0, 2.0), (np.int64(50), 1.0), (149, 0.5))]:
+            assert Embedding(np.zeros((4, 2)), trace, EmbedConfig()).kl_trace == trace
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_peak_memory_below_five_n_by_n_arrays(self, workers):
-        # the descent keeps four N x N-sized arrays (P, the work buffer, and P's
-        # positive entries and their logs) plus block-sized scratch; the
-        # iterations cross the end of exaggeration, where P is put back
+    def test_peak_memory_below_three_n_by_n_arrays(self, workers):
+        # the descent keeps two N x N-sized arrays, P and the work buffer, plus
+        # block-sized scratch; the iterations cross the end of exaggeration
         n = 300
         data = generate_clustered(n, 3, [[0.0] * 3, [6.0] * 3], [0.6, 0.4], 0.5, seed=2)
         with row_blocks(n, 7, workers), mock.patch.object(embedding, "EXAGGERATION_ITERS", 2):
@@ -317,7 +346,7 @@ class TestTsne:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 5 * 8 * n * n
+        assert peak < 3 * 8 * n * n
 
     def test_same_points_at_one_and_two_blas_threads(self):
         # N = 600 splits into several row blocks, run on two worker threads
