@@ -80,12 +80,18 @@ def _sq_distances_rows(sq: np.ndarray, gram: np.ndarray, start: int, stop: int, 
     """Rows ``start:stop`` of the squared distances of the rows of x, clipped at 0, written over those rows of ``gram``.
 
     ``sq`` holds the squared row norms of x and ``gram`` holds x @ x.T;
-    ``scratch`` holds at least ``stop - start`` rows. numpy evaluates
-    ``x @ x.T`` with syrk (or, for inputs BLAS cannot take, as the same dot
-    products in the same order), so the result is exactly symmetric without
-    averaging it with its transpose. A row block of it computed alone with
-    gemm does not have the same bits at every N, so callers form the Gram
-    matrix in one call. The diagonal is left as computed.
+    ``scratch`` holds at least ``stop - start`` rows. Callers form the Gram
+    matrix in one call, since a row block of it computed alone takes gemm,
+    or gemv for a single row, and its bits then depend on the block layout.
+    numpy evaluates ``x @ x.T`` with syrk (or, for inputs BLAS cannot take,
+    as the same dot products in the same order), which is exactly symmetric,
+    so the distances are not averaged with their transpose.
+    ``tsne_embed`` forms it by one whole-matrix gemm against a contiguous
+    copy of x.T once its work buffer spans several row blocks; with
+    OpenBLAS's Haswell kernels that equals syrk bit for bit when
+    N mod 8 < 4, and otherwise may differ in the last bits and need not be
+    exactly symmetric (it is not at N = 1004, 1999 or 2005), which nothing
+    downstream relies on. The diagonal is left as computed.
     """
     block = np.multiply(gram[start:stop], 2.0, out=gram[start:stop])
     # the outer sum comes first: (sq_i + sq_j) - 2 x_i.x_j, in that order
@@ -265,6 +271,15 @@ def tsne_embed(
     overwrite it) as leaves of numpy's pairwise summation tree, run on one
     thread pool when the buffer spans several blocks. The leaves are added
     in tree order, so every bit matches a one-call ``.sum()``.
+
+    The Gram matrix y @ y.T is one BLAS call per iteration. While the work
+    buffer is one row block (N < 363 at BLOCK_BYTES = 1 MiB) it is syrk, as
+    in ``pairwise_sq_distances``; numpy then mirrors syrk's triangle on one
+    thread, which at that size costs next to nothing. Once the buffer spans
+    several blocks it is gemm against a contiguous copy of y.T, which has no
+    such copy and takes about a third of syrk's time at N = 2000 on one BLAS
+    thread. The two products agree bit for bit when N mod 8 < 4;
+    ``_sq_distances_rows`` says where they do not.
     """
     x = np.atleast_2d(np.asarray(getattr(data, "features", data), dtype=np.float64))
     n = x.shape[0]
@@ -343,11 +358,13 @@ def tsne_embed(
     kl_trace = []
     # the passes read it, sq and total as this loop last bound them
     with _RowBlocks(n) as blocks:
+        # gemm skips syrk's serial triangle copy, which costs next to nothing in one block
+        gemm_gram = len(blocks.bounds) > 1
         for it in range(iterations):
             if not np.all(np.isfinite(y)):
                 raise NumericError("non-finite coordinates in distance computation")
             sq = np.sum(y * y, axis=1)
-            np.matmul(y, y.T, out=work)
+            np.matmul(y, np.ascontiguousarray(y.T) if gemm_gram else y.T, out=work)
             blocks.run(kernel_rows)
             total = sum_fold(blocks.run(sum_leaf, sum_leaves))
             if it % KL_EVERY == 0 or it == iterations - 1:

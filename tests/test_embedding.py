@@ -297,6 +297,17 @@ class TestTsne:
                  (120, 20.0, 110, {"exaggeration_iters": 40, "momentum_switch": 90, "kl_every": 1})),
             ]
             for rows, workers in [(None, 1), (7, 1), (7, 2), (7, 3)]
+        ] + [
+            # the module's own blocks on both sides of the Gram product's
+            # selection: N = 60 is one block (syrk), as the pipeline's N = 180
+            # is, and N = 400 is two (gemm). N = 60 is not crossed with 7-row
+            # blocks: those make it several blocks and so gemm, whose bits
+            # differ from the reference's syrk at N mod 8 >= 4
+            pytest.param(*case, None, 1, id=case_id)
+            for case_id, case in [
+                ("60-10.0-110-switches2", (60, 10.0, 110, {"exaggeration_iters": 40, "momentum_switch": 90})),
+                ("400-30.0-60-switches3", (400, 30.0, 60, {"exaggeration_iters": 20, "momentum_switch": 40})),
+            ]
         ],
     )
     def test_matches_reference_loop_bit_for_bit(self, n, perplexity, iterations, switches, rows, workers):
@@ -315,6 +326,21 @@ class TestTsne:
         points, kl_trace = reference_tsne(data.features, perplexity, iterations, seed=3, **reference_switches)
         assert np.array_equal(emb.points, points)
         assert emb.kl_trace == tuple((it, kl) for it, kl in kl_trace if it % kl_every == 0 or it == iterations - 1)
+
+    def test_gemm_gram_same_at_one_two_and_three_workers(self):
+        # 7-row blocks take N = 60 onto the gemm Gram, where N mod 8 = 4 leaves
+        # the reference loop's syrk bits behind, so the one-worker run is the oracle
+        n = 60
+        data = generate_clustered(n, 3, [[0.0] * 3, [30.0] * 3], [0.7, 0.3], 0.5, seed=n)
+        runs = []
+        for workers in (1, 2, 3):
+            with row_blocks(n, 7, workers), mock.patch.object(embedding, "KL_EVERY", 1):
+                with embedding._RowBlocks(n) as blocks:
+                    assert len(blocks.bounds) > 1 and blocks.workers == workers
+                runs.append(tsne_embed(data, perplexity=10.0, iterations=110, seed=3))
+        for emb in runs[1:]:
+            assert np.array_equal(emb.points, runs[0].points)
+            assert emb.kl_trace == runs[0].kl_trace
 
     @pytest.mark.parametrize("iterations, recorded", [
         (1, (0,)), (50, (0, 49)), (51, (0, 50)), (150, (0, 50, 100, 149)),
