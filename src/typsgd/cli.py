@@ -24,11 +24,11 @@ from ._parallel import map_processes
 from .analysis import formula_alpha
 from .config import RunConfig
 from .data import Dataset, generate_clustered, generate_pwl_curves, load_csv, load_dataset_file, save_csv, split_dataset
-from .density import build_partition, check_bandwidth, kde_densities, load_partition, save_partition
+from .density import build_partition, kde_densities, load_partition, save_partition
 from .embedding import load_embedding_points, save_embedding, tsne_embed
 from .errors import CapabilityError, CsvFormatError, InvalidArgumentError, NumericError
 from .models import MODEL_KINDS, ModelSpec, quadratic_constants, save_theta
-from .optimize import Adam, Sgd, check_learning_rate, check_threshold, load_trace, median_reach, save_trace, train
+from .optimize import Adam, Sgd, load_trace, median_reach, save_trace, train
 from .sampling import SrsScheme, StratifiedScheme, default_plan, make_plan, resolve_strata, save_batch_log
 from .svg import line_chart, scatter_chart
 from .verify import all_asserted_pass, run_verification
@@ -37,32 +37,19 @@ EXIT_OK, EXIT_VERIFY_FAIL, EXIT_USAGE, EXIT_IO = 0, 1, 2, 3
 
 
 def _dataset_from_config(config: RunConfig, seed: int) -> Dataset:
-    kind = config.get("data", "kind", required=True)
+    kind = config["data", "kind"]
     if kind == "pwl":
         dataset = generate_pwl_curves(
-            config.get_int("data", "count", required=True),
-            config.get_int("data", "curve_length", required=True),
-            config.get_int("data", "segment_count", required=True),
-            seed,
+            config["data", "count"], config["data", "curve_length"], config["data", "segment_count"], seed
         )
     elif kind == "clustered":
         dataset = generate_clustered(
-            config.get_int("data", "count", required=True),
-            config.get_int("data", "dims", required=True),
-            config.get_matrix("data", "centers", required=True),
-            config.get_floats("data", "weights", required=True),
-            config.get_float("data", "noise_sigma", 0.0),
-            seed,
-        )
-    elif kind == "csv":
-        dataset = load_csv(
-            config.get("data", "path", required=True),
-            has_header=config.get_bool("data", "has_header", True),
-            target_columns=config.get_ints("data", "target_columns", []),
+            config["data", "count"], config["data", "dims"], config["data", "centers"], config["data", "weights"],
+            config["data", "noise_sigma"], seed,
         )
     else:
-        raise InvalidArgumentError(f"unknown dataset kind {kind!r}")
-    weights = config.get_floats("data", "linear_target_weights")
+        dataset = load_csv(config["data", "path"], config["data", "has_header"], config["data", "target_columns"])
+    weights = config["data", "linear_target_weights"]
     if weights is not None:
         w = np.asarray(weights)
         if w.shape[0] != dataset.n_features:
@@ -71,41 +58,18 @@ def _dataset_from_config(config: RunConfig, seed: int) -> Dataset:
     return dataset
 
 
-def _number_or(word: str, number=float):
-    """A config value parser: ``word`` as itself, anything else as a number."""
-    return lambda raw: raw if raw == word else number(raw)
-
-
-def _distinct(convert=str):
-    """A config value parser for one axis of the training cells: a comma list, not empty and with no repeat."""
-
-    def parse(raw):
-        values = [convert(v.strip()) for v in raw.split(",") if v.strip()]
-        if not values or len(set(values)) < len(values):
-            raise ValueError("must name at least one value, and none twice")
-        return values
-
-    return parse
-
-
-def _threshold(config: RunConfig) -> float:
-    """``[train] threshold``, checked before anything is trained or read back; a refused value names the key."""
-    return config.parse("train", "threshold", lambda raw: check_threshold(float(raw)), 1e-3)
-
-
 def _split_for_training(config: RunConfig, dataset: Dataset):
-    frac = config.get_float("train", "val_fraction", 0.0)
-    return split_dataset(dataset, frac, config.get_int("train", "val_seed", 1234))
+    return split_dataset(dataset, config["train", "val_fraction"], config["train", "val_seed"])
 
 
 def cmd_gen(config: RunConfig, out_dir: str) -> int:
-    seed = config.get_int("data", "seed", 0)
+    seed = config["data", "seed"]
     dataset = _dataset_from_config(config, seed)
     path = os.path.join(out_dir, "dataset.csv")
     save_csv(dataset, path, config_digest=config.digest, seed=seed)
     print(
         f"gen: N={dataset.n_samples} D={dataset.n_features} "
-        f"kind={config.get('data', 'kind')} seed={seed} -> {path}"
+        f"kind={config['data', 'kind']} seed={seed} -> {path}"
     )
     return EXIT_OK
 
@@ -115,9 +79,9 @@ def cmd_embed(config: RunConfig, out_dir: str) -> int:
     train_data, _ = _split_for_training(config, dataset)
     emb = tsne_embed(
         train_data,
-        perplexity=config.get_float("embedding", "perplexity", 30.0),
-        iterations=config.get_int("embedding", "iterations", 1000),
-        seed=config.get_int("embedding", "seed", 0),
+        perplexity=config["embedding", "perplexity"],
+        iterations=config["embedding", "iterations"],
+        seed=config["embedding", "seed"],
     )
     path = os.path.join(out_dir, "embedding.csv")
     save_embedding(path, emb, config_digest=config.digest, seed=emb.config.seed)
@@ -128,11 +92,11 @@ def cmd_embed(config: RunConfig, out_dir: str) -> int:
 def cmd_partition(config: RunConfig, out_dir: str) -> int:
     csv_path = os.path.join(out_dir, "partition.csv")
     svg_path = os.path.join(out_dir, "partition.svg")
+    # a bad [partition] value is refused before any t-SNE work, and leaves the earlier partition files in place
+    bandwidth, gamma = config["partition", "bandwidth"], config["partition", "gamma"]
     try:
-        bandwidth = config.parse("partition", "bandwidth", lambda raw: check_bandwidth(_number_or("scott")(raw)), "scott")
-        gamma = config.get_float("partition", "gamma", 0.3)
         emb_path = os.path.join(out_dir, "embedding.csv")
-        current = {"config": config.digest, "seed": str(config.get_int("embedding", "seed", 0))}
+        current = {"config": config.digest, "seed": str(config["embedding", "seed"])}
         if not os.path.exists(emb_path) or read_provenance(emb_path) != current:
             cmd_embed(config, out_dir)
         points = load_embedding_points(emb_path)
@@ -158,13 +122,6 @@ def cmd_partition(config: RunConfig, out_dir: str) -> int:
         raise
 
 
-def _model_from_config(config: RunConfig):
-    kind = config.get("train", "model", "quadratic")
-    if kind not in MODEL_KINDS:
-        raise InvalidArgumentError(f"unknown model kind {kind!r}")
-    return MODEL_KINDS[kind]()
-
-
 class TrainSetup(NamedTuple):
     """Everything the training cells of one `typsgd train` share: built once, pickled with each cell's task."""
 
@@ -183,45 +140,36 @@ class TrainSetup(NamedTuple):
 def _train_setup(config: RunConfig, out_dir: str) -> TrainSetup:
     dataset = load_dataset_file(os.path.join(out_dir, "dataset.csv"))
     train_data, val_data = _split_for_training(config, dataset)
-    model = _model_from_config(config)
+    model = MODEL_KINDS[config["train", "model"]]()
     spec = None
-    eta = config.parse("train", "eta", _number_or("auto", check_learning_rate), "auto")
+    eta = config["train", "eta"]
     if model.kind == "quadratic":
         spec = quadratic_constants(train_data)
         eta = 1.0 / spec.lipschitz_L if eta == "auto" else eta
     elif eta == "auto":
         raise InvalidArgumentError("eta=auto needs the quadratic model; give a number")
-    samplers = config.parse("train", "samplers", _distinct(), ["srs", "typicality"])
-    m = config.get_int("train", "m", required=True)
+    m = config["train", "m"]
     schemes = {}
-    for name in samplers:
+    for name in config["train", "samplers"]:
         if name == "srs":
             schemes[name] = SrsScheme(m=m)
-        elif name == "typicality":
-            partition = load_partition(
-                os.path.join(out_dir, "partition.csv"), config.get_float("partition", "gamma", 0.3)
-            )
-            n1 = config.parse("train", "n1", _number_or("auto", int), "auto")
+        else:
+            partition = load_partition(os.path.join(out_dir, "partition.csv"), config["partition", "gamma"])
+            n1 = config["train", "n1"]
             plan = default_plan(m, partition) if n1 == "auto" else make_plan(m, n1, partition)
             schemes[name] = StratifiedScheme(partition=partition, plan=plan)
-        else:
-            raise InvalidArgumentError(f"unknown sampler {name!r}")
         # a batch size or a partition that does not fit the training set is refused before any cell writes a file
         resolve_strata(schemes[name], train_data.n_samples)
     optimizers = {}
-    for name in config.parse("train", "optimizers", _distinct(), ["sgd"]):
+    for name in config["train", "optimizers"]:
         if name == "sgd":
             optimizers[name] = Sgd(eta=eta)
-        elif name == "adam":
-            optimizers[name] = Adam(eta=config.parse("train", "adam_eta", check_learning_rate, eta))
         else:
-            raise InvalidArgumentError(f"unknown optimizer {name!r}")
+            adam_eta = config["train", "adam_eta"]
+            optimizers[name] = Adam(eta=eta if adam_eta is None else adam_eta)
     return TrainSetup(
         train_data, val_data, model, spec, schemes, optimizers,
-        iterations=config.get_int("train", "iterations", required=True),
-        eval_every=config.get_int("train", "eval_every", 10),
-        log_batches=config.get_bool("train", "log_batches", False),
-        digest=config.digest,
+        config["train", "iterations"], config["train", "eval_every"], config["train", "log_batches"], config.digest,
     )
 
 
@@ -272,8 +220,8 @@ def _run_cell(setup: TrainSetup, out_dir: str, sampler: str, optimizer: str, see
 
 def cmd_train(config: RunConfig, out_dir: str) -> int:
     """Every (sampler, optimizer, seed) cell, on ``map_processes``; the files are the same at any pool size."""
-    threshold = _threshold(config)
-    seeds = config.parse("train", "seeds", _distinct(int), [0])
+    threshold = config["train", "threshold"]
+    seeds = config["train", "seeds"]
     setup = _train_setup(config, out_dir)
     cells = [
         (sampler, optimizer, seed)
@@ -354,7 +302,7 @@ def _write_comparison(config: RunConfig, out_dir: str, trace_paths, threshold: f
 
 
 def cmd_report(config: RunConfig, out_dir: str) -> int:
-    threshold = _threshold(config)
+    threshold = config["train", "threshold"]
     traces = glob(os.path.join(out_dir, "trace_*.csv"))
     if not traces:
         raise FileNotFoundError(f"no trace_*.csv in {out_dir} to report on")
@@ -364,8 +312,8 @@ def cmd_report(config: RunConfig, out_dir: str) -> int:
 
 
 def cmd_verify(config: RunConfig, out_dir: str) -> int:
-    seed = config.get_int("verify", "seed", 0)
-    instances = config.get_int("verify", "instances", 100)
+    seed = config["verify", "seed"]
+    instances = config["verify", "instances"]
     results, json_lines = run_verification(seed=seed, instances=instances)
     rows = []
     for r in results:
@@ -420,12 +368,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = SUBCOMMANDS[args.command]
     try:
-        config = RunConfig.from_file(args.config)
-    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
-        print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        out_dir = args.out or config.get("output", "dir", "out")
+        try:
+            config = RunConfig.from_file(args.config)
+        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+            print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
+            return EXIT_IO
+        out_dir = args.out or config["output", "dir"]
         if not os.path.isdir(out_dir):
             if args.mkdir:
                 os.makedirs(out_dir, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Flat key = value run configuration (INI sections via configparser)."""
+"""Flat key = value run configuration (INI sections via configparser), read through one key table."""
 
 from __future__ import annotations
 
@@ -9,7 +9,10 @@ from pathlib import Path
 import numpy as np
 
 from ._csvio import config_hash
+from .density import check_bandwidth, check_gamma
 from .errors import InvalidArgumentError
+from .models import MODEL_KINDS
+from .optimize import check_learning_rate, check_threshold
 
 BOOLEAN_WORDS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
 
@@ -18,6 +21,94 @@ def _boolean(raw: str) -> bool:
     if raw.lower() not in BOOLEAN_WORDS:
         raise ValueError(f"not one of {', '.join(BOOLEAN_WORDS)}")
     return BOOLEAN_WORDS[raw.lower()]
+
+
+def _one_of(*words):
+    """A config value parser: one of ``words``, as itself."""
+
+    def parse(raw):
+        if raw not in words:
+            raise ValueError(f"not one of {', '.join(words)}")
+        return raw
+
+    return parse
+
+
+def _count(raw: str) -> int:
+    count = int(raw)
+    if count < 1:
+        raise ValueError("must be >= 1")
+    return count
+
+
+def _number_or(word: str, number=float):
+    """A config value parser: ``word`` as itself, anything else as a number."""
+    return lambda raw: raw if raw == word else number(raw)
+
+
+def _list(convert):
+    """A config value parser: a comma list, each entry through ``convert``."""
+    return lambda raw: tuple(convert(v.strip()) for v in raw.split(",") if v.strip())
+
+
+def _distinct(convert=str):
+    """A config value parser for one axis of the training cells: a comma list, not empty and with no repeat."""
+
+    def parse(raw):
+        values = _list(convert)(raw)
+        if not values or len(set(values)) < len(values):
+            raise ValueError("must name at least one value, and none twice")
+        return values
+
+    return parse
+
+
+def _matrix(raw: str) -> np.ndarray:
+    """Rows separated by '|', entries by ','."""
+    return np.array([[float(v) for v in row.split(",")] for row in raw.split("|")])
+
+
+REQUIRED = object()  # the default of a key that has none
+
+# (section, key) -> (parser, default): every key the CLI reads
+KEYS = {
+    ("data", "kind"): (_one_of("clustered", "pwl", "csv"), REQUIRED),
+    ("data", "seed"): (int, 0),
+    ("data", "count"): (int, REQUIRED),
+    ("data", "dims"): (int, REQUIRED),
+    ("data", "centers"): (_matrix, REQUIRED),
+    ("data", "weights"): (_list(float), REQUIRED),
+    ("data", "noise_sigma"): (float, 0.0),
+    ("data", "curve_length"): (int, REQUIRED),
+    ("data", "segment_count"): (int, REQUIRED),
+    ("data", "path"): (str, REQUIRED),
+    ("data", "has_header"): (_boolean, True),
+    ("data", "target_columns"): (_list(int), ()),
+    ("data", "linear_target_weights"): (_list(float), None),
+    ("embedding", "perplexity"): (float, 30.0),
+    ("embedding", "iterations"): (_count, 1000),
+    ("embedding", "seed"): (int, 0),
+    ("partition", "gamma"): (lambda raw: check_gamma(float(raw)), 0.3),
+    ("partition", "bandwidth"): (lambda raw: check_bandwidth(_number_or("scott")(raw)), "scott"),
+    ("train", "model"): (_one_of(*MODEL_KINDS), "quadratic"),
+    ("train", "optimizers"): (_distinct(_one_of("sgd", "adam")), ("sgd",)),
+    ("train", "samplers"): (_distinct(_one_of("srs", "typicality")), ("srs", "typicality")),
+    ("train", "eta"): (_number_or("auto", check_learning_rate), "auto"),
+    ("train", "adam_eta"): (check_learning_rate, None),  # None: the SGD eta
+    ("train", "iterations"): (_count, REQUIRED),
+    ("train", "m"): (int, REQUIRED),
+    ("train", "n1"): (_number_or("auto", int), "auto"),
+    ("train", "eval_every"): (_count, 10),
+    ("train", "seeds"): (_distinct(int), (0,)),
+    ("train", "threshold"): (lambda raw: check_threshold(float(raw)), 1e-3),
+    ("train", "val_fraction"): (float, 0.0),
+    ("train", "val_seed"): (int, 1234),
+    ("train", "log_batches"): (_boolean, False),
+    ("verify", "seed"): (int, 0),
+    ("verify", "instances"): (_count, 100),
+    ("output", "dir"): (str, "out"),
+}
+SECTIONS = list(dict.fromkeys(section for section, _ in KEYS))
 
 
 @dataclass
@@ -29,49 +120,30 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
+        """The config at ``path``; a section outside ``KEYS`` is refused, as a usage error."""
         text = Path(path).read_text(encoding="utf-8")
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        # no section name is special, so a [DEFAULT] section is refused like any other unknown one
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
         parser.read_string(text, source=str(path))
+        unknown = [section for section in parser.sections() if section not in SECTIONS]
+        if unknown:
+            raise InvalidArgumentError(f"{path}: unknown section [{unknown[0]}]; the sections are {', '.join(SECTIONS)}")
         return cls(parser=parser, digest=config_hash(text))
 
-    def get(self, section: str, key: str, fallback=None, required: bool = False) -> str:
+    def __getitem__(self, section_key: tuple[str, str]):
+        """The parsed value of ``[section] key``, or its ``KEYS`` default if absent; a refused value names the key."""
+        section, key = section_key
+        convert, default = KEYS[section_key]
         if not self.parser.has_option(section, key):
-            if required:
+            if default is REQUIRED:
                 raise InvalidArgumentError(f"config is missing [{section}] {key}")
-            return fallback
-        return self.parser.get(section, key).strip()
-
-    def set(self, section: str, key: str, value) -> None:
-        """Replace one value for the rest of the run; the digest still names the file's text."""
-        self.parser.read_dict({section: {key: str(value)}})
-
-    def parse(self, section: str, key: str, convert, fallback=None, required: bool = False):
-        """``convert`` applied to the value, or ``fallback`` if it is absent; a rejected value names the key."""
-        raw = self.get(section, key, required=required)
-        if raw is None:
-            return fallback
+            return default
+        raw = self.parser.get(section, key).strip()
         try:
             return convert(raw)
         except ValueError as exc:
             raise InvalidArgumentError(f"[{section}] {key} = {raw!r}: {exc}") from None
 
-    def get_int(self, section: str, key: str, fallback=None, required: bool = False):
-        return self.parse(section, key, int, fallback, required)
-
-    def get_float(self, section: str, key: str, fallback=None, required: bool = False):
-        return self.parse(section, key, float, fallback, required)
-
-    def get_bool(self, section: str, key: str, fallback: bool = False) -> bool:
-        return self.parse(section, key, _boolean, fallback)
-
-    def get_floats(self, section: str, key: str, required: bool = False):
-        return self.parse(section, key, lambda raw: [float(v) for v in raw.split(",") if v.strip()], required=required)
-
-    def get_ints(self, section: str, key: str, fallback=None):
-        return self.parse(section, key, lambda raw: [int(v) for v in raw.split(",") if v.strip()], fallback)
-
-    def get_matrix(self, section: str, key: str, required: bool = False):
-        """Rows separated by '|', entries by ','."""
-        return self.parse(
-            section, key, lambda raw: np.array([[float(v) for v in row.split(",")] for row in raw.split("|")]), required=required
-        )
+    def set(self, section: str, key: str, value) -> None:
+        """Replace one value for the rest of the run; the digest still names the file's text."""
+        self.parser.read_dict({section: {key: str(value)}})

@@ -58,8 +58,7 @@ class Partition:
         merged = np.concatenate([h, l])
         if not np.array_equal(np.sort(merged), np.arange(n)):
             raise InvalidArgumentError("strata must partition 0..N-1 disjointly")
-        if not 0.0 < self.gamma < 0.8:
-            raise InvalidArgumentError(f"gamma must lie in (0, 0.8); got {self.gamma}")
+        check_gamma(self.gamma)
         object.__setattr__(self, "h_indices", h)
         object.__setattr__(self, "l_indices", l)
 
@@ -85,6 +84,13 @@ def _kernel_variances(covariance, d: int) -> np.ndarray:
     if np.any(covariance != np.diag(var)) or not np.all(np.isfinite(var) & (var > 0)):
         raise InvalidArgumentError("kernel covariance must be diagonal with a positive finite diagonal")
     return var
+
+
+def check_gamma(gamma: float) -> float:
+    """``gamma``, the share of samples in H, if it lies in (0, 0.8); anything else, NaN included, is refused."""
+    if not 0.0 < gamma < 0.8:
+        raise InvalidArgumentError(f"gamma must lie in (0, 0.8); got {gamma}")
+    return gamma
 
 
 def check_bandwidth(bandwidth_rule):
@@ -167,8 +173,7 @@ def kde_densities(embedding, bandwidth_rule="scott") -> DensityMap:
 
 def build_partition(densities: DensityMap, gamma: float) -> Partition:
     """Top ceil(N * gamma) densities become H; ties broken by smaller index."""
-    if not 0.0 < gamma < 0.8:
-        raise InvalidArgumentError(f"gamma must lie in (0, 0.8); got {gamma}")
+    check_gamma(gamma)
     values = densities.densities
     n = values.shape[0]
     n1 = math.ceil(n * gamma)

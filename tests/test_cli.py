@@ -269,7 +269,7 @@ def test_gamma_out_of_range_is_usage_error(workspace):
     config.write_text(text)
     assert main(["gen", "--config", str(config)]) == 0
     assert main(["partition", "--config", str(config)]) == 2
-    assert not (out / "partition.csv").exists()  # partial outputs removed
+    assert not (out / "partition.csv").exists()  # refused before any file is written
 
 
 def test_missing_output_dir_is_io_error(tmp_path):
@@ -353,7 +353,7 @@ def test_verify_instances_below_one_is_usage_error(tmp_path, capsys, instances):
     config = tmp_path / "verify.ini"
     config.write_text(f"[verify]\nseed = 0\ninstances = {instances}\n[output]\ndir = {tmp_path}\n")
     assert main(["verify", "--config", str(config)]) == 2
-    assert "instances" in capsys.readouterr().err
+    assert "[verify] instances" in capsys.readouterr().err
     assert not (tmp_path / "verify_report.csv").exists()
 
 
@@ -551,6 +551,28 @@ def test_bandwidth_that_is_not_positive_and_finite_is_refused_before_embedding(w
     assert not (out / "embedding.csv").exists() and not (out / "partition.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [("gamma = 0.3", "gamma = 0.9", "[partition] gamma = '0.9'"),
+     ("gamma = 0.3", "gamma = nan", "[partition] gamma = 'nan'"),
+     ("gamma = 0.3", "gamma = 0", "[partition] gamma = '0'"),
+     ("bandwidth = scott", "bandwidth = -0.5", "[partition] bandwidth = '-0.5'")],
+)
+def test_bad_partition_value_is_refused_before_embedding_and_keeps_the_earlier_files(
+    workspace, capsys, monkeypatch, old, new, key
+):
+    config, out = workspace
+    for cmd in ("gen", "partition"):
+        assert main([cmd, "--config", str(config)]) == 0
+    earlier = {name: sha(out / name) for name in ("embedding.csv", "partition.csv", "partition.svg")}
+    config.write_text(config.read_text().replace(old, new))
+    monkeypatch.setattr(cli, "tsne_embed", lambda *a, **kw: pytest.fail("embedded before [partition] was checked"))
+    capsys.readouterr()
+    assert main(["partition", "--config", str(config)]) == 2
+    assert key in capsys.readouterr().err
+    assert {name: sha(out / name) for name in earlier} == earlier
+
+
 @pytest.mark.parametrize("old, new, key", [("eta = auto", "eta = nan", "[train] eta = 'nan'"),
                                            ("eta = auto", "eta = inf", "[train] eta = 'inf'"),
                                            ("adam_eta = 0.05", "adam_eta = nan", "[train] adam_eta = 'nan'")])
@@ -564,6 +586,32 @@ def test_learning_rate_that_is_not_finite_is_refused_before_training(workspace, 
     assert main(["train", "--config", str(config)]) == 2
     assert key in capsys.readouterr().err
     assert sizes == [] and not list(out.glob("trace_*.csv"))
+
+
+@pytest.mark.parametrize("old, new, key", [("iterations = 60", "iterations = 0", "[train] iterations = '0'"),
+                                           ("eval_every = 20", "eval_every = 0", "[train] eval_every = '0'"),
+                                           ("eval_every = 20", "eval_every = -2", "[train] eval_every = '-2'")])
+def test_count_below_one_is_refused_before_training(workspace, capsys, monkeypatch, old, new, key):
+    config, out = workspace
+    for cmd in ("gen", "partition"):
+        assert main([cmd, "--config", str(config)]) == 0
+    config.write_text(config.read_text().replace(old, new))
+    sizes = []
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", recording_pool(sizes))
+    capsys.readouterr()
+    assert main(["train", "--config", str(config)]) == 2
+    assert key in capsys.readouterr().err
+    assert sizes == [] and not list(out.glob("trace_*.csv"))
+
+
+def test_embedding_iterations_below_one_is_refused_before_embedding(workspace, capsys, monkeypatch):
+    config, out = workspace
+    assert main(["gen", "--config", str(config)]) == 0
+    config.write_text(config.read_text().replace("iterations = 120", "iterations = 0"))
+    monkeypatch.setattr(cli, "tsne_embed", lambda *a, **kw: pytest.fail("embedded before the iterations were checked"))
+    assert main(["embed", "--config", str(config)]) == 2
+    assert "[embedding] iterations = '0'" in capsys.readouterr().err
+    assert not (out / "embedding.csv").exists()
 
 
 def test_train_refuses_a_partition_of_another_training_set_before_any_cell_runs(workspace, capsys, monkeypatch):
@@ -598,3 +646,25 @@ def test_flag_outside_its_subcommand_is_usage_error(workspace, argv):
     with pytest.raises(SystemExit) as err:
         main([*argv, "--config", str(config)])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "edit, section",
+    [(lambda text: "[DEFAULT]\nseed = 3\n" + text.replace("seed = 5\n", ""), "[DEFAULT]"),
+     (lambda text: text + "\n[embeding]\nperplexity = 5\n", "[embeding]")],
+    ids=["default-section", "misspelt-section"],
+)
+def test_unknown_section_is_usage_error_before_any_file_is_written(workspace, capsys, edit, section):
+    # configparser would copy a [DEFAULT] seed into every section that reads one
+    config, out = workspace
+    config.write_text(edit(config.read_text()))
+    assert main(["gen", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown section {section}" in err and "Traceback" not in err
+    assert not list(out.iterdir())
+
+
+def test_unread_key_in_a_known_section_still_passes(tmp_path):
+    # the benchmark's config holds [embedding] learning_rate and [output] workers, which no stage reads
+    config = Path(__file__).resolve().parents[1] / "perfbench" / "pipeline.ini"
+    assert main(["gen", "--config", str(config), "--out", str(tmp_path)]) == 0
