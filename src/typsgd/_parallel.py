@@ -1,9 +1,14 @@
-"""The one pool-size rule, and one way to run independent calls on worker processes."""
+"""The one pool-size rule, the one block budget, and one way to run independent calls on worker processes."""
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
+
+# bytes of one block of every blocked pass, read at call time: a row block of
+# t-SNE's N x N buffers (a pass touches up to four, which then fit a 4 MiB L2
+# cache), one of the KDE's two (queries, points) temporaries, a batch block's draws
+BLOCK_BYTES = 1 << 20
 
 
 def usable_cpus() -> int:

@@ -232,6 +232,8 @@ def cmd_train(config: RunConfig, out_dir: str) -> int:
     alpha_cell = next(
         ((s, o, sd) for (s, o, sd) in cells if s == "typicality" and o == "sgd"), None
     )
+    if alpha_cell is None:  # an alpha.csv of an earlier config would read as this run's
+        Path(out_dir, "alpha.csv").unlink(missing_ok=True)
     stems = map_processes(_run_cell, [(setup, out_dir, *cell, cell == alpha_cell) for cell in cells])
     _write_comparison(config, out_dir, [os.path.join(out_dir, f"trace_{stem}.csv") for stem in stems], threshold)
     print(f"train: {len(cells)} runs -> {out_dir}")
@@ -286,19 +288,23 @@ def _write_comparison(config: RunConfig, out_dir: str, trace_paths, threshold: f
         header=["sampler", "optimizer", "seed", "iters_to_threshold", "final_train_loss", "final_val_loss", "final_subopt"],
         config_digest=config.digest,
     )
-    for optimizer in {opt for (_, opt) in curves}:
+    optimizers = {opt for (_, opt) in curves}
+    for optimizer in optimizers:
         series = [
             (sampler, [it for it, _ in pts], [loss for _, loss in pts])
             for (sampler, opt), (_, pts) in sorted(curves.items())
             if opt == optimizer
         ]
-        if series:
-            line_chart(
-                os.path.join(out_dir, f"losses_{optimizer}.svg"),
-                series,
-                f"training loss ({optimizer}, first seed)",
-                config_digest=config.digest,
-            )
+        line_chart(
+            os.path.join(out_dir, f"losses_{optimizer}.svg"),
+            series,
+            f"training loss ({optimizer}, first seed)",
+            config_digest=config.digest,
+        )
+    # a chart of an optimizer without a trace here is from an earlier config
+    for chart in glob(os.path.join(out_dir, "losses_*.svg")):
+        if Path(chart).stem.removeprefix("losses_") not in optimizers:
+            os.unlink(chart)
 
 
 def cmd_report(config: RunConfig, out_dir: str) -> int:

@@ -13,13 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _parallel
 from ._csvio import read_table, write_rows
 from .errors import InvalidArgumentError
 
 FALLBACK_BANDWIDTH = 1e-3
-# bytes of one (queries, points) float64 block in kde_evaluate; two such
-# temporaries are alive at once
-KDE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -128,8 +126,8 @@ def kde_evaluate(points: np.ndarray, queries: np.ndarray, covariance: np.ndarray
 
     The covariance must be diagonal with a positive finite diagonal, and the
     point set must not be empty. Queries are taken in blocks so that one
-    (q, n) array holds at most KDE_BLOCK_BYTES; each query's density does
-    not depend on the block it falls in. The scaled squared distance is
+    (q, n) array holds at most ``_parallel.BLOCK_BYTES``; a query's density
+    does not depend on the block it falls in. The scaled squared distance is
     summed over the coordinates left to right, one (q, n) pass each, which
     for d <= 7 gives the same bits as ``((q - p) ** 2 / var).sum(axis=-1)``
     on the whole difference array (numpy sums 8 or more terms pairwise).
@@ -144,7 +142,7 @@ def kde_evaluate(points: np.ndarray, queries: np.ndarray, covariance: np.ndarray
     var = _kernel_variances(covariance, d)
     norm = 1.0 / ((2.0 * np.pi) ** (d / 2.0) * np.sqrt(np.prod(var)))
     out = np.empty(queries.shape[0])
-    step = max(1, KDE_BLOCK_BYTES // (8 * n))
+    step = max(1, _parallel.BLOCK_BYTES // (8 * n))
     for start in range(0, queries.shape[0], step):
         q = queries[start : start + step]
         for k in range(d):
@@ -171,12 +169,17 @@ def kde_densities(embedding, bandwidth_rule="scott") -> DensityMap:
     return DensityMap(densities=kde_evaluate(points, points, cov), bandwidth=cov)
 
 
+def h_size(n: int, gamma: float) -> int:
+    """N1, the size of H among ``n`` samples: ceil(N * gamma)."""
+    return math.ceil(n * gamma)
+
+
 def build_partition(densities: DensityMap, gamma: float) -> Partition:
     """Top ceil(N * gamma) densities become H; ties broken by smaller index."""
     check_gamma(gamma)
     values = densities.densities
     n = values.shape[0]
-    n1 = math.ceil(n * gamma)
+    n1 = h_size(n, gamma)
     if not 1 <= n1 <= n - 1:
         raise InvalidArgumentError(f"gamma={gamma} leaves an empty stratum for N={n}")
     # lexsort: primary key -density, ties resolved by ascending index
@@ -191,14 +194,14 @@ def build_partition(densities: DensityMap, gamma: float) -> Partition:
     return Partition(h_indices=h, l_indices=l, gamma=gamma)
 
 
-def save_partition(path, partition: Partition, densities: DensityMap, config_digest: str = "none", seed=None) -> None:
+def save_partition(path, partition: Partition, densities: DensityMap, config_digest: str = "none") -> None:
     """Persist as 'sample id, stratum label, density' rows."""
     n = partition.n_total
     labels = np.empty(n, dtype="<U1")
     labels[partition.h_indices] = "H"
     labels[partition.l_indices] = "L"
     rows = list(zip(range(n), labels.tolist(), densities.densities.tolist()))
-    write_rows(path, rows, header=["id", "stratum", "density"], config_digest=config_digest, seed=seed)
+    write_rows(path, rows, header=["id", "stratum", "density"], config_digest=config_digest)
 
 
 def stratum(cell: str) -> str:
@@ -208,7 +211,15 @@ def stratum(cell: str) -> str:
 
 
 def load_partition(path, gamma: float) -> Partition:
+    """The partition saved at ``path``, which must have been built at ``gamma``: N1 = ceil(N * gamma)."""
     _, rows = read_table(path, (int, stratum, float), has_header=True)
     h = sorted(i for i, label, _ in rows if label == "H")
     l = sorted(i for i, label, _ in rows if label == "L")
-    return Partition(h_indices=np.array(h), l_indices=np.array(l), gamma=gamma)
+    partition = Partition(h_indices=np.array(h), l_indices=np.array(l), gamma=gamma)
+    expected = h_size(partition.n_total, gamma)
+    if partition.n1 != expected:
+        raise InvalidArgumentError(
+            f"{path} has N1={partition.n1} of N={partition.n_total}, but [partition] gamma = {gamma} "
+            f"gives N1 = ceil(N * gamma) = {expected}; run partition again"
+        )
+    return partition

@@ -35,9 +35,6 @@ MOMENTUM_SWITCH = 250
 KL_EVERY = 50
 PERPLEXITY_TOL = 1e-5
 BISECTION_STEPS = 50
-# bytes of one row block of an N x N float64 buffer: a pass over a block touches
-# up to four such buffers, which then fit a 4 MiB L2 cache
-BLOCK_BYTES = 1 << 20
 # numpy adds at most this many contiguous float64 elements in one unrolled loop
 PAIRWISE_BLOCK = 128
 
@@ -144,7 +141,7 @@ def _pairwise_tree(n: int, size: int):
 
 
 class _RowBlocks:
-    """The rows of an N x N buffer in blocks of at most BLOCK_BYTES, and the threads that run them.
+    """The rows of an N x N buffer in blocks of at most ``_parallel.BLOCK_BYTES``, and the threads that run them.
 
     numpy releases the GIL inside its ufunc and BLAS loops, so threads that
     fill disjoint row blocks, or sum disjoint leaves of a pairwise tree, work
@@ -155,7 +152,7 @@ class _RowBlocks:
     """
 
     def __init__(self, n: int):
-        rows = max(1, BLOCK_BYTES // (8 * max(n, 1)))
+        rows = max(1, _parallel.BLOCK_BYTES // (8 * max(n, 1)))
         self.bounds = [(s, min(s + rows, n)) for s in range(0, n, rows)]
         self.workers = _parallel.pool_size(len(self.bounds))
         self._pool = ThreadPoolExecutor(self.workers) if self.workers > 1 else None
@@ -273,7 +270,7 @@ def tsne_embed(
     in tree order, so every bit matches a one-call ``.sum()``.
 
     The Gram matrix y @ y.T is one BLAS call per iteration. While the work
-    buffer is one row block (N < 363 at BLOCK_BYTES = 1 MiB) it is syrk, as
+    buffer is one row block (N < 363 with 1 MiB blocks) it is syrk, as
     in ``pairwise_sq_distances``; numpy then mirrors syrk's triangle on one
     thread, which at that size costs next to nothing. Once the buffer spans
     several blocks it is gemm against a contiguous copy of y.T, which has no
@@ -303,7 +300,7 @@ def tsne_embed(
     # KL(P || Q) reads only the entries where P > 0, in row-major order. Each
     # leaf of the pairwise tree over them covers one flat range of P, whose
     # bounds come from the rows' counts of positive entries
-    leaf_size = BLOCK_BYTES // 8
+    leaf_size = _parallel.BLOCK_BYTES // 8
     positive_ends = np.cumsum(np.count_nonzero(p_sym > 0, axis=1))
 
     def flat_offset(k):

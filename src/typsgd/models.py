@@ -263,11 +263,6 @@ def per_sample_gradients(model, dataset: Dataset, theta) -> np.ndarray:
     return grads
 
 
-def full_gradient(model, dataset: Dataset, theta) -> np.ndarray:
-    """Mean per-sample gradient: the reference of :func:`gradient_family`."""
-    return gradient_family(model, dataset, theta).reference
-
-
 def mean_loss(model, dataset: Dataset, theta) -> float:
     losses = model.losses(np.asarray(theta, dtype=np.float64), dataset.features, _targets_for(model, dataset))
     value = float(np.sum(losses) / dataset.n_samples)
@@ -286,15 +281,17 @@ def gradient_family(model, dataset: Dataset, theta) -> GradientFamily:
 GROWTH_PROBES = 20  # random probes of estimate_growth_bounds, a third at each of three radii
 
 
-def estimate_growth_bounds(model, dataset: Dataset, center, scale: float = 1.0):
+def estimate_growth_bounds(model, dataset: Dataset, center):
     """Empirical (beta1, beta2) so that |grad_i|^2 <= beta1 + beta2 |grad|^2 at probes.
 
     beta1 is the worst per-sample squared gradient norm at ``center`` (where
     the full gradient is smallest); beta2 covers the growth ratio over
-    GROWTH_PROBES random probes around it, drawn from seed 0, with a 5%
-    safety factor. Returns (beta1, beta2, probes).
+    GROWTH_PROBES random probes around it, at radii 0.1, 1 and 3 times
+    max(1, |center|), drawn from seed 0, with a 5% safety factor. Returns
+    (beta1, beta2, probes).
     """
     center = np.asarray(center, dtype=np.float64)
+    scale = max(1.0, float(np.linalg.norm(center)))
     rng = np.random.default_rng(0)
     probes = [center]
     for r in (0.1 * scale, scale, 3.0 * scale):
@@ -330,7 +327,7 @@ def quadratic_constants(dataset: Dataset) -> ModelSpec:
         raise InvalidArgumentError("X^T X is rank deficient; quadratic constants undefined")
     theta_star = np.linalg.solve(gram * n, x.T @ y)
     opt = mean_loss(model, dataset, theta_star)
-    _, beta2, _ = estimate_growth_bounds(model, dataset, theta_star, scale=max(1.0, float(np.linalg.norm(theta_star))))
+    _, beta2, _ = estimate_growth_bounds(model, dataset, theta_star)
     return ModelSpec(
         lipschitz_L=float(eigs[-1]),
         strong_convexity_mu=float(eigs[0]),

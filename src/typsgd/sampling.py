@@ -27,12 +27,11 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import _parallel
 from ._csvio import read_table, write_rows
 from .density import Partition
 from .errors import InvalidArgumentError
 
-# bytes of the temporaries of one block of batches in draw_batches
-DRAW_BLOCK_BYTES = 1 << 20
 # numpy's choice(N, n, replace=False) shuffles the tail of arange(N) when N > 10 000 and n > N // 50
 TAIL_SHUFFLE_SIZE = 10_000
 TAIL_SHUFFLE_CUTOFF = 50
@@ -192,13 +191,13 @@ def draw_batches(strata, rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def block_size(strata, row_bytes: int = 0) -> int:
-    """Batches per block: their draw temporaries, plus ``row_bytes`` per batch, fit in DRAW_BLOCK_BYTES."""
+    """Batches per block: their draw temporaries, plus ``row_bytes`` per batch, fit in ``_parallel.BLOCK_BYTES``."""
     per_batch = row_bytes
     for members, draws in strata:
         # the draws and their bounds, then the tail shuffle's ids or Floyd's flags and picks
         size = members.shape[0]
         per_batch += 8 * (size + 3 * draws) if _tail_shuffled(size, draws) else size + 64 * draws
-    return max(1, DRAW_BLOCK_BYTES // max(per_batch, 1))
+    return max(1, _parallel.BLOCK_BYTES // max(per_batch, 1))
 
 
 def _tail_shuffled(size: int, draws: int) -> bool:

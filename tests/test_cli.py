@@ -628,6 +628,38 @@ def test_train_refuses_a_partition_of_another_training_set_before_any_cell_runs(
     assert sizes == [] and not list(out.glob("trace_*.csv")) and not list(out.glob("theta_*.csv"))
 
 
+def test_train_refuses_a_partition_built_at_another_gamma(workspace, capsys):
+    config, out = workspace
+    for cmd in ("gen", "partition"):
+        assert main([cmd, "--config", str(config)]) == 0
+    # H holds ceil(81 * 0.3) = 25 of the 81 training samples; gamma = 0.5 asks for 41
+    config.write_text(config.read_text().replace("gamma = 0.3", "gamma = 0.5"))
+    capsys.readouterr()
+    assert main(["train", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert all(part in err for part in ("partition.csv", "N1=25", "N=81", "[partition] gamma = 0.5")), err
+    assert not list(out.glob("trace_*.csv"))
+
+
+def test_train_without_a_typicality_sgd_cell_removes_alpha(workspace):
+    config, out = workspace
+    for cmd in ("gen", "partition", "train"):
+        assert main([cmd, "--config", str(config)]) == 0
+    assert (out / "alpha.csv").exists()
+    config.write_text(config.read_text().replace("samplers = srs,typicality", "samplers = srs"))
+    assert main(["train", "--config", str(config)]) == 0
+    assert not (out / "alpha.csv").exists()
+
+
+def test_dropped_optimizer_leaves_no_loss_chart(workspace):
+    config, out = workspace
+    for cmd in ("gen", "partition", "train"):
+        assert main([cmd, "--config", str(config)]) == 0
+    config.write_text(config.read_text().replace("optimizers = sgd,adam", "optimizers = sgd"))
+    assert main(["train", "--config", str(config)]) == 0
+    assert sorted(p.name for p in out.glob("losses_*.svg")) == ["losses_sgd.svg"]
+
+
 def test_seed_flag_replaces_the_config_key_its_command_names(workspace):
     config, out = workspace
     assert main(["gen", "--config", str(config), "--seed", "9"]) == 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from typsgd import density
+from typsgd import _parallel
 from typsgd.data import generate_clustered
 from typsgd.density import (
     DensityMap,
@@ -130,7 +130,7 @@ class TestKdeBlocks:
         queries = rng.normal(size=(50, 2))  # 7 queries a block leave a ragged last block of 1
         cov = kde_densities(points, "scott").bandwidth
         want = kde_evaluate(points, queries, cov)
-        monkeypatch.setattr(density, "KDE_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(_parallel, "BLOCK_BYTES", block_bytes)
         assert kde_evaluate(points, queries, cov).tobytes() == want.tobytes()
 
     def test_grid_peak_memory_is_bounded_by_the_block(self):
@@ -145,7 +145,7 @@ class TestKdeBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * density.KDE_BLOCK_BYTES + out.nbytes
+        assert peak < 4 * _parallel.BLOCK_BYTES + out.nbytes
 
     def test_rejects_queries_of_another_width(self):
         with pytest.raises(InvalidArgumentError, match="coordinates"):
@@ -183,12 +183,12 @@ def test_coordinate_passes_have_the_bits_of_the_whole_array(d, n, q, block_bytes
     points = gen.normal(0.0, gen.uniform(0.1, 10.0), (n, d))
     queries = gen.normal(0.0, 3.0, (q, d))
     covariance = np.diag(gen.uniform(0.01, 5.0, d))
-    kept = density.KDE_BLOCK_BYTES
-    density.KDE_BLOCK_BYTES = block_bytes
+    kept = _parallel.BLOCK_BYTES
+    _parallel.BLOCK_BYTES = block_bytes
     try:
         got = kde_evaluate(points, queries, covariance)
     finally:
-        density.KDE_BLOCK_BYTES = kept
+        _parallel.BLOCK_BYTES = kept
     assert got.tobytes() == whole_array_kde(points, queries, covariance).tobytes()
 
 

@@ -83,7 +83,7 @@ def row_blocks(n, rows, workers):
     stack = ExitStack()
     stack.enter_context(mock.patch.object(_parallel, "usable_cpus", lambda: workers))
     if rows is not None:
-        stack.enter_context(mock.patch.object(embedding, "BLOCK_BYTES", 8 * n * rows))
+        stack.enter_context(mock.patch.object(_parallel, "BLOCK_BYTES", 8 * n * rows))
     return stack
 
 

@@ -2,7 +2,8 @@
 
 Training does not depend on the oracle engine, and each rule has one owner:
 _csvio the text of every cell, models the target columns every loss reads,
-_parallel the size of every worker pool, optimize the SGD and Adam steps.
+_parallel the size of every worker pool and the byte budget of every block,
+optimize the SGD and Adam steps.
 """
 
 import ast
@@ -112,3 +113,16 @@ def test_no_isinstance_on_a_model_class(path):
         and set(names_used(node.args[1])) & MODEL_CLASSES
     ]
     assert not calls
+
+
+def assigned_names(tree):
+    """Every name or attribute the module binds: assignment targets, loop variables and the like."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+            yield node.id if isinstance(node, ast.Name) else node.attr
+
+
+@others("_parallel.py")
+def test_only_parallel_sets_the_block_budget(path):
+    # every blocked pass reads _parallel.BLOCK_BYTES at call time; a second budget would drift from it
+    assert not [name for name in assigned_names(parse(path)) if name.endswith("BLOCK_BYTES")]

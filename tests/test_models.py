@@ -13,7 +13,7 @@ from typsgd.models import (
     QuadraticModel,
     _targets_for,
     estimate_growth_bounds,
-    full_gradient,
+    gradient_family,
     load_theta,
     mean_loss,
     per_sample_gradients,
@@ -88,7 +88,7 @@ class TestFullGradient:
         ds = Dataset(features=rng.normal(size=(1, 3)), targets=rng.normal(size=(1, 1)))
         theta = rng.normal(size=3)
         g = per_sample_gradients(QuadraticModel(), ds, theta)[0]
-        assert np.allclose(full_gradient(QuadraticModel(), ds, theta), g)
+        assert np.allclose(gradient_family(QuadraticModel(), ds, theta).reference, g)
 
     def test_duplication_invariance(self, rng):
         feats = rng.normal(size=(5, 3))
@@ -97,8 +97,8 @@ class TestFullGradient:
         doubled = Dataset(features=np.vstack([feats, feats]), targets=np.vstack([targs, targs]))
         theta = rng.normal(size=3)
         assert np.allclose(
-            full_gradient(QuadraticModel(), ds, theta),
-            full_gradient(QuadraticModel(), doubled, theta),
+            gradient_family(QuadraticModel(), ds, theta).reference,
+            gradient_family(QuadraticModel(), doubled, theta).reference,
             atol=1e-12,
         )
 
@@ -108,7 +108,7 @@ class TestFullGradient:
         ds = Dataset(features=x, targets=y[:, None])
         w = rng.normal(size=4)
         expected = x.T @ (x @ w - y) / 12  # closed-form oracle
-        assert np.allclose(full_gradient(QuadraticModel(), ds, w), expected, atol=1e-10)
+        assert np.allclose(gradient_family(QuadraticModel(), ds, w).reference, expected, atol=1e-10)
 
 
 class TestQuadraticConstants:
@@ -121,7 +121,7 @@ class TestQuadraticConstants:
 
     def test_gradient_vanishes_at_minimizer(self, small_quadratic):
         ds, spec = small_quadratic
-        g = full_gradient(QuadraticModel(), ds, spec.exact_minimizer)
+        g = gradient_family(QuadraticModel(), ds, spec.exact_minimizer).reference
         assert np.linalg.norm(g) <= 1e-9
 
     def test_rank_deficient_raises(self):
@@ -135,7 +135,7 @@ class TestQuadraticConstants:
         model = QuadraticModel()
         for _ in range(100):
             a, b = rng.normal(size=2), rng.normal(size=2)
-            ga, gb = full_gradient(model, ds, a), full_gradient(model, ds, b)
+            ga, gb = gradient_family(model, ds, a).reference, gradient_family(model, ds, b).reference
             assert np.linalg.norm(ga - gb) <= spec.lipschitz_L * np.linalg.norm(a - b) * (1 + 1e-9)
             ja, jb = mean_loss(model, ds, a), mean_loss(model, ds, b)
             lower = ja + ga @ (b - a) + 0.5 * spec.strong_convexity_mu * np.sum((b - a) ** 2)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from typsgd import sampling
+from typsgd import _parallel, sampling
 from typsgd.analysis import enumerated_means
 from typsgd.density import Partition
 from typsgd.errors import InvalidArgumentError
@@ -299,7 +299,7 @@ class TestDrawBatchesIsNumpysChoice:
     ids=["floyd", "two_strata", "tail_shuffle"],
 )
 def test_blocks_bound_the_draw_temporaries(strata):
-    # beyond the returned array, one block's temporaries stay near DRAW_BLOCK_BYTES however many batches are drawn
+    # beyond the returned array, one block's temporaries stay near the block budget however many batches are drawn
     count = 30 * block_size(strata)
     tracemalloc.start()
     try:
@@ -307,4 +307,4 @@ def test_blocks_bound_the_draw_temporaries(strata):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - out.nbytes <= 1.25 * sampling.DRAW_BLOCK_BYTES
+    assert peak - out.nbytes <= 1.25 * _parallel.BLOCK_BYTES
