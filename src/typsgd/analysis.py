@@ -41,7 +41,6 @@ from .sampling import (
     SrsScheme,
     StratifiedScheme,
     batch_space_size,
-    block_size,
     draw_batches,
     plan_beta,
     resolve_strata,
@@ -230,18 +229,13 @@ def enumerated_means(rows: np.ndarray, strata):
 def drawn_means(rows: np.ndarray, strata, draws: int, rng: np.random.Generator) -> np.ndarray:
     """The batch-mean rows of ``draws`` batches drawn by :func:`draw_batches` on resolved strata.
 
-    Batches are drawn and summed a block at a time, the block's (batches, m, d)
-    row gather counted in its :func:`block_size`; each mean is the m rows
-    summed in batch order and divided by m, bit for bit the mean of one batch
-    drawn and summed on its own.
+    The stream's blocks count each batch's (m, d) row gather in their size;
+    each mean is the m rows summed in batch order and divided by m, bit for
+    bit the mean of one batch drawn and summed on its own.
     """
     m = sum(draws_h for _, draws_h in strata)
-    means = np.empty((draws, rows.shape[1]))
-    step = block_size(strata, 8 * m * rows.shape[1])
-    for start in range(0, draws, step):
-        batches = draw_batches(strata, rng, min(step, draws - start))
-        means[start : start + batches.shape[0]] = rows[batches].sum(axis=1) / m
-    return means
+    blocks = draw_batches(strata, rng, draws, row_bytes=8 * m * rows.shape[1])
+    return np.concatenate([rows[batches].sum(axis=1) / m for batches in blocks])
 
 
 def oracle_path(scheme, n_total: int) -> tuple[str, int]:

@@ -92,11 +92,11 @@ def cmd_embed(config: RunConfig, out_dir: str) -> int:
 def cmd_partition(config: RunConfig, out_dir: str) -> int:
     csv_path = os.path.join(out_dir, "partition.csv")
     svg_path = os.path.join(out_dir, "partition.svg")
-    # a bad [partition] value is refused before any t-SNE work, and leaves the earlier partition files in place
-    bandwidth, gamma = config["partition", "bandwidth"], config["partition", "gamma"]
+    # a bad [partition] value or embedding seed is refused before any t-SNE work, and leaves the earlier files in place
+    bandwidth, gamma, seed = config["partition", "bandwidth"], config["partition", "gamma"], config["embedding", "seed"]
     try:
         emb_path = os.path.join(out_dir, "embedding.csv")
-        current = {"config": config.digest, "seed": str(config["embedding", "seed"])}
+        current = {"config": config.digest, "seed": str(seed)}
         if not os.path.exists(emb_path) or read_provenance(emb_path) != current:
             cmd_embed(config, out_dir)
         points = load_embedding_points(emb_path)
@@ -229,10 +229,8 @@ def cmd_train(config: RunConfig, out_dir: str) -> int:
         for optimizer in setup.optimizers
         for seed in seeds
     ]
-    alpha_cell = next(
-        ((s, o, sd) for (s, o, sd) in cells if s == "typicality" and o == "sgd"), None
-    )
-    if alpha_cell is None:  # an alpha.csv of an earlier config would read as this run's
+    alpha_cell = ("typicality", "sgd", min(seeds))  # the seed the loss charts plot
+    if alpha_cell not in cells:  # an alpha.csv of an earlier config would read as this run's
         Path(out_dir, "alpha.csv").unlink(missing_ok=True)
     stems = map_processes(_run_cell, [(setup, out_dir, *cell, cell == alpha_cell) for cell in cells])
     _write_comparison(config, out_dir, [os.path.join(out_dir, f"trace_{stem}.csv") for stem in stems], threshold)

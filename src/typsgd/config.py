@@ -34,11 +34,19 @@ def _one_of(*words):
     return parse
 
 
-def _count(raw: str) -> int:
-    count = int(raw)
-    if count < 1:
-        raise ValueError("must be >= 1")
-    return count
+def _at_least(low: int):
+    """A config value parser: an integer, refused below ``low``."""
+
+    def parse(raw):
+        value = int(raw)
+        if value < low:
+            raise ValueError(f"must be >= {low}")
+        return value
+
+    return parse
+
+
+_count, _seed = _at_least(1), _at_least(0)
 
 
 def _number_or(word: str, number=float):
@@ -73,7 +81,7 @@ REQUIRED = object()  # the default of a key that has none
 # (section, key) -> (parser, default): every key the CLI reads
 KEYS = {
     ("data", "kind"): (_one_of("clustered", "pwl", "csv"), REQUIRED),
-    ("data", "seed"): (int, 0),
+    ("data", "seed"): (_seed, 0),
     ("data", "count"): (int, REQUIRED),
     ("data", "dims"): (int, REQUIRED),
     ("data", "centers"): (_matrix, REQUIRED),
@@ -87,7 +95,7 @@ KEYS = {
     ("data", "linear_target_weights"): (_list(float), None),
     ("embedding", "perplexity"): (float, 30.0),
     ("embedding", "iterations"): (_count, 1000),
-    ("embedding", "seed"): (int, 0),
+    ("embedding", "seed"): (_seed, 0),
     ("partition", "gamma"): (lambda raw: check_gamma(float(raw)), 0.3),
     ("partition", "bandwidth"): (lambda raw: check_bandwidth(_number_or("scott")(raw)), "scott"),
     ("train", "model"): (_one_of(*MODEL_KINDS), "quadratic"),
@@ -99,12 +107,12 @@ KEYS = {
     ("train", "m"): (int, REQUIRED),
     ("train", "n1"): (_number_or("auto", int), "auto"),
     ("train", "eval_every"): (_count, 10),
-    ("train", "seeds"): (_distinct(int), (0,)),
+    ("train", "seeds"): (_distinct(_seed), (0,)),
     ("train", "threshold"): (lambda raw: check_threshold(float(raw)), 1e-3),
     ("train", "val_fraction"): (float, 0.0),
-    ("train", "val_seed"): (int, 1234),
+    ("train", "val_seed"): (_seed, 1234),
     ("train", "log_batches"): (_boolean, False),
-    ("verify", "seed"): (int, 0),
+    ("verify", "seed"): (_seed, 0),
     ("verify", "instances"): (_count, 100),
     ("output", "dir"): (str, "out"),
 }

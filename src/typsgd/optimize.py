@@ -23,7 +23,7 @@ from ._csvio import read_table, write_rows
 from .data import Dataset
 from .errors import CsvFormatError, InvalidArgumentError, NumericError
 from .models import _targets_for, mean_loss
-from .sampling import block_size, draw_batches, resolve_strata
+from .sampling import draw_batches, resolve_strata
 
 
 # Adam's moment decays and denominator guard, read by adam_step at call time
@@ -176,11 +176,11 @@ def evaluations(
     appended to it.
 
     The arguments are checked and the strata resolved once, when the first
-    point is pulled. Batches are drawn ahead, ``block_size(strata)`` at a
-    time, by one :func:`draw_batches` call on the run's own generator, so
-    they are the batches a per-step draw would give; each step then takes
-    its row of ids, gathers their rows and updates. Logged ids are rows of
-    a block that is never refilled.
+    point is pulled. The steps read their ids in order from one
+    :func:`draw_batches` stream on the run's own generator, so they are the
+    batches a per-step draw would give; each step then gathers the rows of
+    its ids and updates. Logged ids are rows of a block that is never
+    refilled.
     """
     if iterations < 1:
         raise InvalidArgumentError("iterations must be >= 1")
@@ -202,13 +202,10 @@ def evaluations(
         return TraceRecord(iteration=iteration, train_loss=loss, val_loss=val, subopt=subopt), theta
 
     step = optimizer.step
-    block = block_size(strata)
-    for k in range(iterations):
+    stream = (ids for block in draw_batches(strata, rng, iterations) for ids in block)
+    for k, idx in enumerate(stream):
         if k % eval_every == 0:
             yield evaluate(k, theta)
-        if k % block == 0:
-            batches = draw_batches(strata, rng, min(block, iterations - k))
-        idx = batches[k % block]
         if batch_log is not None:
             batch_log.append((k, idx))
         theta, state = step(model, theta, features[idx], targets[idx], k, state)

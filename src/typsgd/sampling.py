@@ -3,9 +3,10 @@
 Both schemes are stratified sampling: ``strata(n_total)`` returns
 (members, draws) pairs, one pair for SRS (the whole population, m draws)
 and two for typicality sampling ((H, n1), (L, n2)). Every batch is drawn
-by one routine, :func:`draw_batches`, a block of batches at a time as rows
-of int64 ids; counting batches is written once over the same pairs and
-``analysis`` enumerates them. Ids are distinct by construction, checked
+by one routine, :func:`draw_batches`, which yields the stream a block of
+batches at a time as rows of int64 ids and alone sizes the blocks;
+counting batches is written once over the same pairs and ``analysis``
+enumerates them. Ids are distinct by construction, checked
 once where the strata are made: by ``Partition``, :func:`validate_plan`
 and ``SrsScheme.strata`` for the built-in schemes, and by
 :func:`resolve_strata` for any scheme handed to a loop or an oracle. No
@@ -155,39 +156,40 @@ def resolve_strata(scheme, n_total: int) -> tuple:
     return strata
 
 
-def draw_batches(strata, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` batches of the resolved strata as a (count, m) int64 array, one batch per row.
+def draw_batches(strata, rng: np.random.Generator, count: int, row_bytes: int = 0):
+    """Yield ``count`` batches of the resolved strata in order, as (rows, m) int64 blocks, one batch per row.
 
     Each batch is an independent SRS draw without replacement within each
     stratum, the strata concatenated in order, so a member of a stratum of
-    size N_h drawn n_h times is included with probability n_h/N_h. Row t
-    equals, bit for bit, the t-th of ``count`` successive per-batch draws
-    ``members[rng.choice(N_h, n_h, replace=False)]`` stratum by stratum, and
-    ``rng`` ends in the same state, so drawing a stream in blocks of any size
-    gives the same batches.
+    size N_h drawn n_h times is included with probability n_h/N_h. Row t of
+    the stream equals, bit for bit, the t-th of ``count`` successive per-batch
+    draws ``members[rng.choice(N_h, n_h, replace=False)]`` stratum by stratum,
+    and ``rng`` ends in the same state once the stream is read, so a stream
+    cut into blocks of any size gives the same batches.
 
     ``choice`` (numpy's code, not its API) makes bounded integer draws only:
     Floyd's algorithm followed by a Fisher-Yates shuffle of the n_h picks, or,
     for N_h > 10 000 and n_h > N_h // 50, a tail shuffle of all N_h ids.
     ``rng.integers`` makes the same draws for a whole block of batches in one
     call, and both algorithms then run as O(n_h) numpy passes over the block.
-    Blocks are sized by :func:`block_size`.
+    Each block is drawn when it is pulled and sized by :func:`block_size`,
+    counting the caller's ``row_bytes`` of work per batch.
     """
     bounds = [_choice_bounds(members.shape[0], draws) for members, draws in strata]
     flat = np.concatenate(bounds)
-    out = np.empty((count, sum(draws for _, draws in strata)), dtype=np.int64)
-    step = block_size(strata)
+    step = block_size(strata, row_bytes)
     for start in range(0, count, step):
         rows = min(step, count - start)
+        out = np.empty((rows, sum(draws for _, draws in strata)), dtype=np.int64)
         # the block's draws in stream order, then one column per batch
         values = np.reshape(rng.integers(0, np.tile(flat, (rows, 1)), endpoint=True), (rows, flat.shape[0])).T
         col = 0
         for (members, draws), b in zip(strata, bounds):
             picks = _choice_picks(members.shape[0], draws, values[: b.shape[0]])
-            out[start : start + rows, col : col + draws] = members[picks.T]
+            out[:, col : col + draws] = members[picks.T]
             values = values[b.shape[0] :]
             col += draws
-    return out
+        yield out
 
 
 def block_size(strata, row_bytes: int = 0) -> int:
@@ -247,12 +249,12 @@ def _shuffle(ids: np.ndarray, values: np.ndarray, first: int) -> None:
 
 def srs_batch(n_total: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform m-subset of {0..n_total-1} without replacement, as int64 ids."""
-    return draw_batches(SrsScheme(m=m).strata(n_total), rng, 1)[0]
+    return next(draw_batches(SrsScheme(m=m).strata(n_total), rng, 1))[0]
 
 
 def typicality_batch(partition: Partition, plan: BatchPlan, rng: np.random.Generator) -> np.ndarray:
     """n1 members of H, then n2 members of L, drawn without replacement, as int64 ids."""
-    return draw_batches(StratifiedScheme(partition=partition, plan=plan).strata(partition.n_total), rng, 1)[0]
+    return next(draw_batches(StratifiedScheme(partition=partition, plan=plan).strata(partition.n_total), rng, 1))[0]
 
 
 def batch_space_size(scheme, n_total: int) -> int:

@@ -431,12 +431,13 @@ def check_inclusion(scheme, n_total: int, draw, seed: int) -> CheckResult:
 
     The strata come from ``resolve_strata(scheme, n_total)``; SRS is the
     one-stratum case with rate m/N. ``draw`` is the sampler under test; it
-    returns ``count`` batches as a (count, m) array of ids, one batch per row.
-    It is called once, for INCLUSION_DRAWS batches, and the ids are counted
-    with ``np.bincount``.
+    returns ``count`` batches as blocks of ids, (rows, m) arrays with one
+    batch per row, as :func:`draw_batches` yields them. It is called once,
+    for INCLUSION_DRAWS batches, and each block's ids are counted with
+    ``np.bincount``.
     """
     rng = np.random.default_rng(seed)
-    counts = np.bincount(draw(rng, INCLUSION_DRAWS).ravel(), minlength=n_total)
+    counts = sum(np.bincount(block.ravel(), minlength=n_total) for block in draw(rng, INCLUSION_DRAWS))
     freq = counts / INCLUSION_DRAWS
     ok = True
     detail = []

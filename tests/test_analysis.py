@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from typsgd import analysis
+from typsgd import analysis, sampling
 from typsgd.analysis import (
     _combination_sums,
     build_error_report,
@@ -292,7 +292,7 @@ class TestDrawnInBlocks:
     @pytest.fixture(params=[7, 12, None], ids=["7_per_block", "12_per_block", "default_blocks"])
     def rows_per_block(self, request, monkeypatch):
         if request.param is not None:
-            monkeypatch.setattr(analysis, "block_size", lambda strata, row_bytes: request.param)
+            monkeypatch.setattr(sampling, "block_size", lambda strata, row_bytes: request.param)
 
     @staticmethod
     def instance(d, m):

@@ -108,8 +108,9 @@ def test_gen_embed_partition_train_report(workspace, capsys):
 
 
 def assert_alpha_from_saved_theta(config, out):
-    # alpha.csv has a row per eval point of the first typicality SGD cell (60 iterations,
+    # alpha.csv has a row per eval point of the typicality SGD cell at the smallest seed (60 iterations,
     # eval_every 20), and its last alpha is the one the saved final theta gives
+    assert _csvio.read_provenance(out / "alpha.csv")["seed"] == "0"
     _, rows = read_rows(out / "alpha.csv", has_header=True)
     assert [int(row[0]) for row in rows] == [0, 20, 40, 60]
     setup = cli._train_setup(RunConfig.from_file(config), str(out))
@@ -117,6 +118,14 @@ def assert_alpha_from_saved_theta(config, out):
     _, theta = load_theta(out / "theta_typicality_sgd_seed0.csv")
     alpha = formula_alpha(setup.model, setup.train_data, theta, scheme.partition, scheme.plan)
     assert rows[-1][1] == format_number(alpha)
+
+
+def test_alpha_is_taken_at_the_smallest_seed_the_loss_charts_plot(workspace):
+    config, out = workspace
+    config.write_text(config.read_text().replace("seeds = 0,1", "seeds = 1,0"))
+    for cmd in ("gen", "partition", "train"):
+        assert main([cmd, "--config", str(config)]) == 0
+    assert_alpha_from_saved_theta(config, out)
 
 
 def test_train_determinism(workspace):
@@ -602,6 +611,33 @@ def test_count_below_one_is_refused_before_training(workspace, capsys, monkeypat
     assert main(["train", "--config", str(config)]) == 2
     assert key in capsys.readouterr().err
     assert sizes == [] and not list(out.glob("trace_*.csv"))
+
+
+@pytest.mark.parametrize(
+    "before, command, old, new, flag, key, written",
+    [
+        ((), "gen", "seed = 5", "seed = -5", (), "[data] seed = '-5'", "dataset.csv"),
+        (("gen",), "embed", "seed = 2", "seed = -3", (), "[embedding] seed = '-3'", "embedding.csv"),
+        (("gen", "partition"), "train", "seeds = 0,1", "seeds = 0,-1", (), "[train] seeds = '0,-1'", "trace_*.csv"),
+        (("gen", "partition"), "train", "val_seed = 77", "val_seed = -77", (), "[train] val_seed", "trace_*.csv"),
+        (("gen", "partition"), "train", "", "", ("--seed", "-1"), "[train] seeds = '-1'", "trace_*.csv"),
+        ((), "verify", "", "", ("--seed", "-1"), "[verify] seed = '-1'", "verify_report.csv"),
+    ],
+)
+def test_negative_seed_is_refused_by_its_key_before_any_work(
+    workspace, capsys, monkeypatch, before, command, old, new, flag, key, written
+):
+    config, out = workspace
+    for cmd in before:
+        assert main([cmd, "--config", str(config)]) == 0
+    config.write_text(config.read_text().replace(old, new))
+    sizes = []
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", recording_pool(sizes))
+    monkeypatch.setattr(cli, "tsne_embed", lambda *a, **kw: pytest.fail("embedded before the seed was checked"))
+    capsys.readouterr()
+    assert main([command, "--config", str(config), *flag]) == 2
+    assert key in capsys.readouterr().err
+    assert sizes == [] and not list(out.glob(written)) and not (out / "alpha.csv").exists()
 
 
 def test_embedding_iterations_below_one_is_refused_before_embedding(workspace, capsys, monkeypatch):

@@ -3,7 +3,8 @@
 Training does not depend on the oracle engine, and each rule has one owner:
 _csvio the text of every cell, models the target columns every loss reads,
 _parallel the size of every worker pool and the byte budget of every block,
-optimize the SGD and Adam steps.
+sampling the number of batches in each block it draws, optimize the SGD and
+Adam steps.
 """
 
 import ast
@@ -126,3 +127,9 @@ def assigned_names(tree):
 def test_only_parallel_sets_the_block_budget(path):
     # every blocked pass reads _parallel.BLOCK_BYTES at call time; a second budget would drift from it
     assert not [name for name in assigned_names(parse(path)) if name.endswith("BLOCK_BYTES")]
+
+
+@others("sampling.py")
+def test_only_sampling_sizes_the_batch_blocks(path):
+    # draw_batches cuts the batch stream into blocks; its callers read the stream and size nothing
+    assert "block_size" not in set(names_used(parse(path)))

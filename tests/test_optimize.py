@@ -6,7 +6,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from typsgd import analysis, optimize
+from typsgd import analysis, optimize, sampling
 from typsgd.analysis import RecursionReport, RecursionStep, descent_recursion_check, formula_alpha
 from typsgd.data import Dataset, generate_pwl_curves
 from typsgd.density import Partition
@@ -721,7 +721,7 @@ class TestEvaluationsDrawBlocksAhead:
 
     @pytest.fixture(params=["srs", "typicality"])
     def case(self, request, monkeypatch):
-        monkeypatch.setattr(optimize, "block_size", lambda strata: self.ROWS)
+        monkeypatch.setattr(sampling, "block_size", lambda strata, row_bytes: self.ROWS)
         model, ds, val, spec = quadratic_case()
         part = half_partition(ds.n_samples)
         scheme = SrsScheme(m=6) if request.param == "srs" else StratifiedScheme(part, make_plan(6, 4, part))

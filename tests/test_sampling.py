@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ class TestSrs:
         # every C(4,2) pair should appear with frequency 1/6 +- 3 sigma
         rng = np.random.default_rng(99)
         draws = 60_000
-        batches = np.sort(draw_batches(resolve_strata(SrsScheme(m=2), 4), rng, draws), axis=1)
+        batches = np.sort(np.concatenate(list(draw_batches(resolve_strata(SrsScheme(m=2), 4), rng, draws))), axis=1)
         sigma = np.sqrt((1 / 6) * (5 / 6) / draws)
         for pair in itertools.combinations(range(4), 2):
             count = np.all(batches == pair, axis=1).sum()
@@ -113,7 +114,7 @@ class TestTypicality:
         plan = make_plan(3, 2, part)
         rng = np.random.default_rng(17)
         draws = 90_000
-        batches = draw_batches(resolve_strata(StratifiedScheme(part, plan), 9), rng, draws)
+        batches = np.concatenate(list(draw_batches(resolve_strata(StratifiedScheme(part, plan), 9), rng, draws)))
         freq = np.bincount(batches.ravel(), minlength=9) / draws
         for target, members in ((2 / 3, part.h_indices), (1 / 6, part.l_indices)):
             sigma = np.sqrt(target * (1 - target) / draws)
@@ -198,12 +199,12 @@ def test_samplers_are_one_row_of_draw_batches(data):
     seed = data.draw(st.integers(0, 2**32))
     m = data.draw(st.integers(1, n))
     got = srs_batch(n, m, np.random.default_rng(seed))
-    want = draw_batches(resolve_strata(SrsScheme(m=m), n), np.random.default_rng(seed), 1)[0]
+    want = next(draw_batches(resolve_strata(SrsScheme(m=m), n), np.random.default_rng(seed), 1))[0]
     assert got.dtype == np.int64 and np.array_equal(got, want)
     m, k = data.draw(st.sampled_from(feasible))  # m = 2, k = 1 always fits, as N2 >= N1
     plan = make_plan(m, k, part)
     got = typicality_batch(part, plan, np.random.default_rng(seed))
-    want = draw_batches(resolve_strata(StratifiedScheme(part, plan), n), np.random.default_rng(seed), 1)[0]
+    want = next(draw_batches(resolve_strata(StratifiedScheme(part, plan), n), np.random.default_rng(seed), 1))[0]
     assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
@@ -222,7 +223,8 @@ def choice_batches(strata, rng, count):
 def assert_same_stream(strata, count, rng_at):
     """draw_batches and the per-batch loop give equal batches and leave equal generators."""
     got_rng, want_rng = rng_at(), rng_at()
-    got = draw_batches(strata, got_rng, count)
+    empty = np.empty((0, sum(draws for _, draws in strata)), dtype=np.int64)  # the stream of count = 0
+    got = np.concatenate(list(draw_batches(strata, got_rng, count)) or [empty])
     want = choice_batches(strata, want_rng, count)
     assert got.dtype == np.int64 and got.shape == want.shape
     assert np.array_equal(got, want)
@@ -281,9 +283,10 @@ class TestDrawBatchesIsNumpysChoice:
         strata = ((np.arange(4, 13), 5), (np.array([1, 0, 3]), 2))
         monkeypatch.setattr(sampling, "block_size", lambda strata, row_bytes=0: rows_per_block)
         assert_same_stream(strata, count, seeded(count, True))
-        # and one block at a time, as the training loop draws them
+        # and as successive streams on one generator
         got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
-        got = np.concatenate([draw_batches(strata, got_rng, rows) for rows in (rows_per_block, 2, 5)])
+        streams = [draw_batches(strata, got_rng, rows) for rows in (rows_per_block, 2, 5)]
+        got = np.concatenate([block for stream in streams for block in stream])
         assert np.array_equal(got, choice_batches(strata, want_rng, rows_per_block + 7))
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -299,12 +302,13 @@ class TestDrawBatchesIsNumpysChoice:
     ids=["floyd", "two_strata", "tail_shuffle"],
 )
 def test_blocks_bound_the_draw_temporaries(strata):
-    # beyond the returned array, one block's temporaries stay near the block budget however many batches are drawn
-    count = 30 * block_size(strata)
+    # pulled one block at a time and kept by no one, the stream holds one block and its temporaries
+    # near the block budget however many batches are drawn
+    count, rng = 30 * block_size(strata), np.random.default_rng(0)  # numpy.random's lazy imports stay untraced
     tracemalloc.start()
     try:
-        out = draw_batches(strata, np.random.default_rng(0), count)
+        largest = max(map(attrgetter("nbytes"), draw_batches(strata, rng, count)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - out.nbytes <= 1.25 * _parallel.BLOCK_BYTES
+    assert peak - largest <= 1.25 * _parallel.BLOCK_BYTES
