@@ -6,8 +6,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 
 # bytes of one block of every blocked pass, read at call time: a row block of
-# t-SNE's N x N buffers (a pass touches up to four, which then fit a 4 MiB L2
-# cache), one of the KDE's two (queries, points) temporaries, a batch block's draws
+# an N x N matrix in t-SNE (a descent pass touches P's and two reused buffers'),
+# one of the KDE's two (queries, points) temporaries, a batch block's draws
 BLOCK_BYTES = 1 << 20
 
 

@@ -100,6 +100,11 @@ def cmd_partition(config: RunConfig, out_dir: str) -> int:
         if not os.path.exists(emb_path) or read_provenance(emb_path) != current:
             cmd_embed(config, out_dir)
         points = load_embedding_points(emb_path)
+        n_train = _split_for_training(config, load_dataset_file(os.path.join(out_dir, "dataset.csv")))[0].n_samples
+        if points.shape[0] != n_train:
+            raise InvalidArgumentError(
+                f"{emb_path} has {points.shape[0]} rows, but the training split has {n_train} samples; run embed again"
+            )
         densities = kde_densities(points, bandwidth)
         partition = build_partition(densities, gamma)
         save_partition(csv_path, partition, densities, config_digest=config.digest)

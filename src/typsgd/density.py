@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _parallel
 from ._csvio import read_table, write_rows
-from .errors import InvalidArgumentError
+from .errors import CsvFormatError, InvalidArgumentError
 
 FALLBACK_BANDWIDTH = 1e-3
 
@@ -210,12 +210,29 @@ def stratum(cell: str) -> str:
     return cell
 
 
+def density(cell: str) -> float:
+    value = float(cell)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(cell)
+    return value
+
+
 def load_partition(path, gamma: float) -> Partition:
-    """The partition saved at ``path``, which must have been built at ``gamma``: N1 = ceil(N * gamma)."""
-    _, rows = read_table(path, (int, stratum, float), has_header=True)
+    """The partition saved at ``path``, which must have been built at ``gamma``: N1 = ceil(N * gamma).
+
+    A density that is not positive and finite, or an H whose lowest density is below L's highest, is malformed.
+    """
+    _, rows = read_table(path, (int, stratum, density), has_header=True)
     h = sorted(i for i, label, _ in rows if label == "H")
     l = sorted(i for i, label, _ in rows if label == "L")
     partition = Partition(h_indices=np.array(h), l_indices=np.array(l), gamma=gamma)
+    low, at = min((value, r) for r, (_, label, value) in enumerate(rows) if label == "H")
+    high, high_at = max((value, r) for r, (_, label, value) in enumerate(rows) if label == "L")
+    if low < high:
+        raise CsvFormatError(
+            f"{path}: row {at}: H's lowest density {low!r} lies below L's highest, {high!r} in row {high_at}",
+            row=at, column=2,
+        )
     expected = h_size(partition.n_total, gamma)
     if partition.n1 != expected:
         raise InvalidArgumentError(

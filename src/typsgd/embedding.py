@@ -10,7 +10,8 @@ bit-identical embedding.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, wait
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +36,6 @@ MOMENTUM_SWITCH = 250
 KL_EVERY = 50
 PERPLEXITY_TOL = 1e-5
 BISECTION_STEPS = 50
-# numpy adds at most this many contiguous float64 elements in one unrolled loop
-PAIRWISE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -76,19 +75,8 @@ class Embedding:
 def _sq_distances_rows(sq: np.ndarray, gram: np.ndarray, start: int, stop: int, scratch: np.ndarray) -> np.ndarray:
     """Rows ``start:stop`` of the squared distances of the rows of x, clipped at 0, written over those rows of ``gram``.
 
-    ``sq`` holds the squared row norms of x and ``gram`` holds x @ x.T;
-    ``scratch`` holds at least ``stop - start`` rows. Callers form the Gram
-    matrix in one call, since a row block of it computed alone takes gemm,
-    or gemv for a single row, and its bits then depend on the block layout.
-    numpy evaluates ``x @ x.T`` with syrk (or, for inputs BLAS cannot take,
-    as the same dot products in the same order), which is exactly symmetric,
-    so the distances are not averaged with their transpose.
-    ``tsne_embed`` forms it by one whole-matrix gemm against a contiguous
-    copy of x.T once its work buffer spans several row blocks; with
-    OpenBLAS's Haswell kernels that equals syrk bit for bit when
-    N mod 8 < 4, and otherwise may differ in the last bits and need not be
-    exactly symmetric (it is not at N = 1004, 1999 or 2005), which nothing
-    downstream relies on. The diagonal is left as computed.
+    ``sq`` holds x's squared row norms, ``gram`` those rows of x @ x.T and
+    ``scratch`` at least as many rows. The diagonal is left as computed.
     """
     block = np.multiply(gram[start:stop], 2.0, out=gram[start:stop])
     # the outer sum comes first: (sq_i + sq_j) - 2 x_i.x_j, in that order
@@ -98,57 +86,41 @@ def _sq_distances_rows(sq: np.ndarray, gram: np.ndarray, start: int, stop: int, 
 
 
 def pairwise_sq_distances(points: np.ndarray) -> np.ndarray:
-    """Symmetric matrix of squared Euclidean distances with a zero diagonal."""
+    """Matrix of squared Euclidean distances with a zero diagonal.
+
+    In one row block (see ``_RowBlocks``) the Gram matrix is one syrk
+    ``x @ x.T``, which is exactly symmetric, so the distances are not
+    averaged with their transpose. Past one block each block's rows of it
+    are their own gemm, run on the block threads; the distances may then
+    differ from their transpose in the last bits, which nothing downstream
+    relies on.
+    """
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not np.all(np.isfinite(x)):
         raise NumericError("non-finite coordinates in distance computation")
     n = x.shape[0]
-    d = _sq_distances_rows(np.sum(x * x, axis=1), x @ x.T, 0, n, np.empty((n, n)))
+    sq, d = np.sum(x * x, axis=1), np.empty((n, n))
+
+    def rows(start, stop):
+        # in one block this is x @ x.T itself, which numpy hands to syrk
+        np.matmul(x[start:stop], x.T, out=d[start:stop])
+        _sq_distances_rows(sq, d, start, stop, blocks.scratch(start, stop)[0])
+
+    with _RowBlocks(n) as blocks:
+        blocks.run(rows)
     np.fill_diagonal(d, 0.0)
     return d
 
 
-def _pairwise_tree(n: int, size: int):
-    """numpy's pairwise summation tree over n elements, cut into leaves of at most ``size`` elements.
-
-    numpy sums a contiguous float64 array of more than PAIRWISE_BLOCK
-    elements as the sum of its two halves, split at half its length rounded
-    down to a multiple of 8, and shorter ones in one unrolled loop. A leaf's
-    own ``.sum()`` is the sum of its subtree, so adding the leaves' sums in
-    tree order gives the bits of the whole array's ``.sum()``. That rule is
-    numpy's code, not its API; a test compares the two. Returns the leaves'
-    (start, stop) bounds in order and a function that adds their sums in
-    tree order.
-    """
-    leaves = []
-
-    def split(start, stop):
-        if stop - start <= max(size, PAIRWISE_BLOCK):
-            leaves.append((start, stop))
-            return len(leaves) - 1
-        half = (stop - start) // 2
-        half -= half % 8
-        return split(start, start + half), split(start + half, stop)
-
-    root = split(0, n)
-
-    def fold(sums, node=root):
-        if isinstance(node, tuple):
-            return fold(sums, node[0]) + fold(sums, node[1])
-        return sums[node]
-
-    return leaves, fold
-
-
 class _RowBlocks:
-    """The rows of an N x N buffer in blocks of at most ``_parallel.BLOCK_BYTES``, and the threads that run them.
+    """The rows of an N x N matrix in blocks of at most ``_parallel.BLOCK_BYTES``, and the threads that run them.
 
     numpy releases the GIL inside its ufunc and BLAS loops, so threads that
-    fill disjoint row blocks, or sum disjoint leaves of a pairwise tree, work
-    in parallel. ``_parallel.pool_size`` sizes the pool; with one worker the
-    tasks run inline and no thread is started. Each worker runs every
-    ``workers``-th task, so a pass costs one submission per worker. The pool
-    is shut down when the ``with`` block exits, on error too.
+    work on disjoint row blocks run in parallel. ``_parallel.pool_size``
+    sizes the pool; with one worker the tasks run inline and no thread is
+    started. Each worker runs every ``workers``-th task, so a pass costs one
+    submission per worker. The pool is shut down when the ``with`` block
+    exits, on error too.
     """
 
     def __init__(self, n: int):
@@ -156,6 +128,8 @@ class _RowBlocks:
         self.bounds = [(s, min(s + rows, n)) for s in range(0, n, rows)]
         self.workers = _parallel.pool_size(len(self.bounds))
         self._pool = ThreadPoolExecutor(self.workers) if self.workers > 1 else None
+        self._shape = (min(rows, n), n)
+        self._local = threading.local()
 
     def __enter__(self):
         return self
@@ -164,21 +138,91 @@ class _RowBlocks:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
 
-    def run(self, fn, tasks=None) -> list:
-        """Call ``fn(*task)`` for every task, by default every block's (start, stop); return the results in order."""
-        tasks = self.bounds if tasks is None else tasks
+    def run(self, fn) -> list:
+        """Call ``fn(start, stop)`` for every block; return the results in block order."""
+        def share(w):
+            return [fn(*bounds) for bounds in self.bounds[w::self.workers]]
+
         if self._pool is None:
-            return self._share(fn, tasks)
-        futures = [self._pool.submit(self._share, fn, tasks[w::self.workers]) for w in range(self.workers)]
-        wait(futures)
-        results = [None] * len(tasks)
-        for w, future in enumerate(futures):
-            results[w::self.workers] = future.result()
+            return share(0)
+        results = [None] * len(self.bounds)
+        for w, part in enumerate(self._pool.map(share, range(self.workers))):
+            results[w::self.workers] = part
         return results
 
-    @staticmethod
-    def _share(fn, tasks) -> list:
-        return [fn(*task) for task in tasks]
+    def scratch(self, start: int, stop: int) -> np.ndarray:
+        """Two (stop - start, N) arrays the calling thread reuses for every block, sparing fresh ones' page faults."""
+        if not hasattr(self._local, "buffers"):
+            self._local.buffers = np.empty((2,) + self._shape)
+        return self._local.buffers[:, :stop - start]
+
+
+def _kl_terms(p: np.ndarray, num: np.ndarray, total: float) -> float:
+    """The sum of P * (log P - log Q) over the entries where P > 0, with Q = num / total, both floored at PROB_FLOOR."""
+    positive = p > 0
+    p, q = p[positive], np.maximum(num[positive] / total, PROB_FLOOR)
+    return (p * (np.log(np.maximum(p, PROB_FLOOR)) - np.log(q))).sum()
+
+
+def _whole_step(p: np.ndarray, blocks: _RowBlocks, y: np.ndarray, exaggeration: float, take_kl: bool):
+    """The t-SNE gradient at ``y``, and the KL if ``take_kl``, by whole-matrix products in one block's buffers.
+
+    The arithmetic of a plain numpy loop: the syrk Gram, the Student-t
+    kernel num = 1 / (1 + |y_i - y_j|^2) with a zero diagonal, its total by
+    one ``.sum()``, and the pairwise weights (exaggeration * P - num / total) * num.
+    """
+    n = y.shape[0]
+    work, scratch = blocks.scratch(0, n)
+    np.matmul(y, y.T, out=work)
+    _sq_distances_rows(np.sum(y * y, axis=1), work, 0, n, scratch)
+    np.add(work, 1.0, out=work)
+    np.divide(1.0, work, out=work)
+    np.fill_diagonal(work, 0.0)
+    total = work.sum()
+    kl = _kl_terms(p, work, total) if take_kl else None
+    weights = np.multiply(p, exaggeration, out=scratch)
+    np.subtract(weights, work / total, out=weights)
+    np.multiply(weights, work, out=weights)
+    return 4.0 * (weights.sum(axis=1)[:, None] * y - weights @ y), kl
+
+
+def _blocked_step(p: np.ndarray, blocks: _RowBlocks, y: np.ndarray, exaggeration: float, take_kl: bool):
+    """``_whole_step``'s gradient and KL by one pass over the row blocks (two with the KL), keeping no N x N array.
+
+    A block's kernel rows are one small gemm of [1 + |y_i|^2, 1, -2 y_i]
+    against [1, |y_j|^2, y_j]^T, floored at 1 (that is 1 + max(d, 0)) and
+    inverted. The block returns its kernel sum, A = (P * num) @ [y, 1] and
+    B = (num * num) @ [y, 1]; with total the block sums in block order,
+    [W y | rowsum W] = exaggeration * A - B / total. The KL's pass
+    recomputes the kernel rows once the total is known.
+    """
+    n = y.shape[0]
+    sq, ones = np.sum(y * y, axis=1)[:, None], np.ones((n, 1))
+    left = np.hstack([1.0 + sq, ones, -2.0 * y])
+    right = np.ascontiguousarray(np.hstack([ones, sq, y]).T)
+    y1 = np.hstack([y, ones])
+
+    def kernel(start, stop, num):
+        np.maximum(np.matmul(left[start:stop], right, out=num), 1.0, out=num)
+        np.divide(1.0, num, out=num)
+        # row r of the block holds the diagonal entry at flat offset start + r * (n + 1)
+        num.reshape(-1)[start::n + 1] = 0.0
+        return num
+
+    def products(start, stop):
+        num, weighted = blocks.scratch(start, stop)
+        kernel(start, stop, num)
+        a = np.multiply(p[start:stop], num, out=weighted) @ y1
+        return num.sum(), a, np.multiply(num, num, out=weighted) @ y1
+
+    def kl_terms(start, stop):
+        return _kl_terms(p[start:stop], kernel(start, stop, blocks.scratch(start, stop)[0]), total)
+
+    sums, a, b = zip(*blocks.run(products))
+    total = sum(sums)
+    w = exaggeration * np.concatenate(a) - np.concatenate(b) / total
+    kl = sum(blocks.run(kl_terms)) if take_kl else None
+    return 4.0 * (w[:, 2:] * y - w[:, :2]), kl
 
 
 def _entropies(shifted: np.ndarray, beta: np.ndarray):
@@ -259,24 +303,15 @@ def tsne_embed(
     iteration; the KL divergence against the (unexaggerated) affinities is
     recorded every KL_EVERY iterations and at the last one.
 
-    The descent keeps two N x N-sized arrays: P, and one work buffer that
-    holds the Gram matrix, then the Student-t kernel, then the gradient's
-    pairwise weights. P is never changed: the weight pass multiplies its
-    rows by EARLY_EXAGGERATION while exaggeration lasts. Row-block passes
-    over the work buffer, and the whole-matrix sums (the kernel's total and
-    the KL, computed from the kernel and its total before the weights
-    overwrite it) as leaves of numpy's pairwise summation tree, run on one
-    thread pool when the buffer spans several blocks. The leaves are added
-    in tree order, so every bit matches a one-call ``.sum()``.
-
-    The Gram matrix y @ y.T is one BLAS call per iteration. While the work
-    buffer is one row block (N < 363 with 1 MiB blocks) it is syrk, as
-    in ``pairwise_sq_distances``; numpy then mirrors syrk's triangle on one
-    thread, which at that size costs next to nothing. Once the buffer spans
-    several blocks it is gemm against a contiguous copy of y.T, which has no
-    such copy and takes about a third of syrk's time at N = 2000 on one BLAS
-    thread. The two products agree bit for bit when N mod 8 < 4;
-    ``_sq_distances_rows`` says where they do not.
+    Each iteration takes its gradient one of two ways. While an N x N
+    matrix is one row block (N < 363 with 1 MiB blocks: every pipeline and
+    verify embedding), ``_whole_step`` keeps the whole-matrix arithmetic of
+    a plain numpy loop bit for bit; the descent is chaotic, so a last-bit
+    change would move the points and the artifacts that record them. Past
+    one block, ``_blocked_step`` makes one pass over the row blocks and
+    keeps no N x N array besides P. Its points agree with the whole-matrix
+    arithmetic's to rounding, do not depend on the pool size and, with
+    OpenBLAS, are the same at one and two BLAS threads.
     """
     x = np.atleast_2d(np.asarray(getattr(data, "features", data), dtype=np.float64))
     n = x.shape[0]
@@ -292,83 +327,21 @@ def tsne_embed(
 
     cond, achieved = conditional_affinities(pairwise_sq_distances(x), perplexity)
     p_sym = np.add(cond, cond.T)
-    np.divide(p_sym, 2.0 * n, out=p_sym)
-    # cond's memory becomes the one N x N work buffer every iteration refills
-    work = cond
     del cond
-    p_flat, num_flat = p_sym.reshape(-1), work.reshape(-1)
-    # KL(P || Q) reads only the entries where P > 0, in row-major order. Each
-    # leaf of the pairwise tree over them covers one flat range of P, whose
-    # bounds come from the rows' counts of positive entries
-    leaf_size = _parallel.BLOCK_BYTES // 8
-    positive_ends = np.cumsum(np.count_nonzero(p_sym > 0, axis=1))
-
-    def flat_offset(k):
-        # where P's k-th positive entry lies in p_flat
-        row = int(np.searchsorted(positive_ends, k, side="right"))
-        before = int(positive_ends[row - 1]) if row else 0
-        return row * n + int(np.flatnonzero(p_sym[row] > 0)[k - before])
-
-    kl_leaves, kl_fold = _pairwise_tree(int(positive_ends[-1]), leaf_size)
-    kl_leaves = [(flat_offset(a), flat_offset(b - 1) + 1) for a, b in kl_leaves]
-    sum_leaves, sum_fold = _pairwise_tree(n * n, leaf_size)
-    row_sums = np.empty(n)
-
-    def kernel_rows(start, stop):
-        # Student-t kernel 1 / (1 + |y_i - y_j|^2) over the Gram matrix's rows, zero on the diagonal
-        block = _sq_distances_rows(sq, work, start, stop, np.empty((stop - start, n)))
-        np.add(block, 1.0, out=block)
-        np.divide(1.0, block, out=block)
-        # row r of the block holds the diagonal entry at flat offset start + r * (n + 1)
-        block.reshape(-1)[start::n + 1] = 0.0
-
-    def sum_leaf(start, stop):
-        return num_flat[start:stop].sum()
-
-    def kl_leaf(lo, hi):
-        # this leaf's terms P * (log P - log Q), with Q = num / total
-        positive = p_flat[lo:hi] > 0
-        p, q = p_flat[lo:hi][positive], num_flat[lo:hi][positive]
-        np.divide(q, total, out=q)
-        np.maximum(q, PROB_FLOOR, out=q)
-        np.log(q, out=q)
-        log_p = np.maximum(p, PROB_FLOOR)
-        np.log(log_p, out=log_p)
-        np.subtract(log_p, q, out=q)
-        np.multiply(p, q, out=q)
-        return q.sum()
-
-    def weight_rows(start, stop):
-        # num becomes (P - Q) * num, the gradient's pairwise weights, with P exaggerated early on
-        num_block = work[start:stop]
-        q_block = num_block / total
-        p_block = p_sym[start:stop]
-        if it < EXAGGERATION_ITERS:
-            p_block = p_block * EARLY_EXAGGERATION
-        np.subtract(p_block, q_block, out=q_block)
-        np.multiply(q_block, num_block, out=num_block)
-        num_block.sum(axis=1, out=row_sums[start:stop])
-
+    np.divide(p_sym, 2.0 * n, out=p_sym)
     rng = np.random.default_rng(seed)
     y = rng.normal(0.0, 1e-4, size=(n, 2))
     velocity = np.zeros_like(y)
     kl_trace = []
-    # the passes read it, sq and total as this loop last bound them
     with _RowBlocks(n) as blocks:
-        # gemm skips syrk's serial triangle copy, which costs next to nothing in one block
-        gemm_gram = len(blocks.bounds) > 1
+        step = _whole_step if len(blocks.bounds) == 1 else _blocked_step
         for it in range(iterations):
             if not np.all(np.isfinite(y)):
                 raise NumericError("non-finite coordinates in distance computation")
-            sq = np.sum(y * y, axis=1)
-            np.matmul(y, np.ascontiguousarray(y.T) if gemm_gram else y.T, out=work)
-            blocks.run(kernel_rows)
-            total = sum_fold(blocks.run(sum_leaf, sum_leaves))
-            if it % KL_EVERY == 0 or it == iterations - 1:
-                # the KL is taken before the weight pass overwrites num
-                kl_trace.append((it, float(kl_fold(blocks.run(kl_leaf, kl_leaves)))))
-            blocks.run(weight_rows)
-            grad = 4.0 * (row_sums[:, None] * y - work @ y)
+            take_kl = it % KL_EVERY == 0 or it == iterations - 1
+            grad, kl = step(p_sym, blocks, y, EARLY_EXAGGERATION if it < EXAGGERATION_ITERS else 1.0, take_kl)
+            if take_kl:
+                kl_trace.append((it, float(kl)))
             if not np.all(np.isfinite(grad)):
                 raise NumericError(f"non-finite t-SNE gradient at iteration {it}", iteration=it)
             momentum = MOMENTUM_EARLY if it < MOMENTUM_SWITCH else MOMENTUM_LATE

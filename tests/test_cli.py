@@ -677,6 +677,52 @@ def test_train_refuses_a_partition_built_at_another_gamma(workspace, capsys):
     assert not list(out.glob("trace_*.csv"))
 
 
+def test_partition_refuses_an_embedding_of_another_size_before_any_kde(workspace, capsys, monkeypatch):
+    config, out = workspace
+    for cmd in ("gen", "embed"):
+        assert main([cmd, "--config", str(config)]) == 0
+    # one row short of the 81 training samples, under the current provenance line, so it is not re-embedded
+    lines = (out / "embedding.csv").read_text().splitlines()
+    (out / "embedding.csv").write_text("\n".join(lines[:-1]) + "\n")
+    monkeypatch.setattr(cli, "kde_densities", lambda *a, **kw: pytest.fail("ran the KDE on a mismatched embedding"))
+    capsys.readouterr()
+    assert main(["partition", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert all(part in err for part in (str(out / "embedding.csv"), "80 rows", "81 samples")), err
+    assert not (out / "partition.csv").exists() and not (out / "partition.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "label, cell, message",
+    [
+        ("H", "nan", "cannot read 'nan' as density"),
+        ("L", "inf", "cannot read 'inf' as density"),
+        ("H", "-inf", "cannot read '-inf' as density"),
+        ("L", "0.0", "cannot read '0.0' as density"),
+        ("H", "-0.5", "cannot read '-0.5' as density"),
+        # a positive density below every L density puts H's lowest under L's highest
+        ("H", "1e-300", "H's lowest density 1e-300 lies below L's highest"),
+    ],
+)
+def test_train_refuses_a_partition_no_writer_produces(workspace, capsys, monkeypatch, label, cell, message):
+    config, out = workspace
+    for cmd in ("gen", "partition"):
+        assert main([cmd, "--config", str(config)]) == 0
+    lines = (out / "partition.csv").read_text().splitlines()
+    # the provenance line and the header come first; rows are counted from 0 after them
+    row = next(r for r, line in enumerate(lines[2:]) if line.split(",")[1] == label)
+    sample, stratum, _ = lines[2 + row].split(",")
+    lines[2 + row] = ",".join([sample, stratum, cell])
+    (out / "partition.csv").write_text("\n".join(lines) + "\n")
+    sizes = []
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", recording_pool(sizes))
+    capsys.readouterr()
+    assert main(["train", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert any(f"{out / 'partition.csv'}: row {row}{end}" in err for end in ",:") and message in err, err
+    assert sizes == [] and not list(out.glob("trace_*.csv")) and not list(out.glob("theta_*.csv"))
+
+
 def test_train_without_a_typicality_sgd_cell_removes_alpha(workspace):
     config, out = workspace
     for cmd in ("gen", "partition", "train"):

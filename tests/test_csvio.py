@@ -23,7 +23,10 @@ RNG = np.random.default_rng(19)
 DATA = Dataset(features=RNG.normal(size=(5, 3)) * 1e-7, targets=RNG.normal(size=(5, 2)))
 POINTS = RNG.normal(size=(6, 2))
 PARTITION = Partition(h_indices=[1, 4], l_indices=[0, 2, 3, 5], gamma=0.3)
-DENSITIES = DensityMap(densities=RNG.uniform(0.5, 2.0, size=6), bandwidth=np.eye(2))
+# H's densities lie above L's, as build_partition orders them
+DENSITIES = DensityMap(
+    densities=RNG.uniform(0.5, 2.0, size=6) + 2.0 * np.isin(np.arange(6), PARTITION.h_indices), bandwidth=np.eye(2)
+)
 TRACE = TrainTrace(
     records=[TraceRecord(0, 2.5, None, 0.75), TraceRecord(10, *RNG.uniform(size=3)), TraceRecord(20, 0.125, 0.5, None)],
     sampler_kind="typicality",
