@@ -161,7 +161,6 @@ class TestPairwiseDistances:
         # d with its transpose changes no bit
         assert np.array_equal(pairwise_sq_distances(points), reference_pairwise_sq_distances(points))
 
-
     def test_row_blocks_agree_with_one_block_to_rounding_at_any_worker_count(self, rng):
         # 7-row blocks form each block's Gram rows by their own gemm
         points = rng.normal(size=(40, 3)) * 10.0
@@ -356,8 +355,8 @@ class TestTsne:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_below_three_n_by_n_arrays(self, workers):
         # the set-up holds two N x N-sized arrays at once (the distances and
-        # the conditional affinities, then those and P), the descent P plus
-        # block-sized scratch; the iterations cross the end of exaggeration
+        # the conditional affinities, then those affinities and P), the descent
+        # P plus block-sized scratch; the iterations cross the end of exaggeration
         n = 300
         data = generate_clustered(n, 3, [[0.0] * 3, [6.0] * 3], [0.6, 0.4], 0.5, seed=2)
         with row_blocks(n, 7, workers), mock.patch.object(embedding, "EXAGGERATION_ITERS", 2):
