@@ -212,6 +212,54 @@ class TestAffinities:
             assert np.all(np.abs(achieved - perplexity) > PERPLEXITY_TOL)
 
 
+class TestBlockedStep:
+    # one-row blocks, and blocks that leave a ragged last block or none;
+    # every case has at least two blocks
+    LAYOUTS = [(n, rows) for n in [5, 9, 16, 17, 33, 50, 127] for rows in [1, 2, 8] if rows < n]
+
+    @staticmethod
+    def layout(kind, n, rng):
+        spread = rng.normal(size=(n, 2)) * 5.0
+        if kind == "start":
+            # the scale of the descent's first iterations: every kernel entry is about 1
+            return spread * 2e-5
+        if kind == "duplicates":
+            # exact zero distances off the diagonal, where the kernel's gemm
+            # may round below 1 before its floor
+            return spread[rng.integers(0, 3, n)]
+        return spread
+
+    @pytest.mark.parametrize("n, rows", LAYOUTS)
+    @pytest.mark.parametrize("kind", ["spread", "start", "duplicates"])
+    @pytest.mark.parametrize("exaggeration", [1.0, 12.0])
+    def test_matches_whole_step_and_ignores_the_worker_count(self, n, rows, kind, exaggeration):
+        # one step, so nothing chaotic amplifies the last bits: the fused pass
+        # agrees with the whole-matrix arithmetic to rounding, and its block
+        # sums fold in block order whatever thread ran them
+        rng = np.random.default_rng(n * 10 + rows)
+        y = self.layout(kind, n, rng)
+        # a symmetric P with a zero diagonal and some zero entries, which the KL skips
+        p = rng.random((n, n)) * (rng.random((n, n)) > 0.3)
+        p = p + p.T
+        np.fill_diagonal(p, 0.0)
+        p /= p.sum()
+        with embedding._RowBlocks(n) as blocks:
+            assert len(blocks.bounds) == 1
+            want_grad, want_kl = embedding._whole_step(p, blocks, y, exaggeration, True)
+        runs = []
+        for workers in (1, 2, 3):
+            with row_blocks(n, rows, workers), embedding._RowBlocks(n) as blocks:
+                assert len(blocks.bounds) > 1
+                assert blocks.workers == min(workers, len(blocks.bounds))
+                runs.append(embedding._blocked_step(p, blocks, y, exaggeration, True))
+        grad, kl = runs[0]
+        assert np.max(np.abs(grad - want_grad)) <= 1e-10 * np.max(np.abs(want_grad))
+        assert abs(kl - want_kl) <= 1e-10 * abs(want_kl)
+        for other_grad, other_kl in runs[1:]:
+            assert other_grad.tobytes() == grad.tobytes()
+            assert other_kl == kl
+
+
 class TestTsne:
     def test_perplexity_preconditions(self):
         # N = 4 admits no perplexity: [3, (N-1)/3] = [3, 1] is empty
