@@ -5,9 +5,10 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 
-# bytes of one block of every blocked pass, read at call time: a row block of
-# an N x N matrix in t-SNE (a descent pass touches P's and two reused buffers'),
-# one of the KDE's two (queries, points) temporaries, a batch block's draws
+# bytes of one block of every blocked pass, read at call time: a row block or a
+# square tile of an N x N matrix in t-SNE (a descent pass touches a tile of P's
+# and two reused buffers'), one of the KDE's two (queries, points) temporaries,
+# a batch block's draws
 BLOCK_BYTES = 1 << 20
 
 

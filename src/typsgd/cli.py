@@ -246,15 +246,15 @@ def cmd_train(config: RunConfig, out_dir: str) -> int:
 TRACE_NAME = re.compile(r"trace_(?P<sampler>.+)_(?P<optimizer>[^_]+)_seed(?P<seed>\d+)\.csv")
 
 
-def _load_named_trace(path, digest: str):
-    """(sampler, optimizer, trace) of a TRACE_NAME file whose rows name the same run, written under ``digest``."""
+def _load_named_trace(path, config: RunConfig):
+    """(sampler, optimizer, trace) of a TRACE_NAME file whose rows name the same run, written under ``config``."""
     name = TRACE_NAME.fullmatch(Path(path).name)
     if name is None:
         raise CsvFormatError(f"{path}: a trace file must be named trace_<sampler>_<optimizer>_seed<n>.csv")
     written = read_provenance(path).get("config")
-    if written != digest:
-        raise InvalidArgumentError(f"{path} was written under config {written}, not the current config {digest}")
-    trace = load_trace(path)
+    if written != config.digest:
+        raise InvalidArgumentError(f"{path} was written under config {written}, not the current config {config.digest}")
+    trace = load_trace(path, config["train", "iterations"], config["train", "eval_every"])
     named, recorded = (name["sampler"], int(name["seed"])), (trace.sampler_kind, trace.seed)
     if named != recorded:
         raise CsvFormatError(f"{path}: the name says (sampler, seed) = {named}, the rows say {recorded}")
@@ -268,7 +268,7 @@ def _write_comparison(config: RunConfig, out_dir: str, trace_paths, threshold: f
     measured: set[tuple[str, str]] = set()  # cells whose traces record subopt
     curves: dict[tuple[str, str], tuple[int, list]] = {}
     for path in sorted(trace_paths):
-        sampler, optimizer, trace = _load_named_trace(path, config.digest)
+        sampler, optimizer, trace = _load_named_trace(path, config)
         reached = trace.iterations_to_threshold(threshold)
         final = trace.records[-1]
         rows.append([sampler, optimizer, trace.seed, reached, final.train_loss, final.val_loss, final.subopt])
@@ -301,7 +301,7 @@ def _write_comparison(config: RunConfig, out_dir: str, trace_paths, threshold: f
         line_chart(
             os.path.join(out_dir, f"losses_{optimizer}.svg"),
             series,
-            f"training loss ({optimizer}, first seed)",
+            f"training loss ({optimizer}, smallest seed)",
             config_digest=config.digest,
         )
     # a chart of an optimizer without a trace here is from an earlier config

@@ -5,11 +5,15 @@ distribution hits the target perplexity; affinities are symmetrized and the
 Student-t low-dimensional layout is optimized by gradient descent with the
 usual momentum schedule and early exaggeration. Everything is plain numpy
 in a fixed evaluation order, so a (data, config, seed) triple maps to a
-bit-identical embedding.
+bit-identical embedding. Past one tile of ``_parallel.BLOCK_BYTES`` the
+symmetric P is held as its upper-triangle tiles only, and each descent
+iteration visits those tiles once, each standing for its mirror too.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -104,7 +108,7 @@ def pairwise_sq_distances(points: np.ndarray) -> np.ndarray:
     def rows(start, stop):
         # in one block this is x @ x.T itself, which numpy hands to syrk
         np.matmul(x[start:stop], x.T, out=d[start:stop])
-        _sq_distances_rows(sq, d, start, stop, blocks.scratch(start, stop)[0])
+        _sq_distances_rows(sq, d, start, stop, blocks.scratch(stop - start, n)[0])
 
     with _RowBlocks(n) as blocks:
         blocks.run(rows)
@@ -113,22 +117,29 @@ def pairwise_sq_distances(points: np.ndarray) -> np.ndarray:
 
 
 class _RowBlocks:
-    """The rows of an N x N matrix in blocks of at most ``_parallel.BLOCK_BYTES``, and the threads that run them.
+    """The rows of an N x N matrix in blocks, its upper-triangle tiles, and the threads that run them.
 
-    numpy releases the GIL inside its ufunc and BLAS loops, so threads that
-    work on disjoint row blocks run in parallel. ``_parallel.pool_size``
-    sizes the pool; with one worker the tasks run inline and no thread is
-    started. Each worker runs every ``workers``-th task, so a pass costs one
-    submission per worker. The pool is shut down when the ``with`` block
-    exits, on error too.
+    A row block is at most ``_parallel.BLOCK_BYTES``; a tile is s x s with
+    s = floor(sqrt(BLOCK_BYTES / 8)), so there is one tile exactly when
+    there is one row block. ``tiles`` lists the (rows, cols) pairs of
+    index slices with rows <= cols, row by row. numpy releases the GIL
+    inside its ufunc and BLAS loops, so threads that work on disjoint
+    blocks or tiles run in parallel. ``_parallel.pool_size`` sizes the
+    pool by the longer of the two task lists; with one worker the tasks run
+    inline and no thread is started. Each worker runs every ``workers``-th
+    task, so a pass costs one submission per worker. The pool is shut down
+    when the ``with`` block exits, on error too.
     """
 
     def __init__(self, n: int):
         rows = max(1, _parallel.BLOCK_BYTES // (8 * max(n, 1)))
+        side = max(1, math.isqrt(_parallel.BLOCK_BYTES // 8))
         self.bounds = [(s, min(s + rows, n)) for s in range(0, n, rows)]
-        self.workers = _parallel.pool_size(len(self.bounds))
+        edges = [slice(s, min(s + side, n)) for s in range(0, n, side)]
+        self.tiles = [(a, b) for i, a in enumerate(edges) for b in edges[i:]]
+        self.workers = _parallel.pool_size(max(len(self.bounds), len(self.tiles)))
         self._pool = ThreadPoolExecutor(self.workers) if self.workers > 1 else None
-        self._shape = (min(rows, n), n)
+        self._size = max(min(rows, n) * n, min(side, n) ** 2)
         self._local = threading.local()
 
     def __enter__(self):
@@ -138,23 +149,54 @@ class _RowBlocks:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
 
-    def run(self, fn) -> list:
-        """Call ``fn(start, stop)`` for every block; return the results in block order."""
+    def run(self, fn, tasks=None) -> list:
+        """Call ``fn(*task)`` for every task (by default every block's bounds); return the results in task order."""
+        tasks = self.bounds if tasks is None else tasks
+
         def share(w):
-            return [fn(*bounds) for bounds in self.bounds[w::self.workers]]
+            return [fn(*task) for task in tasks[w::self.workers]]
 
         if self._pool is None:
             return share(0)
-        results = [None] * len(self.bounds)
+        results = [None] * len(tasks)
         for w, part in enumerate(self._pool.map(share, range(self.workers))):
             results[w::self.workers] = part
         return results
 
-    def scratch(self, start: int, stop: int) -> np.ndarray:
-        """Two (stop - start, N) arrays the calling thread reuses for every block, sparing fresh ones' page faults."""
+    def scratch(self, rows: int, cols: int) -> np.ndarray:
+        """Two (rows, cols) arrays of at most a block or a tile that the calling thread reuses, sparing their page faults."""
         if not hasattr(self._local, "buffers"):
-            self._local.buffers = np.empty((2,) + self._shape)
-        return self._local.buffers[:, :stop - start]
+            self._local.buffers = np.empty((2, self._size))
+        return self._local.buffers[:, :rows * cols].reshape(2, rows, cols)
+
+
+def _upper_tiles(cond: np.ndarray, blocks: _RowBlocks):
+    """P = (cond + cond^T) / 2N as its upper tiles, packed one after another in one buffer, and P's sum of P log P.
+
+    Returns the (rows, cols, P[rows, cols]) triples in ``blocks.tiles``
+    order and the sum of P * log(max(P, PROB_FLOOR)) over all of P, each
+    off-diagonal tile counted twice. An entry is the bits of np.add(cond,
+    cond.T) / 2N, as addition commutes; one tile is that whole matrix.
+    """
+    n = cond.shape[0]
+    shapes = [cond[rows, cols].shape for rows, cols in blocks.tiles]
+    flat = np.empty(sum(r * c for r, c in shapes))
+    packed, offset, p_log_p = [], 0, []
+    for (rows, cols), shape in zip(blocks.tiles, shapes):
+        tile = flat[offset:offset + shape[0] * shape[1]].reshape(shape)
+        offset += tile.size
+        np.add(cond[rows, cols], cond[cols, rows].T, out=tile)
+        np.divide(tile, 2.0 * n, out=tile)
+        logs = blocks.scratch(*shape)[0]
+        np.log(np.maximum(tile, PROB_FLOOR, out=logs), out=logs)
+        p_log_p.append(np.multiply(tile, logs, out=logs).sum())
+        packed.append((rows, cols, tile))
+    return packed, _fold(p_log_p, packed)
+
+
+def _fold(values, packed) -> float:
+    """The sum of per-tile values over all of an N x N matrix, in tile order: each off-diagonal tile counts twice."""
+    return sum(value if rows == cols else 2.0 * value for value, (rows, cols, _) in zip(values, packed))
 
 
 def _kl_terms(p: np.ndarray, num: np.ndarray, total: float) -> float:
@@ -172,7 +214,7 @@ def _whole_step(p: np.ndarray, blocks: _RowBlocks, y: np.ndarray, exaggeration: 
     one ``.sum()``, and the pairwise weights (exaggeration * P - num / total) * num.
     """
     n = y.shape[0]
-    work, scratch = blocks.scratch(0, n)
+    work, scratch = blocks.scratch(n, n)
     np.matmul(y, y.T, out=work)
     _sq_distances_rows(np.sum(y * y, axis=1), work, 0, n, scratch)
     np.add(work, 1.0, out=work)
@@ -186,15 +228,20 @@ def _whole_step(p: np.ndarray, blocks: _RowBlocks, y: np.ndarray, exaggeration: 
     return 4.0 * (weights.sum(axis=1)[:, None] * y - weights @ y), kl
 
 
-def _blocked_step(p: np.ndarray, blocks: _RowBlocks, y: np.ndarray, exaggeration: float, take_kl: bool):
-    """``_whole_step``'s gradient and KL by one pass over the row blocks (two with the KL), keeping no N x N array.
+def _tiled_step(packed, p_log_p: float, blocks: _RowBlocks, y: np.ndarray, exaggeration: float, take_kl: bool):
+    """``_whole_step``'s gradient and KL by one pass over P's upper tiles (two with the KL), keeping no N x N array.
 
-    A block's kernel rows are one small gemm of [1 + |y_i|^2, 1, -2 y_i]
-    against [1, |y_j|^2, y_j]^T, floored at 1 (that is 1 + max(d, 0)) and
-    inverted. The block returns its kernel sum, A = (P * num) @ [y, 1] and
-    B = (num * num) @ [y, 1]; with total the block sums in block order,
-    [W y | rowsum W] = exaggeration * A - B / total. The KL's pass
-    recomputes the kernel rows once the total is known.
+    ``packed`` and ``p_log_p`` are ``_upper_tiles``' P. A tile's kernel is
+    one small gemm of [1 + |y_i|^2, 1, -2 y_i] against [1, |y_j|^2, y_j]^T,
+    floored at 1 (that is 1 + max(d, 0)) and inverted, with a zero diagonal
+    on a diagonal tile; both P and the kernel are symmetric, so the tile
+    stands for its mirror too. It returns its kernel sum, (P * num) @ [y, 1]
+    and (num * num) @ [y, 1] for its rows and, off the diagonal, the
+    transposed products against [y_rows, 1] for its columns. The main
+    thread folds them in tile order into the total (off-diagonal sums
+    doubled), A and B, and [W y | rowsum W] = exaggeration * A - B / total.
+    The KL's pass recomputes the kernel once the total is known and takes
+    only the P log Q terms.
     """
     n = y.shape[0]
     sq, ones = np.sum(y * y, axis=1)[:, None], np.ones((n, 1))
@@ -202,26 +249,38 @@ def _blocked_step(p: np.ndarray, blocks: _RowBlocks, y: np.ndarray, exaggeration
     right = np.ascontiguousarray(np.hstack([ones, sq, y]).T)
     y1 = np.hstack([y, ones])
 
-    def kernel(start, stop, num):
-        np.maximum(np.matmul(left[start:stop], right, out=num), 1.0, out=num)
+    def kernel(rows, cols, num):
+        np.maximum(np.matmul(left[rows], right[:, cols], out=num), 1.0, out=num)
         np.divide(1.0, num, out=num)
-        # row r of the block holds the diagonal entry at flat offset start + r * (n + 1)
-        num.reshape(-1)[start::n + 1] = 0.0
+        if rows == cols:
+            np.fill_diagonal(num, 0.0)
         return num
 
-    def products(start, stop):
-        num, weighted = blocks.scratch(start, stop)
-        kernel(start, stop, num)
-        a = np.multiply(p[start:stop], num, out=weighted) @ y1
-        return num.sum(), a, np.multiply(num, num, out=weighted) @ y1
+    def products(rows, cols, p):
+        num, weighted = blocks.scratch(*p.shape)
+        kernel(rows, cols, num)
+        y_rows, y_cols = y1[rows], y1[cols]
+        pn = np.multiply(p, num, out=weighted)
+        a, a_mirror = pn @ y_cols, None if rows == cols else pn.T @ y_rows
+        squared = np.multiply(num, num, out=weighted)
+        return num.sum(), a, a_mirror, squared @ y_cols, None if rows == cols else squared.T @ y_rows
 
-    def kl_terms(start, stop):
-        return _kl_terms(p[start:stop], kernel(start, stop, blocks.scratch(start, stop)[0]), total)
+    def log_q(rows, cols, p):
+        q = kernel(rows, cols, blocks.scratch(*p.shape)[0])
+        np.log(np.maximum(np.divide(q, total, out=q), PROB_FLOOR, out=q), out=q)
+        return np.multiply(p, q, out=q).sum()
 
-    sums, a, b = zip(*blocks.run(products))
-    total = sum(sums)
-    w = exaggeration * np.concatenate(a) - np.concatenate(b) / total
-    kl = sum(blocks.run(kl_terms)) if take_kl else None
+    results = blocks.run(products, packed)
+    total = _fold([sums for sums, *_ in results], packed)
+    a, b = np.zeros((n, 3)), np.zeros((n, 3))
+    for (rows, cols, _), (_, a_tile, a_mirror, b_tile, b_mirror) in zip(packed, results):
+        a[rows] += a_tile
+        b[rows] += b_tile
+        if rows != cols:
+            a[cols] += a_mirror
+            b[cols] += b_mirror
+    w = exaggeration * a - b / total
+    kl = p_log_p - _fold(blocks.run(log_q, packed), packed) if take_kl else None
     return 4.0 * (w[:, 2:] * y - w[:, :2]), kl
 
 
@@ -303,15 +362,18 @@ def tsne_embed(
     iteration; the KL divergence against the (unexaggerated) affinities is
     recorded every KL_EVERY iterations and at the last one.
 
-    Each iteration takes its gradient one of two ways. While an N x N
-    matrix is one row block (N < 363 with 1 MiB blocks: every pipeline and
-    verify embedding), ``_whole_step`` keeps the whole-matrix arithmetic of
-    a plain numpy loop bit for bit; the descent is chaotic, so a last-bit
-    change would move the points and the artifacts that record them. Past
-    one block, ``_blocked_step`` makes one pass over the row blocks and
-    keeps no N x N array besides P. Its points agree with the whole-matrix
-    arithmetic's to rounding, do not depend on the pool size and, with
-    OpenBLAS, are the same at one and two BLAS threads.
+    P is packed as its upper-triangle tiles (``_upper_tiles``) and the
+    conditional affinities are freed. Each iteration then takes its
+    gradient one of two ways. While an N x N matrix is one tile (N < 363
+    with 1 MiB blocks: every pipeline and verify embedding), ``_whole_step``
+    keeps the whole-matrix arithmetic of a plain numpy loop bit for bit;
+    the descent is chaotic, so a last-bit change would move the points and
+    the artifacts that record them. Past one tile, ``_tiled_step`` makes
+    one pass over the upper tiles (I <= J), so it forms about half the
+    kernel and reads about half of P, and keeps no N x N array. Its points
+    agree with the whole-matrix arithmetic's to rounding, do not depend on
+    the pool size and, with OpenBLAS, are the same at one and two BLAS
+    threads.
     """
     x = np.atleast_2d(np.asarray(getattr(data, "features", data), dtype=np.float64))
     n = x.shape[0]
@@ -326,20 +388,22 @@ def tsne_embed(
     config = EmbedConfig(perplexity=perplexity, seed=seed)
 
     cond, achieved = conditional_affinities(pairwise_sq_distances(x), perplexity)
-    p_sym = np.add(cond, cond.T)
-    del cond
-    np.divide(p_sym, 2.0 * n, out=p_sym)
     rng = np.random.default_rng(seed)
     y = rng.normal(0.0, 1e-4, size=(n, 2))
     velocity = np.zeros_like(y)
     kl_trace = []
     with _RowBlocks(n) as blocks:
-        step = _whole_step if len(blocks.bounds) == 1 else _blocked_step
+        packed, p_log_p = _upper_tiles(cond, blocks)
+        del cond
+        if len(packed) == 1:
+            step = functools.partial(_whole_step, packed[0][2])
+        else:
+            step = functools.partial(_tiled_step, packed, p_log_p)
         for it in range(iterations):
             if not np.all(np.isfinite(y)):
                 raise NumericError("non-finite coordinates in distance computation")
             take_kl = it % KL_EVERY == 0 or it == iterations - 1
-            grad, kl = step(p_sym, blocks, y, EARLY_EXAGGERATION if it < EXAGGERATION_ITERS else 1.0, take_kl)
+            grad, kl = step(blocks, y, EARLY_EXAGGERATION if it < EXAGGERATION_ITERS else 1.0, take_kl)
             if take_kl:
                 kl_trace.append((it, float(kl)))
             if not np.all(np.isfinite(grad)):

@@ -14,7 +14,9 @@ a trace's records or pulls them from the lazy loop :func:`evaluations`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import ClassVar
 
 import numpy as np
@@ -254,14 +256,66 @@ def save_trace(path, trace: TrainTrace, config_digest: str = "none") -> None:
     write_rows(path, rows, header=TRACE_COLUMNS, config_digest=config_digest, seed=trace.seed)
 
 
-def optional_float(cell: str):
-    return float(cell) if cell else None
+def loss(cell: str) -> float:
+    """A loss cell: a finite number >= 0."""
+    value = float(cell)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(cell)
+    return value
 
 
-def load_trace(path) -> TrainTrace:
-    """Read a trace written by :func:`save_trace`; every row must name the same sampler and seed."""
-    _, rows = read_table(path, (int, float, optional_float, optional_float, str, int), has_header=True)
+def loss_or_empty(cell: str):
+    return loss(cell) if cell else None
+
+
+def finite_or_empty(cell: str):
+    value = float(cell) if cell else None
+    if value is not None and not math.isfinite(value):
+        raise ValueError(cell)
+    return value
+
+
+def load_trace(path, iterations: int, eval_every: int) -> TrainTrace:
+    """Read a trace that :func:`save_trace` wrote of a run of ``iterations`` steps, evaluated every ``eval_every``.
+
+    Every row must name the same sampler and seed, and the rows must hold
+    the iterations :func:`evaluations` yields at, in order: every
+    ``eval_every``-th below ``iterations``, then ``iterations``. The losses
+    must be finite and >= 0. The suboptimality is given in every row or in
+    none; its writer took it as train_loss minus the run's optimal loss, a
+    constant >= 0, so train_loss - subopt must be that constant in every
+    row, up to the rounding of the two subtractions. Anything else raises
+    CsvFormatError naming the row.
+    """
+    _, rows = read_table(path, (int, loss, loss_or_empty, finite_or_empty, str, int), has_header=True)
     runs = sorted({tuple(row[4:]) for row in rows})
     if len(runs) > 1:
         raise CsvFormatError(f"{path}: the rows name more than one (sampler, seed): {runs}")
+    for r, (row, want) in enumerate(zip_longest(rows, [*range(0, iterations, eval_every), iterations])):
+        if row is None or row[0] != want:
+            got = "no row" if row is None else f"iteration {row[0]}"
+            wanted = "no more rows" if want is None else f"iteration {want}"
+            raise CsvFormatError(
+                f"{path}: row {r}: {got} where the evaluation schedule (every {eval_every} of {iterations} "
+                f"steps) has {wanted}", row=r, column=0,
+            )
+    given = [row[3] is not None for row in rows]
+    if not all(given) and any(given):
+        r = given.index(not given[0])
+        raise CsvFormatError(
+            f"{path}: row {r}: subopt is {'empty' if given[0] else 'given'} here but not in row 0", row=r, column=3
+        )
+    if given[0]:
+        eps, first_loss = np.finfo(np.float64).eps, rows[0][1]
+        optimum = first_loss - rows[0][3]
+        if optimum < -2 * eps * first_loss:
+            raise CsvFormatError(
+                f"{path}: row 0: train_loss - subopt = {optimum!r}, the run's optimal loss, is negative", row=0, column=3
+            )
+        for r, (_, train_loss, _, subopt, *_) in enumerate(rows):
+            if abs(train_loss - subopt - optimum) > 4 * eps * max(train_loss, first_loss, abs(optimum)):
+                raise CsvFormatError(
+                    f"{path}: row {r}: train_loss - subopt = {train_loss - subopt!r} is not row 0's {optimum!r}, "
+                    "the run's optimal loss", row=r, column=3,
+                )
     return TrainTrace(records=[TraceRecord(*row[:4]) for row in rows], sampler_kind=runs[0][0], seed=runs[0][1])

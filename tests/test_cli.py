@@ -2,6 +2,7 @@ import builtins
 import hashlib
 import multiprocessing
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,8 @@ def test_alpha_is_taken_at_the_smallest_seed_the_loss_charts_plot(workspace):
     for cmd in ("gen", "partition", "train"):
         assert main([cmd, "--config", str(config)]) == 0
     assert_alpha_from_saved_theta(config, out)
+    for optimizer in ("sgd", "adam"):
+        assert f"training loss ({optimizer}, smallest seed)" in (out / f"losses_{optimizer}.svg").read_text()
 
 
 def test_train_determinism(workspace):
@@ -469,6 +472,95 @@ def test_report_without_traces_is_io_error(workspace, capsys):
     assert str(out) in capsys.readouterr().err
     assert (out / "comparison.csv").read_text() == "an earlier comparison\n"
     assert sorted(p.name for p in out.iterdir()) == ["comparison.csv"]
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A config and the output directory that gen, partition and train wrote under it, shared by a module's tests."""
+    root = tmp_path_factory.mktemp("trained")
+    out = root / "out"
+    out.mkdir()
+    config = root / "run.ini"
+    config.write_text(BASE_CONFIG.format(out=out))
+    for cmd in ("gen", "partition", "train"):
+        assert main([cmd, "--config", str(config)]) == 0
+    return config, out
+
+
+def edited_cell(row, column, cell):
+    def edit(rows):
+        rows[row][column] = cell
+    return edit
+
+
+def swapped_rows(rows):
+    rows[1], rows[2] = rows[2], rows[1]
+
+
+def above_the_loss(rows):
+    for cells in rows:
+        cells[3] = repr(float(cells[1]) + 1.0)
+
+
+# an edit of the data rows of trace_typicality_sgd_seed0.csv (iterations 0, 20, 40 and 60 of a 60-step run
+# evaluated every 20), the row the refusal names, and its message
+TRACE_REFUSALS = {
+    "off-grid iteration": (edited_cell(1, 0, "25"), 1, "iteration 25 where the evaluation schedule"),
+    "negative iteration": (edited_cell(0, 0, "-1"), 0, "iteration -1 where the evaluation schedule"),
+    "rows out of order": (swapped_rows, 1, "iteration 40 where the evaluation schedule (every 20 of 60 steps) has "
+                                           "iteration 20"),
+    "missing row": (lambda rows: rows.pop(2), 2, "iteration 60 where the evaluation schedule"),
+    "missing last row": (lambda rows: rows.pop(), 3, "no row where the evaluation schedule"),
+    "row past the last iteration": (lambda rows: rows.append(["80"] + rows[-1][1:]), 4, "has no more rows"),
+    "duplicated row": (lambda rows: rows.insert(2, list(rows[2])), 3, "iteration 40 where the evaluation schedule"),
+    "NaN train loss": (edited_cell(1, 1, "nan"), 1, "cannot read 'nan' as loss"),
+    "infinite train loss": (edited_cell(2, 1, "inf"), 2, "cannot read 'inf' as loss"),
+    "overflowing train loss": (edited_cell(2, 1, "1e999"), 2, "cannot read '1e999' as loss"),
+    "negative train loss": (edited_cell(3, 1, "-0.5"), 3, "cannot read '-0.5' as loss"),
+    "NaN val loss": (edited_cell(1, 2, "nan"), 1, "cannot read 'nan' as loss_or_empty"),
+    "negative val loss": (edited_cell(0, 2, "-1e-9"), 0, "cannot read '-1e-9' as loss_or_empty"),
+    "NaN subopt": (edited_cell(2, 3, "nan"), 2, "cannot read 'nan' as finite_or_empty"),
+    "infinite subopt": (edited_cell(3, 3, "-inf"), 3, "cannot read '-inf' as finite_or_empty"),
+    "negative subopt": (edited_cell(1, 3, "-1"), 1, "is not row 0's"),
+    # a reach that the run never made
+    "subopt zeroed in an early row": (edited_cell(1, 3, "0.0"), 1, "is not row 0's"),
+    "subopt above the loss in every row": (above_the_loss, 0, "the run's optimal loss, is negative"),
+    "subopt missing from one row": (edited_cell(2, 3, ""), 2, "subopt is empty here but not in row 0"),
+    "subopt missing from the first row": (edited_cell(0, 3, ""), 1, "subopt is given here but not in row 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_REFUSALS))
+def test_report_refuses_a_trace_no_writer_produces(trained, tmp_path, capsys, case):
+    # one edit of one trace of a real run; report names the file and the row, exits 3 and writes nothing
+    config, trained_out = trained
+    edit, row, message = TRACE_REFUSALS[case]
+    out = tmp_path / "out"
+    shutil.copytree(trained_out, out)
+    trace = out / "trace_typicality_sgd_seed0.csv"
+    lines = trace.read_text().splitlines()
+    rows = [line.split(",") for line in lines[2:]]
+    edit(rows)
+    trace.write_text("\n".join(lines[:2] + [",".join(cells) for cells in rows]) + "\n")
+    before = {path.name: sha(path) for path in out.iterdir()}
+    capsys.readouterr()
+    assert main(["report", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert any(f"{trace}: row {row}{end}" in err for end in ",:") and message in err, err
+    assert {path.name: sha(path) for path in out.iterdir()} == before
+
+
+def test_report_takes_a_trace_edited_within_what_its_writer_produces(trained, tmp_path):
+    # another finite, non-negative validation loss is a trace some run could have written
+    config, trained_out = trained
+    out = tmp_path / "out"
+    shutil.copytree(trained_out, out)
+    trace = out / "trace_typicality_sgd_seed0.csv"
+    lines = trace.read_text().splitlines()
+    cells = lines[3].split(",")
+    lines[3] = ",".join(cells[:2] + ["0.0"] + cells[3:])
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["report", "--config", str(config), "--out", str(out)]) == 0
 
 
 def fresh_partition(tmp_path, config, *flags):

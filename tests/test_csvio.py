@@ -27,8 +27,12 @@ PARTITION = Partition(h_indices=[1, 4], l_indices=[0, 2, 3, 5], gamma=0.3)
 DENSITIES = DensityMap(
     densities=RNG.uniform(0.5, 2.0, size=6) + 2.0 * np.isin(np.arange(6), PARTITION.h_indices), bandwidth=np.eye(2)
 )
+# a run of 20 steps evaluated every 10 whose optimal loss is 0.0625: each subopt is train_loss - 0.0625
+LOSS, VAL_LOSS, _ = RNG.uniform(size=3)
 TRACE = TrainTrace(
-    records=[TraceRecord(0, 2.5, None, 0.75), TraceRecord(10, *RNG.uniform(size=3)), TraceRecord(20, 0.125, 0.5, None)],
+    records=[
+        TraceRecord(0, 2.5, None, 2.4375), TraceRecord(10, LOSS, VAL_LOSS, LOSS - 0.0625), TraceRecord(20, 0.125, 0.5, 0.0625)
+    ],
     sampler_kind="typicality",
     seed=3,
 )
@@ -56,7 +60,7 @@ LOADERS = {
         PARTITION,
         6,
     ),
-    "load_trace": (lambda p: save_trace(p, TRACE), load_trace, TRACE, 3),
+    "load_trace": (lambda p: save_trace(p, TRACE), lambda p: load_trace(p, 20, 10), TRACE, 3),
     "load_theta": (lambda p: save_theta(p, "quadratic", THETA), load_theta, ("quadratic", THETA), 4),
     "load_batch_log": (lambda p: save_batch_log(p, BATCHES), load_batch_log, BATCHES, 3),
 }
@@ -150,4 +154,4 @@ def test_trace_rows_of_two_runs(tmp_path):
     save_trace(path, TRACE)
     last_row_edited(path, lambda cells: cells[:-1] + ["4"])
     with pytest.raises(CsvFormatError, match="more than one"):
-        load_trace(path)
+        load_trace(path, 20, 10)

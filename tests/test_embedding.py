@@ -213,8 +213,8 @@ class TestAffinities:
 
 
 class TestBlockedStep:
-    # one-row blocks, and blocks that leave a ragged last block or none;
-    # every case has at least two blocks
+    # one-row blocks, and blocks that leave a ragged last tile or none; every
+    # case has at least two tiles (rows < n makes the tile side isqrt(n * rows) < n)
     LAYOUTS = [(n, rows) for n in [5, 9, 16, 17, 33, 50, 127] for rows in [1, 2, 8] if rows < n]
 
     @staticmethod
@@ -229,35 +229,61 @@ class TestBlockedStep:
             return spread[rng.integers(0, 3, n)]
         return spread
 
+    @staticmethod
+    def conditional(n, rng):
+        """Rows of conditional affinities: a zero diagonal, some zero entries (which the KL skips), unit sums."""
+        cond = rng.random((n, n)) * (rng.random((n, n)) > 0.3)
+        np.fill_diagonal(cond, 0.0)
+        return cond / cond.sum(axis=1, keepdims=True)
+
     @pytest.mark.parametrize("n, rows", LAYOUTS)
     @pytest.mark.parametrize("kind", ["spread", "start", "duplicates"])
     @pytest.mark.parametrize("exaggeration", [1.0, 12.0])
     def test_matches_whole_step_and_ignores_the_worker_count(self, n, rows, kind, exaggeration):
-        # one step, so nothing chaotic amplifies the last bits: the fused pass
-        # agrees with the whole-matrix arithmetic to rounding, and its block
-        # sums fold in block order whatever thread ran them
+        # one step, so nothing chaotic amplifies the last bits: the tile pass
+        # agrees with the whole-matrix arithmetic to rounding, and its tile
+        # results fold in tile order whatever thread ran them
         rng = np.random.default_rng(n * 10 + rows)
         y = self.layout(kind, n, rng)
-        # a symmetric P with a zero diagonal and some zero entries, which the KL skips
-        p = rng.random((n, n)) * (rng.random((n, n)) > 0.3)
-        p = p + p.T
-        np.fill_diagonal(p, 0.0)
-        p /= p.sum()
+        cond = self.conditional(n, rng)
+        p = (cond + cond.T) / (2.0 * n)
         with embedding._RowBlocks(n) as blocks:
-            assert len(blocks.bounds) == 1
+            assert len(blocks.tiles) == 1
             want_grad, want_kl = embedding._whole_step(p, blocks, y, exaggeration, True)
         runs = []
         for workers in (1, 2, 3):
             with row_blocks(n, rows, workers), embedding._RowBlocks(n) as blocks:
-                assert len(blocks.bounds) > 1
-                assert blocks.workers == min(workers, len(blocks.bounds))
-                runs.append(embedding._blocked_step(p, blocks, y, exaggeration, True))
+                assert len(blocks.tiles) > 1
+                assert blocks.workers == min(workers, max(len(blocks.bounds), len(blocks.tiles)))
+                packed, p_log_p = embedding._upper_tiles(cond, blocks)
+                runs.append(embedding._tiled_step(packed, p_log_p, blocks, y, exaggeration, True))
         grad, kl = runs[0]
         assert np.max(np.abs(grad - want_grad)) <= 1e-10 * np.max(np.abs(want_grad))
         assert abs(kl - want_kl) <= 1e-10 * abs(want_kl)
         for other_grad, other_kl in runs[1:]:
             assert other_grad.tobytes() == grad.tobytes()
             assert other_kl == kl
+
+    @pytest.mark.parametrize("n, rows", LAYOUTS + [(12, 12), (40, 7)])
+    def test_packed_tiles_are_p_bit_for_bit(self, n, rows):
+        # (12, 12) is one tile, the whole matrix; 7-row blocks at N = 40 make
+        # 16-wide tiles and a ragged 8-wide last one
+        rng = np.random.default_rng(n + rows)
+        cond = self.conditional(n, rng)
+        want = (cond + cond.T) / (2.0 * n)
+        with row_blocks(n, rows, 2), embedding._RowBlocks(n) as blocks:
+            packed, p_log_p = embedding._upper_tiles(cond, blocks)
+        assert [triple[:2] for triple in packed] == blocks.tiles
+        covered = np.zeros((n, n), dtype=int)
+        for tile_rows, tile_cols, tile in packed:
+            assert tile_rows.start <= tile_cols.start
+            assert tile.flags.c_contiguous and tile.base is packed[0][2].base
+            assert tile.tobytes() == want[tile_rows, tile_cols].tobytes()
+            covered[tile_rows, tile_cols] += 1
+            covered[tile_cols, tile_rows] += tile_rows != tile_cols
+        assert np.all(covered == 1)
+        positive = want[want > 0]
+        assert abs(p_log_p - np.sum(positive * np.log(np.maximum(positive, PROB_FLOOR)))) <= 1e-12 * abs(p_log_p)
 
 
 class TestTsne:
@@ -425,10 +451,10 @@ class TestTsne:
         peaks = []
         run = embedding._RowBlocks.run
 
-        def traced_run(self, fn):
+        def traced_run(self, fn, tasks=None):
             tracemalloc.reset_peak()
             try:
-                return run(self, fn)
+                return run(self, fn, tasks)
             finally:
                 peaks.append(tracemalloc.get_traced_memory()[1])
 
@@ -442,17 +468,18 @@ class TestTsne:
         assert len(peaks) == 2 + 4 + 2
         assert max(peaks[2:]) < 1.5 * 8 * n * n
 
-    @pytest.mark.parametrize("n", [600, 604, 1004])
+    @pytest.mark.parametrize("n", [600, 604, 725, 1004])
     def test_same_points_at_one_and_two_blas_threads(self, n):
-        # several row blocks, run on two worker threads; each block's products
-        # are small enough that OpenBLAS runs them the same way at any thread count
+        # several tiles (at N = 725 a ragged third one, one row wide), run on
+        # two worker threads; each tile's products are small enough that
+        # OpenBLAS runs them the same way at any thread count
         script = "\n".join([
             "import hashlib, sys, numpy as np",
             "from typsgd import _parallel, embedding",
             "_parallel.usable_cpus = lambda: 2",
             "n = int(sys.argv[1])",
             "with embedding._RowBlocks(n) as blocks:",
-            "    print(len(blocks.bounds), blocks.workers)",
+            "    print(len(blocks.tiles), blocks.workers)",
             "x = np.random.default_rng(5).normal(size=(n, 4))",
             "emb = embedding.tsne_embed(x, perplexity=30.0, iterations=60, seed=1)",
             "print(hashlib.sha256(emb.points.tobytes()).hexdigest())",
@@ -464,8 +491,8 @@ class TestTsne:
             run = subprocess.run([sys.executable, "-c", script, str(n)], env=env, capture_output=True, text=True,
                                  timeout=300)
             assert run.returncode == 0, run.stderr
-            block_count, workers, digest = run.stdout.split()
-            assert int(block_count) > 1 and int(workers) == 2
+            tile_count, workers, digest = run.stdout.split()
+            assert int(tile_count) > 1 and int(workers) == 2
             digests.append(digest)
         assert digests[0] == digests[1]
 

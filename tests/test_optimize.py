@@ -405,7 +405,7 @@ def test_trace_round_trip(tmp_path, small_quadratic):
                   eval_every=4, model_spec=spec)
     path = tmp_path / "trace.csv"
     save_trace(path, trace, config_digest="abc123")
-    loaded = load_trace(path)
+    loaded = load_trace(path, 12, 4)
     assert loaded.records == trace.records  # exact repr round-trip of every cell
     assert loaded.sampler_kind == "srs" and loaded.seed == 4
     assert loaded.iterations_to_threshold(0.5) == trace.iterations_to_threshold(0.5)
