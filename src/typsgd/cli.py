@@ -58,7 +58,8 @@ def _dataset_from_config(config: RunConfig, seed: int) -> Dataset:
     return dataset
 
 
-def _split_for_training(config: RunConfig, dataset: Dataset):
+def _split_for_training(config: RunConfig, out_dir: str):
+    dataset = load_dataset_file(os.path.join(out_dir, "dataset.csv"))
     return split_dataset(dataset, config["train", "val_fraction"], config["train", "val_seed"])
 
 
@@ -74,9 +75,7 @@ def cmd_gen(config: RunConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_embed(config: RunConfig, out_dir: str) -> int:
-    dataset = load_dataset_file(os.path.join(out_dir, "dataset.csv"))
-    train_data, _ = _split_for_training(config, dataset)
+def _embed(config: RunConfig, out_dir: str, train_data: Dataset) -> None:
     emb = tsne_embed(
         train_data,
         perplexity=config["embedding", "perplexity"],
@@ -86,6 +85,10 @@ def cmd_embed(config: RunConfig, out_dir: str) -> int:
     path = os.path.join(out_dir, "embedding.csv")
     save_embedding(path, emb, config_digest=config.digest, seed=emb.config.seed)
     print(f"embed: N={train_data.n_samples} final KL={emb.kl_trace[-1][1]:.4f} -> {path}")
+
+
+def cmd_embed(config: RunConfig, out_dir: str) -> int:
+    _embed(config, out_dir, _split_for_training(config, out_dir)[0])
     return EXIT_OK
 
 
@@ -97,10 +100,11 @@ def cmd_partition(config: RunConfig, out_dir: str) -> int:
     try:
         emb_path = os.path.join(out_dir, "embedding.csv")
         current = {"config": config.digest, "seed": str(seed)}
+        train_data = _split_for_training(config, out_dir)[0]
         if not os.path.exists(emb_path) or read_provenance(emb_path) != current:
-            cmd_embed(config, out_dir)
+            _embed(config, out_dir, train_data)
         points = load_embedding_points(emb_path)
-        n_train = _split_for_training(config, load_dataset_file(os.path.join(out_dir, "dataset.csv")))[0].n_samples
+        n_train = train_data.n_samples
         if points.shape[0] != n_train:
             raise InvalidArgumentError(
                 f"{emb_path} has {points.shape[0]} rows, but the training split has {n_train} samples; run embed again"
@@ -143,8 +147,7 @@ class TrainSetup(NamedTuple):
 
 
 def _train_setup(config: RunConfig, out_dir: str) -> TrainSetup:
-    dataset = load_dataset_file(os.path.join(out_dir, "dataset.csv"))
-    train_data, val_data = _split_for_training(config, dataset)
+    train_data, val_data = _split_for_training(config, out_dir)
     model = MODEL_KINDS[config["train", "model"]]()
     spec = None
     eta = config["train", "eta"]

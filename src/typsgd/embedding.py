@@ -5,14 +5,14 @@ distribution hits the target perplexity; affinities are symmetrized and the
 Student-t low-dimensional layout is optimized by gradient descent with the
 usual momentum schedule and early exaggeration. Everything is plain numpy
 in a fixed evaluation order, so a (data, config, seed) triple maps to a
-bit-identical embedding. Past one tile of ``_parallel.BLOCK_BYTES`` the
-symmetric P is held as its upper-triangle tiles only, and each descent
-iteration visits those tiles once, each standing for its mirror too.
+bit-identical embedding. The symmetric P is held as its upper-triangle
+tiles of ``_parallel.BLOCK_BYTES`` only (at small N one tile, the whole
+matrix), and each descent iteration visits those tiles once, each standing
+for its mirror too.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -199,39 +199,13 @@ def _fold(values, packed) -> float:
     return sum(value if rows == cols else 2.0 * value for value, (rows, cols, _) in zip(values, packed))
 
 
-def _kl_terms(p: np.ndarray, num: np.ndarray, total: float) -> float:
-    """The sum of P * (log P - log Q) over the entries where P > 0, with Q = num / total, both floored at PROB_FLOOR."""
-    positive = p > 0
-    p, q = p[positive], np.maximum(num[positive] / total, PROB_FLOOR)
-    return (p * (np.log(np.maximum(p, PROB_FLOOR)) - np.log(q))).sum()
-
-
-def _whole_step(p: np.ndarray, blocks: _RowBlocks, y: np.ndarray, exaggeration: float, take_kl: bool):
-    """The t-SNE gradient at ``y``, and the KL if ``take_kl``, by whole-matrix products in one block's buffers.
-
-    The arithmetic of a plain numpy loop: the syrk Gram, the Student-t
-    kernel num = 1 / (1 + |y_i - y_j|^2) with a zero diagonal, its total by
-    one ``.sum()``, and the pairwise weights (exaggeration * P - num / total) * num.
-    """
-    n = y.shape[0]
-    work, scratch = blocks.scratch(n, n)
-    np.matmul(y, y.T, out=work)
-    _sq_distances_rows(np.sum(y * y, axis=1), work, 0, n, scratch)
-    np.add(work, 1.0, out=work)
-    np.divide(1.0, work, out=work)
-    np.fill_diagonal(work, 0.0)
-    total = work.sum()
-    kl = _kl_terms(p, work, total) if take_kl else None
-    weights = np.multiply(p, exaggeration, out=scratch)
-    np.subtract(weights, work / total, out=weights)
-    np.multiply(weights, work, out=weights)
-    return 4.0 * (weights.sum(axis=1)[:, None] * y - weights @ y), kl
-
-
 def _tiled_step(packed, p_log_p: float, blocks: _RowBlocks, y: np.ndarray, exaggeration: float, take_kl: bool):
-    """``_whole_step``'s gradient and KL by one pass over P's upper tiles (two with the KL), keeping no N x N array.
+    """The t-SNE gradient at ``y``, and the KL if ``take_kl``, by one pass over P's upper tiles (two with the KL).
 
-    ``packed`` and ``p_log_p`` are ``_upper_tiles``' P. A tile's kernel is
+    ``packed`` and ``p_log_p`` are ``_upper_tiles``' P; no N x N array is
+    formed besides it. The Student-t kernel is num = 1 / (1 + |y_i - y_j|^2)
+    with a zero diagonal, and the pairwise weights are
+    W = (exaggeration * P - num / total) * num. A tile's kernel is
     one small gemm of [1 + |y_i|^2, 1, -2 y_i] against [1, |y_j|^2, y_j]^T,
     floored at 1 (that is 1 + max(d, 0)) and inverted, with a zero diagonal
     on a diagonal tile; both P and the kernel are symmetric, so the tile
@@ -241,7 +215,8 @@ def _tiled_step(packed, p_log_p: float, blocks: _RowBlocks, y: np.ndarray, exagg
     thread folds them in tile order into the total (off-diagonal sums
     doubled), A and B, and [W y | rowsum W] = exaggeration * A - B / total.
     The KL's pass recomputes the kernel once the total is known and takes
-    only the P log Q terms.
+    only the P log Q terms: KL = p_log_p - sum P log max(Q, PROB_FLOOR),
+    where entries with P = 0 add nothing.
     """
     n = y.shape[0]
     sq, ones = np.sum(y * y, axis=1)[:, None], np.ones((n, 1))
@@ -362,18 +337,15 @@ def tsne_embed(
     iteration; the KL divergence against the (unexaggerated) affinities is
     recorded every KL_EVERY iterations and at the last one.
 
-    P is packed as its upper-triangle tiles (``_upper_tiles``) and the
-    conditional affinities are freed. Each iteration then takes its
-    gradient one of two ways. While an N x N matrix is one tile (N < 363
-    with 1 MiB blocks: every pipeline and verify embedding), ``_whole_step``
-    keeps the whole-matrix arithmetic of a plain numpy loop bit for bit;
-    the descent is chaotic, so a last-bit change would move the points and
-    the artifacts that record them. Past one tile, ``_tiled_step`` makes
-    one pass over the upper tiles (I <= J), so it forms about half the
-    kernel and reads about half of P, and keeps no N x N array. Its points
-    agree with the whole-matrix arithmetic's to rounding, do not depend on
-    the pool size and, with OpenBLAS, are the same at one and two BLAS
-    threads.
+    P is packed as its upper-triangle tiles (``_upper_tiles``; one tile
+    while N < 363 with 1 MiB blocks) and the conditional affinities are
+    freed. Each iteration is one ``_tiled_step``: one pass over the upper
+    tiles (I <= J), so it forms about half the kernel and reads about half
+    of P, and keeps no other N x N array. A step agrees with the
+    whole-matrix arithmetic of a plain numpy loop to rounding, not bit for
+    bit; the descent is chaotic, so after many iterations the points may
+    differ from that loop's by much more. The points do not depend on the
+    pool size and, with OpenBLAS, are the same at one and two BLAS threads.
     """
     x = np.atleast_2d(np.asarray(getattr(data, "features", data), dtype=np.float64))
     n = x.shape[0]
@@ -395,15 +367,12 @@ def tsne_embed(
     with _RowBlocks(n) as blocks:
         packed, p_log_p = _upper_tiles(cond, blocks)
         del cond
-        if len(packed) == 1:
-            step = functools.partial(_whole_step, packed[0][2])
-        else:
-            step = functools.partial(_tiled_step, packed, p_log_p)
         for it in range(iterations):
             if not np.all(np.isfinite(y)):
                 raise NumericError("non-finite coordinates in distance computation")
             take_kl = it % KL_EVERY == 0 or it == iterations - 1
-            grad, kl = step(blocks, y, EARLY_EXAGGERATION if it < EXAGGERATION_ITERS else 1.0, take_kl)
+            exaggeration = EARLY_EXAGGERATION if it < EXAGGERATION_ITERS else 1.0
+            grad, kl = _tiled_step(packed, p_log_p, blocks, y, exaggeration, take_kl)
             if take_kl:
                 kl_trace.append((it, float(kl)))
             if not np.all(np.isfinite(grad)):

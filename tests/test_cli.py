@@ -602,6 +602,16 @@ def test_partition_reuses_an_embedding_of_the_same_config_and_seed(workspace, mo
     assert main(["partition", "--config", str(config)]) == 0
 
 
+def test_partition_that_re_embeds_reads_the_dataset_once(workspace, monkeypatch):
+    config, out = workspace
+    assert main(["gen", "--config", str(config)]) == 0
+    reads = []
+    real = cli.load_dataset_file
+    monkeypatch.setattr(cli, "load_dataset_file", lambda path: reads.append(Path(path).name) or real(path))
+    assert main(["partition", "--config", str(config)]) == 0
+    assert reads == ["dataset.csv"] and (out / "embedding.csv").exists()
+
+
 def test_embed_reads_the_dataset_once(workspace, monkeypatch):
     config, out = workspace
     assert main(["gen", "--config", str(config)]) == 0

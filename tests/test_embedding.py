@@ -93,9 +93,19 @@ def reference_kl_divergence(p_sym, q):
     return float(np.sum(pm * (np.log(np.maximum(pm, PROB_FLOOR)) - np.log(np.maximum(q[mask], PROB_FLOOR)))))
 
 
+def reference_gradient(p_sym, y, exaggeration):
+    """One t-SNE gradient as first written, from fresh N x N arrays, and the Q it was taken at."""
+    dist_y = reference_pairwise_sq_distances(y)
+    num = 1.0 / (1.0 + dist_y)
+    np.fill_diagonal(num, 0.0)
+    q = num / num.sum()
+    pq = (p_sym * exaggeration - q) * num
+    return 4.0 * (pq.sum(axis=1)[:, None] * y - pq @ y), q
+
+
 def reference_tsne(x, perplexity, iterations, seed, learning_rate=200.0, early_exaggeration=12.0,
                    exaggeration_iters=100, momentum_early=0.5, momentum_late=0.8, momentum_switch=250):
-    """The t-SNE loop as first written: fresh N x N arrays and a full KL every iteration."""
+    """The t-SNE loop as first written: ``reference_gradient`` and a full KL every iteration."""
     n = x.shape[0]
     distances = reference_pairwise_sq_distances(x)
     cond, _ = reference_conditional_affinities(distances, perplexity)
@@ -106,13 +116,7 @@ def reference_tsne(x, perplexity, iterations, seed, learning_rate=200.0, early_e
     velocity = np.zeros_like(y)
     kl_trace = []
     for it in range(iterations):
-        p_eff = p_sym * early_exaggeration if it < exaggeration_iters else p_sym
-        dist_y = reference_pairwise_sq_distances(y)
-        num = 1.0 / (1.0 + dist_y)
-        np.fill_diagonal(num, 0.0)
-        q = num / num.sum()
-        pq = (p_eff - q) * num
-        grad = 4.0 * (pq.sum(axis=1)[:, None] * y - pq @ y)
+        grad, q = reference_gradient(p_sym, y, early_exaggeration if it < exaggeration_iters else 1.0)
         momentum = momentum_early if it < momentum_switch else momentum_late
         velocity = momentum * velocity - learning_rate * grad
         y = y + velocity
@@ -216,6 +220,8 @@ class TestBlockedStep:
     # one-row blocks, and blocks that leave a ragged last tile or none; every
     # case has at least two tiles (rows < n makes the tile side isqrt(n * rows) < n)
     LAYOUTS = [(n, rows) for n in [5, 9, 16, 17, 33, 50, 127] for rows in [1, 2, 8] if rows < n]
+    # the module's own blocks, under which each of these is one tile, the whole matrix
+    ONE_TILE = [(n, None) for n in [5, 60, 180, 362]]
 
     @staticmethod
     def layout(kind, n, rng):
@@ -236,24 +242,23 @@ class TestBlockedStep:
         np.fill_diagonal(cond, 0.0)
         return cond / cond.sum(axis=1, keepdims=True)
 
-    @pytest.mark.parametrize("n, rows", LAYOUTS)
+    @pytest.mark.parametrize("n, rows", LAYOUTS + ONE_TILE)
     @pytest.mark.parametrize("kind", ["spread", "start", "duplicates"])
     @pytest.mark.parametrize("exaggeration", [1.0, 12.0])
-    def test_matches_whole_step_and_ignores_the_worker_count(self, n, rows, kind, exaggeration):
+    def test_matches_reference_step_and_ignores_the_worker_count(self, n, rows, kind, exaggeration):
         # one step, so nothing chaotic amplifies the last bits: the tile pass
         # agrees with the whole-matrix arithmetic to rounding, and its tile
         # results fold in tile order whatever thread ran them
-        rng = np.random.default_rng(n * 10 + rows)
+        rng = np.random.default_rng(n * 10 + (rows or 0))
         y = self.layout(kind, n, rng)
         cond = self.conditional(n, rng)
         p = (cond + cond.T) / (2.0 * n)
-        with embedding._RowBlocks(n) as blocks:
-            assert len(blocks.tiles) == 1
-            want_grad, want_kl = embedding._whole_step(p, blocks, y, exaggeration, True)
+        want_grad, q = reference_gradient(p, y, exaggeration)
+        want_kl = reference_kl_divergence(p, q)
         runs = []
         for workers in (1, 2, 3):
             with row_blocks(n, rows, workers), embedding._RowBlocks(n) as blocks:
-                assert len(blocks.tiles) > 1
+                assert (len(blocks.tiles) == 1) == (rows is None)
                 assert blocks.workers == min(workers, max(len(blocks.bounds), len(blocks.tiles)))
                 packed, p_log_p = embedding._upper_tiles(cond, blocks)
                 runs.append(embedding._tiled_step(packed, p_log_p, blocks, y, exaggeration, True))
@@ -336,67 +341,52 @@ class TestTsne:
         assert a.kl_trace == b.kl_trace
 
     @pytest.mark.parametrize(
-        "n, perplexity, iterations, switches, rows, workers",
+        "n, perplexity, kl_every, rows, workers",
         [
             pytest.param(*case, rows, workers, id=f"{case_id}-{rows}rows-{workers}workers" if rows else case_id)
             for case_id, case in [
-                ("40-8.0-260-switches0", (40, 8.0, 260, {})),
-                ("25-5.0-30-switches1", (25, 5.0, 30, {"exaggeration_iters": 10, "momentum_switch": 20})),
-                ("120-20.0-110-switches2", (120, 20.0, 110, {"exaggeration_iters": 40, "momentum_switch": 90})),
+                ("40-8.0", (40, 8.0, KL_EVERY)),
+                ("25-5.0", (25, 5.0, KL_EVERY)),
+                ("120-20.0", (120, 20.0, KL_EVERY)),
                 # the KL at every iteration, so the whole reference trace is compared
-                ("40-8.0-260-switches0-kl_every1", (40, 8.0, 260, {"kl_every": 1})),
-                ("25-5.0-30-switches1-kl_every1",
-                 (25, 5.0, 30, {"exaggeration_iters": 10, "momentum_switch": 20, "kl_every": 1})),
-                ("120-20.0-110-switches2-kl_every1",
-                 (120, 20.0, 110, {"exaggeration_iters": 40, "momentum_switch": 90, "kl_every": 1})),
+                ("40-8.0-kl_every1", (40, 8.0, 1)),
+                ("25-5.0-kl_every1", (25, 5.0, 1)),
+                ("120-20.0-kl_every1", (120, 20.0, 1)),
             ]
             for rows, workers in [(None, 1), (7, 1), (7, 2), (7, 3)]
         ] + [
-            # the module's own blocks on both sides of the choice of arithmetic:
-            # N = 60 is one block, as the pipeline's N = 180 is, and N = 400 is two
-            pytest.param(*case, None, 1, id=case_id)
-            for case_id, case in [
-                ("60-10.0-110-switches2", (60, 10.0, 110, {"exaggeration_iters": 40, "momentum_switch": 90})),
-                ("400-30.0-60-switches3", (400, 30.0, 60, {"exaggeration_iters": 20, "momentum_switch": 40})),
-            ]
+            # the module's own blocks on both sides of one tile: N = 60 is one,
+            # as the pipeline's N = 180 is, and N = 400 is three
+            pytest.param(60, 10.0, KL_EVERY, None, 1, id="60-10.0"),
+            pytest.param(400, 30.0, KL_EVERY, None, 1, id="400-30.0"),
         ],
     )
-    def test_matches_reference_loop(self, n, perplexity, iterations, switches, rows, workers):
+    def test_matches_reference_loop(self, n, perplexity, kl_every, rows, workers):
         # two clusters 60 sigma apart; at N = 120 the affinities between them
         # underflow to 0, so the KL sums over a strict subset of the entries.
-        # 7-row blocks leave a ragged last block at every N here
+        # 7-row blocks leave a ragged last block at every N here. The tile pass
+        # agrees with the reference loop only to the last bits and the descent
+        # is chaotic (at N = 60 the points differ by 3e-3 relative after 30
+        # iterations), so the comparison covers 5 iterations that cross both switches
         data = generate_clustered(n, 3, [[0.0] * 3, [30.0] * 3], [0.7, 0.3], 0.5, seed=n)
-        with row_blocks(n, rows, workers), embedding._RowBlocks(n) as blocks:
-            several = len(blocks.bounds) > 1
-        if several:
-            # several blocks take the fused per-block arithmetic, which agrees with
-            # the reference loop only to the last bits; the descent is chaotic
-            # (at N = 60 the points differ by 3e-3 relative after 30 iterations),
-            # so the comparison covers 5 iterations that cross both switches
-            iterations = 5
-            switches = {**switches, "exaggeration_iters": 2, "momentum_switch": 3}
+        iterations, switches = 5, {"exaggeration_iters": 2, "momentum_switch": 3}
         with ExitStack() as stack:
             # the schedule is module constants; the reference takes the same values as arguments
-            for name, value in switches.items():
+            for name, value in {**switches, "kl_every": kl_every}.items():
                 stack.enter_context(mock.patch.object(embedding, name.upper(), value))
             stack.enter_context(row_blocks(n, rows, workers))
             emb = tsne_embed(data, perplexity=perplexity, iterations=iterations, seed=3)
-        kl_every = switches.get("kl_every", KL_EVERY)
-        reference_switches = {name: value for name, value in switches.items() if name != "kl_every"}
-        points, kl_trace = reference_tsne(data.features, perplexity, iterations, seed=3, **reference_switches)
+        points, kl_trace = reference_tsne(data.features, perplexity, iterations, seed=3, **switches)
         kl_trace = tuple((it, kl) for it, kl in kl_trace if it % kl_every == 0 or it == iterations - 1)
-        if not several:
-            assert np.array_equal(emb.points, points)
-            assert emb.kl_trace == kl_trace
-            return
         assert np.max(np.abs(emb.points - points)) <= 1e-10 * np.max(np.abs(points))
         assert [it for it, _ in emb.kl_trace] == [it for it, _ in kl_trace]
         for (_, kl), (_, want) in zip(emb.kl_trace, kl_trace):
             assert abs(kl - want) <= 1e-10 * abs(want)
 
     def test_several_blocks_same_at_one_two_and_three_workers(self):
-        # 7-row blocks take N = 60 onto the per-block arithmetic, whose bits
-        # differ from the reference loop's, so the one-worker run is the oracle
+        # 7-row blocks make N = 60 several tiles, on as many workers as asked;
+        # the tile pass's bits differ from the reference loop's, so the
+        # one-worker run is the oracle
         n = 60
         data = generate_clustered(n, 3, [[0.0] * 3, [30.0] * 3], [0.7, 0.3], 0.5, seed=n)
         runs = []
@@ -468,11 +458,12 @@ class TestTsne:
         assert len(peaks) == 2 + 4 + 2
         assert max(peaks[2:]) < 1.5 * 8 * n * n
 
-    @pytest.mark.parametrize("n", [600, 604, 725, 1004])
-    def test_same_points_at_one_and_two_blas_threads(self, n):
-        # several tiles (at N = 725 a ragged third one, one row wide), run on
-        # two worker threads; each tile's products are small enough that
-        # OpenBLAS runs them the same way at any thread count
+    @pytest.mark.parametrize("n, tiles", [(180, 1), (600, 3), (604, 3), (725, 6), (1004, 6)])
+    def test_same_points_at_one_and_two_blas_threads(self, n, tiles):
+        # the pipeline's N = 180 is one tile on one thread; past it several
+        # tiles (at N = 725 a ragged third column, one row wide) run on two
+        # worker threads. Each tile's products are small enough that OpenBLAS
+        # runs them the same way at any thread count
         script = "\n".join([
             "import hashlib, sys, numpy as np",
             "from typsgd import _parallel, embedding",
@@ -492,7 +483,7 @@ class TestTsne:
                                  timeout=300)
             assert run.returncode == 0, run.stderr
             tile_count, workers, digest = run.stdout.split()
-            assert int(tile_count) > 1 and int(workers) == 2
+            assert (int(tile_count), int(workers)) == (tiles, min(tiles, 2))
             digests.append(digest)
         assert digests[0] == digests[1]
 
