@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import os
 
 from . import __version__
@@ -46,6 +47,14 @@ def read_provenance(path) -> dict[str, str]:
 def format_number(x) -> str:
     # repr() is the shortest exact round-trip representation in py3
     return repr(float(x))
+
+
+def finite(cell: str) -> float:
+    """A cell parser: a finite number; NaN and the infinities raise ValueError."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def write_text(path, text: str) -> None:

@@ -76,26 +76,14 @@ class ErrorReport:
     s_l_sq: float
     bias_sq: float
     mse_enumerated: float | None = None
-    mse_monte_carlo: tuple[float, float] | None = None
     alpha: float | None = None
 
     def to_json(self, **key) -> str:
-        record = dict(key)
-        for name, value in self.__dict__.items():
-            record[name] = value if not isinstance(value, tuple) else list(value)
-        return json.dumps(record, sort_keys=True)
+        return json.dumps({**key, **self.__dict__}, sort_keys=True)
 
 
 def _sq_norm(v: np.ndarray) -> float:
     return float(np.dot(v, v))
-
-
-def dispersion_about_mean(rows: np.ndarray) -> float:
-    """Finite-population dispersion sum ||g_i - mean||^2 / (count - 1)."""
-    if rows.shape[0] < 2:
-        raise InvalidArgumentError("dispersion needs at least 2 rows")
-    centered = rows - rows.mean(axis=0)
-    return float(np.sum(centered * centered)) / (rows.shape[0] - 1)
 
 
 def batch_mean_moments(rows: np.ndarray, strata, metric: np.ndarray | None = None) -> tuple[np.ndarray, float]:
@@ -138,10 +126,8 @@ def srs_error_formula(grads: GradientFamily, m: int) -> float:
 
 def _published_terms(grads: GradientFamily, partition: Partition, plan: BatchPlan):
     """The published identity's (bias^2, S_H^2 about the reference, S_L^2 about zero, value)."""
-    validate_plan(plan, partition)
     rows = grads.per_sample
-    if rows.shape[0] != partition.n_total:
-        raise InvalidArgumentError("gradient family and partition sizes differ")
+    StratifiedScheme(partition=partition, plan=plan).strata(rows.shape[0])
     n1_pop, n2_pop = partition.n1, partition.n2
     if n1_pop < 2 or n2_pop < 2:
         raise InvalidArgumentError("the published formula needs N1, N2 >= 2")
@@ -407,37 +393,26 @@ def optimal_beta(m: int) -> float:
     return float(1.0 / (2.0 * outer))
 
 
-def build_error_report(
-    grads: GradientFamily,
-    partition: Partition,
-    plan: BatchPlan,
-    mc_draws: int = 0,
-    seed: int = 0,
-) -> ErrorReport:
+def build_error_report(grads: GradientFamily, partition: Partition, plan: BatchPlan) -> ErrorReport:
     """Evaluate every error expectation for one instance, side by side.
 
     The stratified error is taken once, inside the SRS/stratified
     comparison, under the ``ENUMERATION_BUDGET`` read at call time;
     ``mse_enumerated`` is that value when the comparison's stratified path
-    (``paths[1]``) is enumeration and None when it is Monte-Carlo. With
-    ``mc_draws`` > 0, ``mse_monte_carlo`` adds a stratified Monte-Carlo
-    (mean, standard error) over that many draws, and the comparison's
-    Monte-Carlo paths draw that many batches too instead of its default.
+    (``paths[1]``) is enumeration and None when it is Monte-Carlo.
+    ``s_k_sq`` is sum ||g_i - mean||^2 / (N - 1) over the whole population.
     """
     bias_sq, s_h_sq, s_l_sq, published = _published_terms(grads, partition, plan)
-    stratified = StratifiedScheme(partition=partition, plan=plan)
-    mc = monte_carlo_error(grads, stratified, draws=mc_draws, seed=seed) if mc_draws else None
-    draws = {"mc_draws": mc_draws} if mc_draws else {}  # else the comparison's default
-    compare = compare_error_expectations(grads, partition, plan, seed=seed, **draws)
+    compare = compare_error_expectations(grads, partition, plan)
+    centered = grads.per_sample - grads.per_sample.mean(axis=0)
     return ErrorReport(
         mse_srs_formula=srs_error_formula(grads, plan.m),
         mse_strat_published=published,
         mse_strat_corrected=typicality_error_corrected(grads, partition, plan),
-        s_k_sq=dispersion_about_mean(grads.per_sample),
+        s_k_sq=float(np.sum(centered * centered)) / (grads.n_samples - 1),
         s_h_sq=s_h_sq,
         s_l_sq=s_l_sq,
         bias_sq=bias_sq,
         mse_enumerated=compare.mse_strat if compare.paths[1] == "enumeration" else None,
-        mse_monte_carlo=mc,
         alpha=compare.alpha,
     )

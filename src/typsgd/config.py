@@ -8,13 +8,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ._csvio import config_hash
+from ._csvio import config_hash, finite
 from .density import check_bandwidth, check_gamma
 from .errors import InvalidArgumentError
 from .models import MODEL_KINDS
 from .optimize import check_learning_rate, check_threshold
 
-BOOLEAN_WORDS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
+BOOLEAN_WORDS = configparser.ConfigParser.BOOLEAN_STATES
 
 
 def _boolean(raw: str) -> bool:
@@ -73,7 +73,7 @@ def _distinct(convert=str):
 
 def _matrix(raw: str) -> np.ndarray:
     """Rows separated by '|', entries by ','."""
-    return np.array([[float(v) for v in row.split(",")] for row in raw.split("|")])
+    return np.array([[finite(v) for v in row.split(",")] for row in raw.split("|")])
 
 
 REQUIRED = object()  # the default of a key that has none
@@ -85,14 +85,14 @@ KEYS = {
     ("data", "count"): (int, REQUIRED),
     ("data", "dims"): (int, REQUIRED),
     ("data", "centers"): (_matrix, REQUIRED),
-    ("data", "weights"): (_list(float), REQUIRED),
-    ("data", "noise_sigma"): (float, 0.0),
+    ("data", "weights"): (_list(finite), REQUIRED),
+    ("data", "noise_sigma"): (finite, 0.0),
     ("data", "curve_length"): (int, REQUIRED),
     ("data", "segment_count"): (int, REQUIRED),
     ("data", "path"): (str, REQUIRED),
     ("data", "has_header"): (_boolean, True),
     ("data", "target_columns"): (_list(int), ()),
-    ("data", "linear_target_weights"): (_list(float), None),
+    ("data", "linear_target_weights"): (_list(finite), None),
     ("embedding", "perplexity"): (float, 30.0),
     ("embedding", "iterations"): (_count, 1000),
     ("embedding", "seed"): (_seed, 0),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import read_table, write_rows
+from ._csvio import finite, read_table, write_rows
 from .errors import InvalidArgumentError
 
 # the uniform ranges of a curve's bias and of each segment's slope
@@ -144,10 +144,11 @@ def generate_clustered(
         )
     if centers.shape[1] != dims:
         raise InvalidArgumentError("center dimensionality must equal dims")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+    # every comparison with a NaN is False, so a NaN weight or sigma is refused
+    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):
         raise InvalidArgumentError("weights must be a simplex vector (sum 1)")
-    if noise_sigma < 0:
-        raise InvalidArgumentError("noise_sigma must be >= 0")
+    if not 0 <= noise_sigma < np.inf:
+        raise InvalidArgumentError("noise_sigma must be finite and >= 0")
     rng = np.random.default_rng(seed)
     assignment = rng.choice(len(weights), size=count, p=weights)
     noise = rng.standard_normal((count, dims)) * noise_sigma
@@ -190,13 +191,13 @@ def load_csv(path, has_header: bool = False, target_columns=()) -> Dataset:
     ``target_columns`` are 0-based column positions that become targets;
     all remaining columns become features.
     """
-    _, rows = read_table(path, float, has_header=has_header)
+    _, rows = read_table(path, finite, has_header=has_header)
     return _dataset_from_rows(rows, target_columns)
 
 
 def load_dataset_file(path) -> Dataset:
     """Load a file written by :func:`save_csv`: its header names the target columns ``t<j>``."""
-    header, rows = read_table(path, float, has_header=True)
+    header, rows = read_table(path, finite, has_header=True)
     return _dataset_from_rows(rows, [j for j, name in enumerate(header) if name.startswith("t")])
 
 

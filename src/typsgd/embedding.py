@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _parallel
-from ._csvio import read_table, write_rows
+from ._csvio import finite, read_table, write_rows
 from .errors import InvalidArgumentError, NumericError
 
 PROB_FLOOR = 1e-12
@@ -126,9 +126,9 @@ class _RowBlocks:
     inside its ufunc and BLAS loops, so threads that work on disjoint
     blocks or tiles run in parallel. ``_parallel.pool_size`` sizes the
     pool by the longer of the two task lists; with one worker the tasks run
-    inline and no thread is started. Each worker runs every ``workers``-th
-    task, so a pass costs one submission per worker. The pool is shut down
-    when the ``with`` block exits, on error too.
+    inline and no thread is started. Otherwise a free thread takes the next
+    task from the executor's queue. The pool is shut down when the ``with``
+    block exits, and on error the tasks still queued are cancelled.
     """
 
     def __init__(self, n: int):
@@ -147,21 +147,14 @@ class _RowBlocks:
 
     def __exit__(self, *exc_info):
         if self._pool is not None:
-            self._pool.shutdown(wait=True)
+            self._pool.shutdown(wait=True, cancel_futures=True)
 
     def run(self, fn, tasks=None) -> list:
         """Call ``fn(*task)`` for every task (by default every block's bounds); return the results in task order."""
         tasks = self.bounds if tasks is None else tasks
-
-        def share(w):
-            return [fn(*task) for task in tasks[w::self.workers]]
-
         if self._pool is None:
-            return share(0)
-        results = [None] * len(tasks)
-        for w, part in enumerate(self._pool.map(share, range(self.workers))):
-            results[w::self.workers] = part
-        return results
+            return [fn(*task) for task in tasks]
+        return list(self._pool.map(lambda task: fn(*task), tasks))
 
     def scratch(self, rows: int, cols: int) -> np.ndarray:
         """Two (rows, cols) arrays of at most a block or a tile that the calling thread reuses, sparing their page faults."""
@@ -171,7 +164,7 @@ class _RowBlocks:
 
 
 def _upper_tiles(cond: np.ndarray, blocks: _RowBlocks):
-    """P = (cond + cond^T) / 2N as its upper tiles, packed one after another in one buffer, and P's sum of P log P.
+    """P = (cond + cond^T) / 2N as its upper tiles, each its own array, and P's sum of P log P.
 
     Returns the (rows, cols, P[rows, cols]) triples in ``blocks.tiles``
     order and the sum of P * log(max(P, PROB_FLOOR)) over all of P, each
@@ -179,15 +172,11 @@ def _upper_tiles(cond: np.ndarray, blocks: _RowBlocks):
     cond.T) / 2N, as addition commutes; one tile is that whole matrix.
     """
     n = cond.shape[0]
-    shapes = [cond[rows, cols].shape for rows, cols in blocks.tiles]
-    flat = np.empty(sum(r * c for r, c in shapes))
-    packed, offset, p_log_p = [], 0, []
-    for (rows, cols), shape in zip(blocks.tiles, shapes):
-        tile = flat[offset:offset + shape[0] * shape[1]].reshape(shape)
-        offset += tile.size
-        np.add(cond[rows, cols], cond[cols, rows].T, out=tile)
+    packed, p_log_p = [], []
+    for rows, cols in blocks.tiles:
+        tile = np.add(cond[rows, cols], cond[cols, rows].T)
         np.divide(tile, 2.0 * n, out=tile)
-        logs = blocks.scratch(*shape)[0]
+        logs = blocks.scratch(*tile.shape)[0]
         np.log(np.maximum(tile, PROB_FLOOR, out=logs), out=logs)
         p_log_p.append(np.multiply(tile, logs, out=logs).sum())
         packed.append((rows, cols, tile))
@@ -390,5 +379,5 @@ def save_embedding(path, embedding: Embedding, config_digest: str = "none", seed
 
 
 def load_embedding_points(path) -> np.ndarray:
-    _, rows = read_table(path, (float, float), has_header=True)
+    _, rows = read_table(path, (finite, finite), has_header=True)
     return np.array(rows)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._csvio import read_table, write_rows
+from ._csvio import finite, read_table, write_rows
 from .data import Dataset
 from .errors import CsvFormatError, InvalidArgumentError, NumericError
 
@@ -74,24 +74,13 @@ class GradientFamily:
         return self.per_sample.shape[0]
 
 
-def _sigmoid(z):
-    # numerically stable logistic function
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _signed_labels(y):
     return np.where(np.asarray(y, dtype=np.float64) > 0, 1.0, -1.0)
 
 
-class QuadraticModel:
-    """Least-squares regression: loss_i = (w . x_i - y_i)^2 / 2."""
+class _LinearModel:
+    """A model of one weight per feature, started at zero, on one target column."""
 
-    kind = "quadratic"
     target_columns = 0
 
     def param_dim(self, dataset: Dataset) -> int:
@@ -99,6 +88,12 @@ class QuadraticModel:
 
     def init_theta(self, dataset: Dataset, seed: int) -> np.ndarray:
         return np.zeros(dataset.n_features)
+
+
+class QuadraticModel(_LinearModel):
+    """Least-squares regression: loss_i = (w . x_i - y_i)^2 / 2."""
+
+    kind = "quadratic"
 
     def per_sample_grads(self, theta, X, Y):
         r = X @ theta - Y
@@ -109,22 +104,16 @@ class QuadraticModel:
         return 0.5 * r * r
 
 
-class LogisticModel:
+class LogisticModel(_LinearModel):
     """Binary logistic regression with log-loss; labels in {0,1} or {-1,+1}."""
 
     kind = "logistic"
-    target_columns = 0
-
-    def param_dim(self, dataset: Dataset) -> int:
-        return dataset.n_features
-
-    def init_theta(self, dataset: Dataset, seed: int) -> np.ndarray:
-        return np.zeros(dataset.n_features)
 
     def per_sample_grads(self, theta, X, Y):
         ys = _signed_labels(Y)
         z = ys * (X @ theta)
-        return (-ys * _sigmoid(-z))[:, None] * X
+        # sigma(-z) = exp(-log(1 + e^z)), by the log-sum-exp that ``losses`` uses too
+        return (-ys * np.exp(-np.logaddexp(0.0, z)))[:, None] * X
 
     def losses(self, theta, X, Y):
         ys = _signed_labels(Y)
@@ -346,7 +335,7 @@ def save_theta(path, model_kind: str, theta, config_digest: str = "none", seed=N
 
 def load_theta(path) -> tuple[str, np.ndarray]:
     """Load a parameter vector saved by :func:`save_theta`."""
-    header, rows = read_table(path, (float,), has_header=True)
+    header, rows = read_table(path, (finite,), has_header=True)
     tag = header[0]
     kind, dim = tag[tag.index("[") + 1 : tag.index("]")].split(":")
     if len(rows) != int(dim):

@@ -21,7 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._csvio import read_table, write_rows
+from ._csvio import finite, read_table, write_rows
 from .data import Dataset
 from .errors import CsvFormatError, InvalidArgumentError, NumericError
 from .models import _targets_for, mean_loss
@@ -269,10 +269,7 @@ def loss_or_empty(cell: str):
 
 
 def finite_or_empty(cell: str):
-    value = float(cell) if cell else None
-    if value is not None and not math.isfinite(value):
-        raise ValueError(cell)
-    return value
+    return finite(cell) if cell else None
 
 
 def load_trace(path, iterations: int, eval_every: int) -> TrainTrace:

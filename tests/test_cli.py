@@ -1,5 +1,6 @@
 import builtins
 import hashlib
+import json
 import multiprocessing
 import os
 import shutil
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_csvio import truncate_last_row
+from test_csvio import last_row_edited, truncate_last_row
 from test_parallel import PoolRefused, recording_pool
 
 from typsgd import _csvio, _parallel, cli, verify
@@ -329,6 +330,23 @@ def verify_statuses(out):
     return [(row[1], row[2]) for row in read_rows(out / "verify_report.csv", has_header=True)[1]]
 
 
+# the keys of every error_reports.jsonl line: the report's fields and the instance's key
+ERROR_REPORT_KEYS = [
+    "alpha", "bias_sq", "instance", "m", "mse_enumerated", "mse_srs_formula", "mse_strat_corrected",
+    "mse_strat_published", "n1", "n2", "s_h_sq", "s_k_sq", "s_l_sq", "scheme",
+]
+
+
+def test_error_reports_have_exactly_their_keys(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    config = tmp_path / "verify.ini"
+    config.write_text(f"[verify]\nseed = 0\ninstances = 8\n[output]\ndir = {out}\n")
+    assert main(["verify", "--config", str(config)]) == 0
+    lines = (out / "error_reports.jsonl").read_text().splitlines()
+    assert len(lines) == 5 and all(list(json.loads(line)) == ERROR_REPORT_KEYS for line in lines)
+
+
 def test_verify_command_and_corruption_hook(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     out.mkdir()
@@ -418,18 +436,27 @@ def test_failed_error_report_write_keeps_the_old_file(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "artifact, reader",
-    [("embedding.csv", "partition"), ("partition.csv", "train"), ("trace_srs_sgd_seed0.csv", "report")],
+    "artifact, reader, corrupt, located",
+    [("embedding.csv", "partition", truncate_last_row, ""),
+     ("partition.csv", "train", truncate_last_row, ""),
+     ("trace_srs_sgd_seed0.csv", "report", truncate_last_row, ""),
+     # the last of the 81 training points, and the first feature of the last of 90 samples
+     ("embedding.csv", "partition", lambda path: last_row_edited(path, lambda cells: cells[:1] + ["nan"]),
+      ": row 80, column 1: cannot read 'nan' as finite"),
+     ("dataset.csv", "train", lambda path: last_row_edited(path, lambda cells: ["inf"] + cells[1:]),
+      ": row 89, column 0: cannot read 'inf' as finite")],
+    ids=["truncated-embedding", "truncated-partition", "truncated-trace", "nan-embedding", "inf-feature"],
 )
-def test_truncated_artifact_is_io_error(workspace, capsys, artifact, reader):
-    # a write that stopped mid-row: the last row keeps only its first cell
+def test_corrupt_artifact_is_io_error(workspace, capsys, artifact, reader, corrupt, located):
+    # a write that stopped mid-row (the last row keeps only its first cell), or a cell no writer produces
     config, out = workspace
     for cmd in ("gen", "embed", "partition", "train"):
         assert main([cmd, "--config", str(config)]) == 0
-    truncate_last_row(out / artifact)
+    corrupt(out / artifact)
+    capsys.readouterr()
     assert main([reader, "--config", str(config)]) == 3
     err = capsys.readouterr().err
-    assert str(out / artifact) in err and "Traceback" not in err
+    assert f"{out / artifact}{located}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -640,15 +667,22 @@ def test_malformed_config_is_io_error(tmp_path, capsys, text):
     "old, new, cmd, key",
     [("m = 10", "m = 20.5", "train", "[train] m = '20.5'"),
      ("bandwidth = scott", "bandwidth = wide", "partition", "[partition] bandwidth = 'wide'"),
-     ("bandwidth = scott", "bandwidth = silverman", "partition", "[partition] bandwidth = 'silverman'")],
+     ("bandwidth = scott", "bandwidth = silverman", "partition", "[partition] bandwidth = 'silverman'"),
+     ("weights = 0.9,0.1", "weights = nan,1", "gen", "[data] weights = 'nan,1': not a finite number"),
+     ("noise_sigma = 0.6", "noise_sigma = inf", "gen", "[data] noise_sigma = 'inf': not a finite number"),
+     ("centers = 0,0 | 7,7", "centers = 0,0 | 7,-inf", "gen", "[data] centers = '0,0 | 7,-inf'"),
+     ("linear_target_weights = 1.0,-0.5", "linear_target_weights = 1.0,nan", "gen",
+      "[data] linear_target_weights = '1.0,nan'")],
 )
 def test_bad_config_value_names_its_key(workspace, capsys, old, new, cmd, key):
     config, out = workspace
     assert main(["gen", "--config", str(config)]) == 0
     assert main(["partition", "--config", str(config)]) == 0
+    dataset = sha(out / "dataset.csv")
     config.write_text(config.read_text().replace(old, new))
     assert main([cmd, "--config", str(config)]) == 2
     assert key in capsys.readouterr().err
+    assert sha(out / "dataset.csv") == dataset
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])

@@ -1,8 +1,8 @@
 """Every artifact is written through _csvio.write_rows and read through _csvio.read_table.
 
 Each loader returns exactly what its writer was given, and a corrupted copy
-(a truncated last row, a non-numeric cell, an unknown stratum label) raises
-CsvFormatError naming the file and the row and column at fault.
+(a truncated last row, a non-numeric or non-finite cell, an unknown stratum
+label) raises CsvFormatError naming the file and the row and column at fault.
 """
 
 from pathlib import Path
@@ -123,9 +123,10 @@ def test_truncated_last_row(artifact):
     raises_located(load, path, rows - 1, 0 if one_cell else 1)
 
 
-def test_non_numeric_cell(artifact):
+@pytest.mark.parametrize("cell", ["x", "nan", "-inf"])
+def test_non_numeric_cell(artifact, cell):
     path, load, _, rows = artifact
-    last_row_edited(path, lambda cells: ["x"] + cells[1:])
+    last_row_edited(path, lambda cells: [cell] + cells[1:])
     raises_located(load, path, rows - 1, 0)
 
 

@@ -88,6 +88,16 @@ class TestClustered:
         with pytest.raises(InvalidArgumentError):
             generate_clustered(10, 2, [[0, 0], [1, 1]], [0.6, 0.6], 1.0, seed=0)
 
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 1.0], [np.nan, np.nan]])
+    def test_non_finite_weights_are_refused(self, weights):
+        with pytest.raises(InvalidArgumentError, match="simplex"):
+            generate_clustered(10, 2, [[0, 0], [1, 1]], weights, 1.0, seed=0)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.5])
+    def test_noise_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(InvalidArgumentError, match="noise_sigma"):
+            generate_clustered(10, 2, [[0, 0], [1, 1]], [0.5, 0.5], sigma, seed=0)
+
 
 class TestCsv:
     def test_plain_numeric(self, tmp_path):
