@@ -19,7 +19,7 @@ from typsgd.svg import line_chart
 OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
 
-print("Building the benchmark (2000 samples, t-SNE + KDE partition; ~1 min)...")
+print("Building the benchmark (2000 samples, t-SNE + KDE partition)...")
 setup = build_benchmark(tsne_iterations=250)
 print(f"  N1 = {setup.partition.n1}, N2 = {setup.partition.n2}")
 print(f"  noisy outskirt samples inside H: {np.mean(setup.noisy_mask[setup.partition.h_indices]):.3f}")

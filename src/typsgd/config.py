@@ -93,7 +93,7 @@ KEYS = {
     ("data", "has_header"): (_boolean, True),
     ("data", "target_columns"): (_list(int), ()),
     ("data", "linear_target_weights"): (_list(finite), None),
-    ("embedding", "perplexity"): (float, 30.0),
+    ("embedding", "perplexity"): (finite, 30.0),
     ("embedding", "iterations"): (_count, 1000),
     ("embedding", "seed"): (_seed, 0),
     ("partition", "gamma"): (lambda raw: check_gamma(float(raw)), 0.3),
@@ -109,7 +109,7 @@ KEYS = {
     ("train", "eval_every"): (_count, 10),
     ("train", "seeds"): (_distinct(_seed), (0,)),
     ("train", "threshold"): (lambda raw: check_threshold(float(raw)), 1e-3),
-    ("train", "val_fraction"): (float, 0.0),
+    ("train", "val_fraction"): (finite, 0.0),
     ("train", "val_seed"): (_seed, 1234),
     ("train", "log_batches"): (_boolean, False),
     ("verify", "seed"): (_seed, 0),

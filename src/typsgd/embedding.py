@@ -1,11 +1,16 @@
 """Exact (quadratic-cost) t-SNE embedding to two dimensions.
 
 Per-point Gaussian precisions are found by bisection so every conditional
-distribution hits the target perplexity; affinities are symmetrized and the
-Student-t low-dimensional layout is optimized by gradient descent with the
-usual momentum schedule and early exaggeration. Everything is plain numpy
-in a fixed evaluation order, so a (data, config, seed) triple maps to a
-bit-identical embedding. The symmetric P is held as its upper-triangle
+distribution hits the target perplexity. The bisection is replayed, not run:
+its decisions compare each precision with three roots of the row's entropy
+that bracketed Newton finds, a precision within a rounding-error margin of a
+root (or every precision of a row without trustworthy roots) is decided by
+the bisection's own arithmetic, and the last evaluation is the bisection's,
+so the affinities are its bits (see ``_bisect_rows``). Affinities are
+symmetrized and the Student-t low-dimensional layout is optimized by
+gradient descent with the usual momentum schedule and early exaggeration.
+Everything is plain numpy in a fixed evaluation order, so a (data, config,
+seed) triple maps to a bit-identical embedding. The symmetric P is held as its upper-triangle
 tiles of ``_parallel.BLOCK_BYTES`` only (at small N one tile, the whole
 matrix), and each descent iteration visits those tiles once, each standing
 for its mirror too.
@@ -248,6 +253,23 @@ def _tiled_step(packed, p_log_p: float, blocks: _RowBlocks, y: np.ndarray, exagg
     return 4.0 * (w[:, 2:] * y - w[:, :2]), kl
 
 
+# Newton's method for the precisions at which the bisection's decisions flip
+# (see _bisect_rows): the iterations a row may take before it falls back to
+# the exact loop, the largest step in u = log(beta), the step under which an
+# iterate counts as converged, and the drift beta * max(d) * |u - u_k| up to
+# which the weights' moments at u_k stand for those at u
+_NEWTON_ITERATIONS = 60
+_NEWTON_MAX_STEP = 4.0
+_NEWTON_TOL = 1e-5
+_DRIFT = 0.1
+# the |log beta| that BISECTION_STEPS doublings or halvings of beta = 1 reach
+_BETA_REACH = BISECTION_STEPS * math.log(2.0)
+# Newton takes exp(max(-beta * d, _EXP_FLOOR)): exp is many times slower where
+# it underflows, and the floor adds under n * 1e-304 to a sum of weights >= 1
+_EXP_FLOOR = -700.0
+_EPS = np.finfo(np.float64).eps  # 2^-52
+
+
 def _entropies(shifted: np.ndarray, beta: np.ndarray):
     """Entropy of each row's weights exp(-beta * shifted), with the weights and their sums.
 
@@ -260,39 +282,156 @@ def _entropies(shifted: np.ndarray, beta: np.ndarray):
     return np.log(sw) + beta * dot / sw, w, sw
 
 
+def _newton_roots(shifted: np.ndarray, targets: np.ndarray):
+    """Per row, the u = log(beta) at which the entropy crosses each of ``targets``, and the margin of each.
+
+    Bracketed Newton on h(u) = targets[0] from u = 0, with h and
+    dh/du = -beta^2 Var_w(d) taken from the row sum of w = exp(-beta d) and
+    one batched product (einsum) of w with d, d^2 and d^3 (the third moment
+    is the margin's). A step that leaves the bracket or is not finite
+    becomes the bracket's midpoint or, while the bracket is open on its
+    side, a step of _NEWTON_MAX_STEP. Once a step is at most
+    _NEWTON_TOL, and moves the weights by at most _DRIFT / 2, each root is
+    linearised from that iterate u_k, u_r = u_k + (targets[r] - h_k) / h'_k,
+    with no further evaluation. Returns (roots, margins), each
+    (rows, len(targets)); a row with no trustworthy root (see
+    ``_bisect_rows``) has NaN roots.
+    """
+    m, n = shifted.shape
+    roots = np.full((m, targets.size), np.nan)
+    margins = np.full((m, targets.size), np.nan)
+    live = np.flatnonzero(shifted.max(axis=1) > 0.0)  # all distances equal: zero variance
+    powers = np.empty((live.size, 3, n))
+    powers[:, 0] = shifted[live]
+    np.multiply(powers[:, 0], powers[:, 0], out=powers[:, 1])
+    np.multiply(powers[:, 1], powers[:, 0], out=powers[:, 2])
+    dmax = powers[:, 0].max(axis=1)
+    scratch = np.empty((live.size, n))
+    u, lo, hi = np.zeros(live.size), np.full(live.size, -np.inf), np.full(live.size, np.inf)
+    for _ in range(_NEWTON_ITERATIONS):
+        if live.size == 0:
+            break
+        beta = np.exp(u)
+        w = np.multiply(powers[:, 0], -beta[:, None], out=scratch[:live.size])
+        np.exp(np.maximum(w, _EXP_FLOOR, out=w), out=w)
+        s0 = w.sum(axis=1)
+        # einsum, not a stacked matmul, which holds the GIL through its per-row products
+        a1, a2, a3 = (np.einsum("kpn,kn->kp", powers, w) / s0[:, None]).T
+        var = a2 - a1 * a1
+        h = np.log(s0) + beta * a1
+        slope = -beta * beta * var
+        flat = h > targets[0]
+        lo, hi = np.where(flat, u, lo), np.where(flat, hi, u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (targets[0] - h) / slope
+        nxt = u + np.clip(step, -_NEWTON_MAX_STEP, _NEWTON_MAX_STEP)
+        newton = (lo < nxt) & (nxt < hi)
+        done = newton & (np.abs(step) <= _NEWTON_TOL) & (beta * dmax * np.abs(step) <= 0.5 * _DRIFT)
+        if done.any():
+            b = beta[done]
+            t, m2 = b * a1[done], b * b * a2[done]
+            error = _EPS * ((n + 6 + t) * (1.0 + 2.0 * t) + m2 + np.abs(np.log(s0[done])) + np.abs(h[done]))
+            curvature = 1.0 + b * (a3[done] - a1[done] * a2[done]) / (2.0 * var[done])
+            offsets = (targets - h[done, None]) / slope[done, None]
+            found = u[done, None] + offsets
+            margin = 8.0 * ((2.0 * error / np.abs(slope[done]))[:, None] + curvature[:, None] * offsets ** 2)
+            margin += _EPS * (1.0 + np.abs(found))
+            drift = (b * dmax[done])[:, None] * (np.abs(offsets) + margin)
+            trusted = np.all(np.isfinite(margin) & (np.abs(found) <= _BETA_REACH) & (drift <= _DRIFT), axis=1)
+            rows = live[done][trusted]
+            roots[rows], margins[rows] = found[trusted], margin[trusted]
+        both = np.isfinite(lo) & np.isfinite(hi)
+        bracketed = np.where(both, 0.5 * (lo + hi), u + np.where(flat, _NEWTON_MAX_STEP, -_NEWTON_MAX_STEP))
+        u = np.where(newton, nxt, bracketed)
+        # done, or the bracket holds no root the bisection reaches
+        keep = ~done & (lo <= _BETA_REACH) & (hi >= -_BETA_REACH)
+        if not keep.all():
+            kept = np.flatnonzero(keep)
+            for row, old in enumerate(kept):  # in place: rows only move up
+                powers[row] = powers[old]
+            powers = powers[:kept.size]
+            live, dmax, u, lo, hi = live[kept], dmax[kept], u[kept], lo[kept], hi[kept]
+    return roots, margins
+
+
 def _bisect_rows(sq_distances: np.ndarray, perplexity: float, start: int, stop: int, p: np.ndarray,
                  achieved: np.ndarray) -> None:
-    """Bisect the precisions of rows ``start:stop`` together and write their rows of P and perplexities.
+    """Bisect the precisions of rows ``start:stop`` and write their rows of P and perplexities.
 
-    Each row takes the same steps as a bisection of that row alone and stops
-    changing once it converges.
+    Each row ends at the precision that a bisection of that row alone
+    reaches, bit for bit, but evaluates few of its steps. With d a row's
+    distances less their minimum and n their count, the entropy h of the
+    weights w = exp(-beta d) falls as beta grows, so each decision of the
+    bisection compares beta with a root: "too flat" (h > log perp) holds iff
+    beta < beta*, where h = log perp, and "stop" (|exp h - perp| <= tol)
+    iff b- <= beta <= b+, where h = log(perp + tol) and log(perp - tol).
+    ``_newton_roots`` finds the three in u = log beta. The loop replays the
+    bisection's own float operations on beta (b * 2, b / 2, 0.5 * (b + hi),
+    0.5 * (b + lo)) and takes each decision from the roots, except that it
+    evaluates h by the exact ``_entropies`` arithmetic when log beta lies
+    within a margin of a root u_r:
+
+        M_r = 8 * (2 * eps_h / |h'| + C * (u_r - u_k)^2) + 2^-52 * (1 + |u_r|)
+
+    - eps_h = 2^-52 * ((n + 6 + t)(1 + 2t) + m2 + |log sum w| + |h|), with
+      t = beta E_w[d] and m2 = beta^2 E_w[d^2], is twice the first-order
+      bound on the rounding error of h, Newton's or ``_entropies``': with
+      u = 2^-53, weight j within relative (beta d_j + 4) u (exp within 4 u
+      of exp of an argument rounded once), n - 1 roundings per sum or dot
+      product, one for each of log, the product, the quotient and the last
+      sum. One eps_h moves the computed root, the other the evaluation at
+      beta; divided by the slope h' = -beta^2 Var_w(d) they are distances
+      in u.
+    - C = 1 + beta (E_w[d^3] - E_w[d] E_w[d^2]) / (2 Var_w(d)) bounds
+      |h''| / (2 |h'|), as h'' = -2 beta^2 Var_w(d) + beta^3 mu_3 and
+      |mu_3| <= E_w[(d + E_w d)(d - E_w d)^2]; C (u_r - u_k)^2 then bounds the
+      error of a root linearised from the last Newton iterate u_k, Newton's
+      own error included.
+    - the factor 8 covers the moments' drift between u_k and beta: the roots
+      are used only if beta * max d * (|u_r - u_k| + M_r) <= _DRIFT, so no
+      ratio of two weights moves by more than e^0.1.
+    - the last term covers the rounding of log beta and of u_r.
+
+    A row with no trustworthy root takes every decision from ``_entropies``,
+    which is the exact loop: all distances equal (zero variance), a root
+    that is not finite or not found in _NEWTON_ITERATIONS, one beyond the
+    |log beta| <= 50 log 2 that the bisection reaches, or a drift past
+    _DRIFT. The last ``_entropies`` call is the bisection's own, so P and the
+    achieved perplexities are its bits.
     """
     n = sq_distances.shape[0]
     off_diagonal = np.arange(n) != np.arange(start, stop)[:, None]
-    rows = sq_distances[start:stop][off_diagonal].reshape(stop - start, n - 1)
+    shifted = sq_distances[start:stop][off_diagonal].reshape(stop - start, n - 1)
     # shifted weights keep exp() in range; entropy is shift-invariant
-    shifted = rows - rows.min(axis=1, keepdims=True)
+    shifted -= shifted.min(axis=1, keepdims=True)
     log_target = np.log(perplexity)
+    targets = np.log([perplexity, perplexity + PERPLEXITY_TOL, perplexity - PERPLEXITY_TOL])
+    roots, margins = _newton_roots(shifted, targets)
     beta = np.ones(stop - start)
     beta_min = np.full(stop - start, -np.inf)
     beta_max = np.full(stop - start, np.inf)
-    h = _entropies(shifted, beta)[0]
     live = np.arange(stop - start)
     for _ in range(BISECTION_STEPS):
-        live = live[~(np.abs(np.exp(h[live]) - perplexity) <= PERPLEXITY_TOL)]
+        b, u = beta[live], np.log(beta[live])
+        root, low, high = roots[live].T  # beta*, b- and b+ in log beta
+        converged, flat = (low < u) & (u < high), u < root
+        exact = np.isnan(root) | np.any(np.abs(u[:, None] - roots[live]) <= margins[live], axis=1)
+        if exact.any():
+            h = _entropies(shifted[live[exact]], b[exact])[0]
+            converged[exact] = np.abs(np.exp(h) - perplexity) <= PERPLEXITY_TOL
+            flat[exact] = h > log_target
+        live, b, flat = live[~converged], b[~converged], flat[~converged]
         if live.size == 0:
             break
-        b, lo, hi = beta[live], beta_min[live], beta_max[live]
-        flat = h[live] > log_target  # too flat: sharpen
-        beta_min[live] = np.where(flat, b, lo)
+        lo, hi = beta_min[live], beta_max[live]
+        beta_min[live] = np.where(flat, b, lo)  # flat: too flat, sharpen
         beta_max[live] = np.where(flat, hi, b)
         beta[live] = np.where(
             flat,
             np.where(hi == np.inf, b * 2.0, 0.5 * (b + hi)),
             np.where(lo == -np.inf, b / 2.0, 0.5 * (b + lo)),
         )
-        h[live] = _entropies(shifted[live], beta[live])[0]
-    _, w, sw = _entropies(shifted, beta)
+    h, w, sw = _entropies(shifted, beta)
     p[start:stop][off_diagonal] = np.divide(w, sw[:, None], out=w).ravel()
     achieved[start:stop] = np.exp(h)
 
@@ -303,7 +442,12 @@ def conditional_affinities(sq_distances: np.ndarray, perplexity: float):
     Returns (P, achieved) where P is N x N with zero diagonal and unit row
     sums, and ``achieved`` holds the realized perplexity of each row after
     at most 50 bisection steps (tolerance 1e-5 in perplexity units). Blocks of
-    rows are bisected at once, in parallel when there are several.
+    rows are bisected at once, in parallel when there are several. Each
+    block finds per row the precisions where the bisection's decisions flip
+    by Newton and replays the bisection's steps from them, evaluating a step
+    only within a rounding margin of a root or on a row without trustworthy
+    roots; P and ``achieved`` are the bits of a bisection of each row alone
+    (``_bisect_rows`` gives the margin).
     """
     n = sq_distances.shape[0]
     p = np.zeros((n, n))

@@ -672,7 +672,9 @@ def test_malformed_config_is_io_error(tmp_path, capsys, text):
      ("noise_sigma = 0.6", "noise_sigma = inf", "gen", "[data] noise_sigma = 'inf': not a finite number"),
      ("centers = 0,0 | 7,7", "centers = 0,0 | 7,-inf", "gen", "[data] centers = '0,0 | 7,-inf'"),
      ("linear_target_weights = 1.0,-0.5", "linear_target_weights = 1.0,nan", "gen",
-      "[data] linear_target_weights = '1.0,nan'")],
+      "[data] linear_target_weights = '1.0,nan'"),
+     ("perplexity = 10", "perplexity = nan", "embed", "[embedding] perplexity = 'nan': not a finite number"),
+     ("val_fraction = 0.1", "val_fraction = -inf", "train", "[train] val_fraction = '-inf': not a finite number")],
 )
 def test_bad_config_value_names_its_key(workspace, capsys, old, new, cmd, key):
     config, out = workspace

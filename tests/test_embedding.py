@@ -51,14 +51,17 @@ def _reference_row_entropy(dist_row, beta):
     return h, w / sw
 
 
-def reference_conditional_affinities(sq_distances, perplexity):
-    """The bisection as first written: one row at a time, every step from scratch."""
+def reference_conditional_affinities(sq_distances, perplexity, rows=None):
+    """The bisection as first written: one row at a time, every step from scratch.
+
+    Only the ``rows`` given (all by default) are bisected; the others stay 0 in P and NaN in achieved.
+    """
     n = sq_distances.shape[0]
     p = np.zeros((n, n))
-    achieved = np.empty(n)
+    achieved = np.full(n, np.nan)
     log_target = np.log(perplexity)
     others = np.arange(n)
-    for i in range(n):
+    for i in range(n) if rows is None else rows:
         mask = others != i
         row = sq_distances[i, mask]
         beta, beta_min, beta_max = 1.0, -np.inf, np.inf
@@ -214,6 +217,94 @@ class TestAffinities:
         if np.all(points == points[0]) and abs(len(points) - 1 - perplexity) > 1e-3:
             # every row's perplexity is N - 1 whatever its precision: none converges
             assert np.all(np.abs(achieved - perplexity) > PERPLEXITY_TOL)
+
+
+def _perplexity_at(points, row, beta=1.0):
+    """The perplexity of ``row``'s conditional distribution at precision ``beta`` (1 is the bisection's first step)."""
+    distances = pairwise_sq_distances(points)
+    return float(np.exp(_reference_row_entropy(np.delete(distances[row], row), beta)[0]))
+
+
+def _replay_case(name):
+    """(points, perplexity, rows that must miss the target) of one row table case."""
+    gen = np.random.default_rng(11)
+    normal = gen.normal(size=(60, 3))
+    if name == "duplicates-and-ties":
+        # four coordinate values on a grid: duplicate points and many equal distances; a
+        # point with five or more nearest neighbours at one distance keeps a perplexity of at least 5
+        points = gen.choice([0.0, 1.0, 2.0, 3.0], size=(45, 2))
+        distances = pairwise_sq_distances(points) + np.diag(np.full(45, np.inf))
+        nearest = np.sum(distances == distances.min(axis=1, keepdims=True), axis=1)
+        return points, 5.0, np.flatnonzero(nearest >= 5)
+    if name == "perplexity-3":
+        return normal, 3.0, None
+    if name == "perplexity-(n-1)/3":
+        return normal, (60 - 1) / 3.0, None
+    if name == "all-50-steps-identical-points":
+        # every row's perplexity is N - 1 whatever its precision
+        return np.ones((12, 2)), 4.0, np.arange(12)
+    if name == "all-50-steps-target-out-of-reach":
+        # no precision spreads a row over more than its N - 1 neighbours, so beta halves 50 times
+        return normal[:20], 19.5, np.arange(20)
+    if name == "stop-at-beta-1":
+        return normal, _perplexity_at(normal, 0), None
+    if name == "band-edge-at-beta-1-above":
+        return normal, _perplexity_at(normal, 0) + PERPLEXITY_TOL, None
+    if name == "band-edge-at-beta-1-below":
+        return normal, _perplexity_at(normal, 0) - PERPLEXITY_TOL, None
+    if name == "root-above-2^50":
+        # squared distances near 1e-18 put each root near beta = 1e18
+        return normal[:30] * 1e-9, 5.0, np.arange(30)
+    if name == "root-below-2^-50":
+        return normal[:30] * 1e9, 5.0, np.arange(30)
+    raise AssertionError(name)
+
+
+class TestReplay:
+    @pytest.mark.parametrize("name", [
+        "duplicates-and-ties", "perplexity-3", "perplexity-(n-1)/3", "all-50-steps-identical-points",
+        "all-50-steps-target-out-of-reach", "stop-at-beta-1", "band-edge-at-beta-1-above",
+        "band-edge-at-beta-1-below", "root-above-2^50", "root-below-2^-50",
+    ])
+    @pytest.mark.parametrize("rows, workers", [(None, 1), (7, 2)])
+    def test_rows_match_the_reference_bisection_bit_for_bit(self, name, rows, workers):
+        points, perplexity, missing = _replay_case(name)
+        distances = pairwise_sq_distances(points)
+        want_p, want_achieved = reference_conditional_affinities(distances, perplexity)
+        with row_blocks(len(points), rows, workers):
+            p, achieved = conditional_affinities(distances, perplexity)
+        assert p.tobytes() == want_p.tobytes()
+        assert achieved.tobytes() == want_achieved.tobytes()
+        # each case is what its name says
+        misses = np.flatnonzero(np.abs(achieved - perplexity) > PERPLEXITY_TOL)
+        assert np.array_equal(misses, np.arange(0) if missing is None else missing)
+        if name == "stop-at-beta-1":
+            assert achieved[0] == perplexity
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 0.75])
+    def test_band_edges_at_a_visited_beta_take_the_reference_decision(self, beta, side):
+        # perplexity exp h(beta) -/+ tol puts row i's stop test at beta (its first, second or
+        # third step) on an edge of the band, where the outcome turns on rounding; twenty rows
+        # each make the wrong side likely to show
+        points = np.random.default_rng(11).normal(size=(60, 3))
+        distances = pairwise_sq_distances(points)
+        for row in range(20):
+            perplexity = _perplexity_at(points, row, beta) + side * PERPLEXITY_TOL
+            want_p, want_achieved = reference_conditional_affinities(distances, perplexity, [row])
+            p, achieved = conditional_affinities(distances, perplexity)
+            assert p[row].tobytes() == want_p[row].tobytes()
+            assert achieved[row] == want_achieved[row]
+
+    def test_every_seventh_row_of_a_clustered_sample_matches_the_reference(self):
+        # the benchmark's 2000-point mixture; the rows were fixed before the first run
+        data = generate_clustered(2000, 2, [[6.0, 6.0], [0.0, 0.0]], [0.9, 0.1], 1.0, seed=42)
+        distances = pairwise_sq_distances(data.features)
+        rows = np.arange(0, 2000, 7)
+        want_p, want_achieved = reference_conditional_affinities(distances, 30.0, rows)
+        p, achieved = conditional_affinities(distances, 30.0)
+        assert p[rows].tobytes() == want_p[rows].tobytes()
+        assert achieved[rows].tobytes() == want_achieved[rows].tobytes()
 
 
 class TestBlockedStep:
