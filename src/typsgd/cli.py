@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import os
-import re
 import sys
-from glob import glob
 from pathlib import Path
 from typing import NamedTuple
 
@@ -22,13 +21,13 @@ import numpy as np
 from ._csvio import read_provenance, write_rows, write_text
 from ._parallel import map_processes
 from .analysis import formula_alpha
-from .config import RunConfig
+from .config import OPTIMIZER_KINDS, RunConfig
 from .data import Dataset, generate_clustered, generate_pwl_curves, load_csv, load_dataset_file, save_csv, split_dataset
 from .density import build_partition, kde_densities, load_partition, save_partition
 from .embedding import load_embedding_points, save_embedding, tsne_embed
 from .errors import CapabilityError, CsvFormatError, InvalidArgumentError, NumericError
 from .models import MODEL_KINDS, ModelSpec, quadratic_constants, save_theta
-from .optimize import Adam, Sgd, load_trace, median_reach, save_trace, train
+from .optimize import Adam, Sgd, first_reach, load_trace, median_reach, save_trace, train
 from .sampling import SrsScheme, StratifiedScheme, default_plan, make_plan, resolve_strata, save_batch_log
 from .svg import line_chart, scatter_chart
 from .verify import all_asserted_pass, run_verification
@@ -181,12 +180,22 @@ def _train_setup(config: RunConfig, out_dir: str) -> TrainSetup:
     )
 
 
-def _run_cell(setup: TrainSetup, out_dir: str, sampler: str, optimizer: str, seed: int, with_alpha: bool):
+def _cells(config: RunConfig) -> list[tuple[str, str, int]]:
+    """Every (sampler, optimizer, seed) training cell the config names, after any ``--seed`` override."""
+    return list(itertools.product(config["train", "samplers"], config["train", "optimizers"], config["train", "seeds"]))
+
+
+def _stem(sampler: str, optimizer: str, seed: int) -> str:
+    """The file-name stem of one cell's trace, theta and batch files."""
+    return f"{sampler}_{optimizer}_seed{seed}"
+
+
+def _run_cell(setup: TrainSetup, out_dir: str, sampler: str, optimizer: str, seed: int, with_alpha: bool) -> None:
     """One (sampler, optimizer, seed) training run; writes trace, theta and (if logged) batch files.
 
     ``with_alpha`` adds alpha.csv: the typicality scheme's error ratio at every recorded theta.
     """
-    stem = f"{sampler}_{optimizer}_seed{seed}"
+    stem = _stem(sampler, optimizer, seed)
     scheme = setup.schemes[sampler]
     trace = train(
         setup.model,
@@ -223,64 +232,54 @@ def _run_cell(setup: TrainSetup, out_dir: str, sampler: str, optimizer: str, see
             config_digest=setup.digest,
             seed=seed,
         )
-    return stem
 
 
 def cmd_train(config: RunConfig, out_dir: str) -> int:
     """Every (sampler, optimizer, seed) cell, on ``map_processes``; the files are the same at any pool size."""
-    threshold = config["train", "threshold"]
+    config["train", "threshold"]  # a threshold that is not finite is refused before any cell runs
     seeds = config["train", "seeds"]
     setup = _train_setup(config, out_dir)
-    cells = [
-        (sampler, optimizer, seed)
-        for sampler in setup.schemes
-        for optimizer in setup.optimizers
-        for seed in seeds
-    ]
+    cells = _cells(config)
     alpha_cell = ("typicality", "sgd", min(seeds))  # the seed the loss charts plot
     if alpha_cell not in cells:  # an alpha.csv of an earlier config would read as this run's
         Path(out_dir, "alpha.csv").unlink(missing_ok=True)
-    stems = map_processes(_run_cell, [(setup, out_dir, *cell, cell == alpha_cell) for cell in cells])
-    _write_comparison(config, out_dir, [os.path.join(out_dir, f"trace_{stem}.csv") for stem in stems], threshold)
+    map_processes(_run_cell, [(setup, out_dir, *cell, cell == alpha_cell) for cell in cells])
+    _write_comparison(config, out_dir)
     print(f"train: {len(cells)} runs -> {out_dir}")
     return EXIT_OK
 
 
-TRACE_NAME = re.compile(r"trace_(?P<sampler>.+)_(?P<optimizer>[^_]+)_seed(?P<seed>\d+)\.csv")
+def _write_comparison(config: RunConfig, out_dir: str) -> None:
+    """comparison.csv and the loss charts (smallest seed) from each configured cell's trace, in file-name order.
 
-
-def _load_named_trace(path, config: RunConfig):
-    """(sampler, optimizer, trace) of a TRACE_NAME file whose rows name the same run, written under ``config``."""
-    name = TRACE_NAME.fullmatch(Path(path).name)
-    if name is None:
-        raise CsvFormatError(f"{path}: a trace file must be named trace_<sampler>_<optimizer>_seed<n>.csv")
-    written = read_provenance(path).get("config")
-    if written != config.digest:
-        raise InvalidArgumentError(f"{path} was written under config {written}, not the current config {config.digest}")
-    trace = load_trace(path, config["train", "iterations"], config["train", "eval_every"])
-    named, recorded = (name["sampler"], int(name["seed"])), (trace.sampler_kind, trace.seed)
-    if named != recorded:
-        raise CsvFormatError(f"{path}: the name says (sampler, seed) = {named}, the rows say {recorded}")
-    return name["sampler"], name["optimizer"], trace
-
-
-def _write_comparison(config: RunConfig, out_dir: str, trace_paths, threshold: float) -> None:
-    """comparison.csv and the loss charts from the given trace files."""
+    A missing trace raises OSError, and no other file is read; the chart of an unconfigured optimizer is removed.
+    """
+    threshold = config["train", "threshold"]
+    iterations, eval_every = config["train", "iterations"], config["train", "eval_every"]
+    smallest_seed = min(config["train", "seeds"])
     rows = []
     by_cell: dict[tuple[str, str], list] = {}
     measured: set[tuple[str, str]] = set()  # cells whose traces record subopt
-    curves: dict[tuple[str, str], tuple[int, list]] = {}
-    for path in sorted(trace_paths):
-        sampler, optimizer, trace = _load_named_trace(path, config)
-        reached = trace.iterations_to_threshold(threshold)
+    curves: dict[tuple[str, str], list] = {}  # the smallest seed's records
+    for path, (sampler, optimizer, seed) in sorted(
+        (os.path.join(out_dir, f"trace_{_stem(*cell)}.csv"), cell) for cell in _cells(config)
+    ):
+        written = read_provenance(path).get("config")
+        if written != config.digest:
+            raise InvalidArgumentError(f"{path} was written under config {written}, not the current config {config.digest}")
+        trace = load_trace(path, iterations, eval_every)
+        recorded = (trace.sampler_kind, trace.seed)
+        if recorded != (sampler, seed):
+            raise CsvFormatError(f"{path}: the cell is (sampler, seed) = {(sampler, seed)}, the rows say {recorded}")
+        reached = first_reach(trace.records, threshold)
         final = trace.records[-1]
-        rows.append([sampler, optimizer, trace.seed, reached, final.train_loss, final.val_loss, final.subopt])
+        rows.append([sampler, optimizer, seed, reached, final.train_loss, final.val_loss, final.subopt])
         cell = (sampler, optimizer)
         by_cell.setdefault(cell, []).append(reached)
         if any(r.subopt is not None for r in trace.records):
             measured.add(cell)
-        if cell not in curves or trace.seed < curves[cell][0]:
-            curves[cell] = (trace.seed, [(r.iteration, r.train_loss) for r in trace.records])
+        if seed == smallest_seed:
+            curves[cell] = trace.records
     for (sampler, optimizer), reaches in sorted(by_cell.items()):
         median = median_reach(reaches)
         if (sampler, optimizer) not in measured:
@@ -294,11 +293,11 @@ def _write_comparison(config: RunConfig, out_dir: str, trace_paths, threshold: f
         header=["sampler", "optimizer", "seed", "iters_to_threshold", "final_train_loss", "final_val_loss", "final_subopt"],
         config_digest=config.digest,
     )
-    optimizers = {opt for (_, opt) in curves}
+    optimizers = config["train", "optimizers"]
     for optimizer in optimizers:
         series = [
-            (sampler, [it for it, _ in pts], [loss for _, loss in pts])
-            for (sampler, opt), (_, pts) in sorted(curves.items())
+            (sampler, [r.iteration for r in records], [r.train_loss for r in records])
+            for (sampler, opt), records in sorted(curves.items())
             if opt == optimizer
         ]
         line_chart(
@@ -307,19 +306,14 @@ def _write_comparison(config: RunConfig, out_dir: str, trace_paths, threshold: f
             f"training loss ({optimizer}, smallest seed)",
             config_digest=config.digest,
         )
-    # a chart of an optimizer without a trace here is from an earlier config
-    for chart in glob(os.path.join(out_dir, "losses_*.svg")):
-        if Path(chart).stem.removeprefix("losses_") not in optimizers:
-            os.unlink(chart)
+    for optimizer in (kind for kind in OPTIMIZER_KINDS if kind not in optimizers):  # a chart of an earlier config
+        Path(out_dir, f"losses_{optimizer}.svg").unlink(missing_ok=True)
 
 
 def cmd_report(config: RunConfig, out_dir: str) -> int:
-    threshold = config["train", "threshold"]
-    traces = glob(os.path.join(out_dir, "trace_*.csv"))
-    if not traces:
-        raise FileNotFoundError(f"no trace_*.csv in {out_dir} to report on")
-    _write_comparison(config, out_dir, traces, threshold)
-    print(f"report: comparison rebuilt from traces in {out_dir}")
+    """Rebuild comparison.csv and the loss charts from the configured cells' traces (see ``_write_comparison``)."""
+    _write_comparison(config, out_dir)
+    print(f"report: comparison rebuilt from the configured cells' traces in {out_dir}")
     return EXIT_OK
 
 
@@ -356,7 +350,7 @@ SUBCOMMANDS = {
     "partition": Subcommand("density-partition the embedding into strata H and L", ("embedding", "seed")),
     "train": Subcommand("run paired sampler/optimizer training cells", ("train", "seeds")),
     "verify": Subcommand("run the oracle verification suite", ("verify", "seed")),
-    "report": Subcommand("rebuild the comparison report from existing traces", None),
+    "report": Subcommand("rebuild comparison.csv from the traces of the configured cells", None),
 }
 
 

@@ -15,6 +15,7 @@ from .models import MODEL_KINDS
 from .optimize import check_learning_rate, check_threshold
 
 BOOLEAN_WORDS = configparser.ConfigParser.BOOLEAN_STATES
+OPTIMIZER_KINDS = ("sgd", "adam")  # the values of [train] optimizers
 
 
 def _boolean(raw: str) -> bool:
@@ -99,7 +100,7 @@ KEYS = {
     ("partition", "gamma"): (lambda raw: check_gamma(float(raw)), 0.3),
     ("partition", "bandwidth"): (lambda raw: check_bandwidth(_number_or("scott")(raw)), "scott"),
     ("train", "model"): (_one_of(*MODEL_KINDS), "quadratic"),
-    ("train", "optimizers"): (_distinct(_one_of("sgd", "adam")), ("sgd",)),
+    ("train", "optimizers"): (_distinct(_one_of(*OPTIMIZER_KINDS)), ("sgd",)),
     ("train", "samplers"): (_distinct(_one_of("srs", "typicality")), ("srs", "typicality")),
     ("train", "eta"): (_number_or("auto", check_learning_rate), "auto"),
     ("train", "adam_eta"): (check_learning_rate, None),  # None: the SGD eta

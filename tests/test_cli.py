@@ -145,7 +145,7 @@ def test_train_determinism(workspace):
 
 
 def test_train_compares_only_the_cells_it_trained(workspace):
-    # report rebuilds from every trace in the directory; train reads only its own
+    # train compares the cells its --seed names; report, which takes no --seed, the cells the config names
     config, out = workspace
     for cmd in ("gen", "partition", "train"):
         assert main([cmd, "--config", str(config)]) == 0
@@ -154,7 +154,7 @@ def test_train_compares_only_the_cells_it_trained(workspace):
     assert sorted(row[2] for row in rows) == ["5"] * 4 + ["median"] * 4
     assert main(["report", "--config", str(config)]) == 0
     rows = [line.split(",") for line in (out / "comparison.csv").read_text().splitlines()[2:]]
-    assert sorted(row[2] for row in rows) == ["0"] * 4 + ["1"] * 4 + ["5"] * 4 + ["median"] * 4
+    assert sorted(row[2] for row in rows) == ["0"] * 4 + ["1"] * 4 + ["median"] * 4
 
 
 def test_train_with_worker_pool(workspace, monkeypatch):
@@ -459,22 +459,15 @@ def test_corrupt_artifact_is_io_error(workspace, capsys, artifact, reader, corru
     assert f"{out / artifact}{located}" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "copy, message",
-    [
-        ("trace_notes.csv", "trace_<sampler>_<optimizer>_seed<n>.csv"),
-        ("trace_srs_sgd_seed9.csv", "('srs', 9), the rows say ('srs', 0)"),
-    ],
-)
-def test_trace_named_for_another_run_is_io_error(workspace, capsys, copy, message):
-    # report takes a trace's run from its file name; a name that is not a run's, or not this trace's, is malformed
+def test_trace_named_for_another_run_is_io_error(workspace, capsys):
+    # the trace file of the (srs, sgd, 1) cell holds the rows of the seed-0 run
     config, out = workspace
     for cmd in ("gen", "embed", "partition", "train"):
         assert main([cmd, "--config", str(config)]) == 0
-    (out / copy).write_bytes((out / "trace_srs_sgd_seed0.csv").read_bytes())
+    (out / "trace_srs_sgd_seed1.csv").write_bytes((out / "trace_srs_sgd_seed0.csv").read_bytes())
     assert main(["report", "--config", str(config)]) == 3
     err = capsys.readouterr().err
-    assert str(out / copy) in err and message in err
+    assert str(out / "trace_srs_sgd_seed1.csv") in err and "('srs', 1), the rows say ('srs', 0)" in err
 
 
 def test_report_refuses_traces_of_another_config(workspace, capsys):
@@ -483,13 +476,41 @@ def test_report_refuses_traces_of_another_config(workspace, capsys):
     for cmd in ("gen", "partition", "train"):
         assert main([cmd, "--config", str(config)]) == 0
     first = RunConfig.from_file(config).digest
-    config.write_text(config.read_text().replace("adam_eta = 0.05", "adam_eta = 0.5").replace("seeds = 0,1", "seeds = 0"))
-    assert main(["train", "--config", str(config)]) == 0
+    config.write_text(config.read_text().replace("adam_eta = 0.05", "adam_eta = 0.5"))
+    assert main(["train", "--config", str(config), "--seed", "0"]) == 0
     second = RunConfig.from_file(config).digest
     capsys.readouterr()
     assert main(["report", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert str(out / "trace_srs_adam_seed1.csv") in err and first in err and second in err
+
+
+def test_report_reads_only_the_traces_of_the_configured_cells(workspace):
+    # a trace of a seed that [train] seeds does not list, and a file that names no cell, change nothing
+    config, out = workspace
+    for cmd in ("gen", "partition", "train"):
+        assert main([cmd, "--config", str(config)]) == 0
+    written = {name: sha(out / name) for name in ("comparison.csv", "losses_sgd.svg", "losses_adam.svg")}
+    lines = (out / "trace_srs_sgd_seed0.csv").read_text().splitlines()
+    lines[0] = lines[0].replace("seed=0", "seed=9")
+    assert lines[0].endswith(" seed=9")
+    lines[2:] = [line.removesuffix(",0") + ",9" for line in lines[2:]]
+    (out / "trace_srs_sgd_seed9.csv").write_text("\n".join(lines) + "\n")
+    (out / "trace_notes.csv").write_text("notes beside the run\n")
+    assert main(["report", "--config", str(config)]) == 0
+    assert {name: sha(out / name) for name in written} == written
+
+
+def test_report_with_a_configured_trace_missing_is_io_error(workspace, capsys):
+    config, out = workspace
+    for cmd in ("gen", "partition", "train"):
+        assert main([cmd, "--config", str(config)]) == 0
+    (out / "trace_typicality_adam_seed1.csv").unlink()
+    before = {path.name: sha(path) for path in out.iterdir()}
+    capsys.readouterr()
+    assert main(["report", "--config", str(config)]) == 3
+    assert str(out / "trace_typicality_adam_seed1.csv") in capsys.readouterr().err
+    assert {path.name: sha(path) for path in out.iterdir()} == before
 
 
 def test_report_without_traces_is_io_error(workspace, capsys):

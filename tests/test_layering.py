@@ -4,7 +4,7 @@ Training does not depend on the oracle engine, and each rule has one owner:
 _csvio the text of every cell, models the target columns every loss reads,
 _parallel the size of every worker pool and the byte budget of every block,
 sampling the number of batches in each block it draws, optimize the SGD and
-Adam steps.
+Adam steps. No module finds its inputs by listing a directory.
 """
 
 import ast
@@ -19,6 +19,8 @@ MODULES = sorted(SRC.glob("*.py"))
 # the batch-mean engine and the rule that picks between its two paths
 ORACLE_ENGINE = {"oracle_path", "enumerated_means", "drawn_means"}
 MODEL_CLASSES = {cls.__name__ for cls in MODEL_KINDS.values()}
+# the calls that list a directory: os.listdir, os.scandir, Path.iterdir, Path.glob and Path.rglob
+DIRECTORY_LISTINGS = {"listdir", "scandir", "iterdir", "glob", "rglob"}
 
 
 def parse(path):
@@ -133,3 +135,11 @@ def test_only_parallel_sets_the_block_budget(path):
 def test_only_sampling_sizes_the_batch_blocks(path):
     # draw_batches cuts the batch stream into blocks; its callers read the stream and size nothing
     assert "block_size" not in set(names_used(parse(path)))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_lists_a_directory(path):
+    # every file a command reads is named by the config; a listing would take in whatever else lies there
+    tree = parse(path)
+    assert "glob" not in set(imported_modules(tree))
+    assert not set(names_used(tree)) & DIRECTORY_LISTINGS
